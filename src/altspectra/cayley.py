@@ -1,10 +1,11 @@
-"""Cayley graphs on A_n in compressed adjacency form.
+"""Cayley graphs on A_n as (order, degree) neighbour arrays.
 
 Vertices are even permutations numbered by :func:`altspectra.perm.rank`.
 The neighbors of a vertex g are the products t*g for t in the generating
 set, with t applied first (left multiplication under the package-wide
-left-to-right composition).  Built graphs are immutable: neighbor lists are
-sorted, stored in one flat array, and marked read-only, so a graph can be
+left-to-right composition).  Every graph here is regular, so row v of one
+(order, degree) array holds the sorted neighbor list of vertex v.  Built
+graphs are immutable: the array is marked read-only, so a graph can be
 shared freely across threads.
 
 Three generating families are provided:
@@ -117,80 +118,66 @@ def expected_degree(family: str, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected graph in compressed adjacency layout.
+    """Immutable undirected regular graph as an (order, degree) array.
 
-    ``neighbors[offsets[v]:offsets[v+1]]`` is the sorted neighbor list of
-    vertex v.  Equality is canonical: two graphs are equal iff their arrays
-    match entry for entry.
+    ``adj[v]`` is the sorted neighbor list of vertex v.  Equality is
+    canonical: two graphs are equal iff their arrays match entry for entry.
     """
 
-    offsets: np.ndarray
-    neighbors: np.ndarray
+    adj: np.ndarray
 
     def __post_init__(self):
-        self.offsets.setflags(write=False)
-        self.neighbors.setflags(write=False)
+        if self.adj.ndim != 2:
+            raise ValueError(f"adj must be an (order, degree) array, got shape {self.adj.shape}")
+        self.adj.setflags(write=False)
 
     @property
     def order(self) -> int:
-        return len(self.offsets) - 1
+        return self.adj.shape[0]
+
+    @property
+    def degree(self) -> int:
+        return self.adj.shape[1]
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        """All neighbor lists back to back, a flat view of ``adj``."""
+        return self.adj.reshape(-1)
 
     @property
     def edge_count(self) -> int:
-        return len(self.neighbors) // 2
-
-    def degree_of(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
+        return self.adj.size // 2
 
     def neighbors_of(self, v: int) -> np.ndarray:
-        return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
-
-    def uniform_degree(self) -> int | None:
-        degs = np.diff(self.offsets)
-        if len(degs) and (degs == degs[0]).all():
-            return int(degs[0])
-        return None
+        return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors_of(u)
+        row = self.adj[u]
         k = np.searchsorted(row, v)
         return k < len(row) and row[k] == v
 
     def edges_array(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, sorted lexicographically."""
-        src = np.repeat(np.arange(self.order, dtype=np.int64), np.diff(self.offsets))
-        mask = src < self.neighbors
-        return np.column_stack([src[mask], self.neighbors[mask]])
+        mask = self.adj > np.arange(self.order)[:, None]
+        return np.column_stack([np.nonzero(mask)[0], self.adj[mask]])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ v without materializing A."""
         v = np.asarray(v, dtype=np.float64)
-        d = self.uniform_degree()
-        if d is not None:
-            if d == 0:
-                return np.zeros(self.order)
-            return v[self.neighbors.reshape(self.order, d)].sum(axis=1)
-        src = np.repeat(np.arange(self.order, dtype=np.int64), np.diff(self.offsets))
-        return np.bincount(src, weights=v[self.neighbors], minlength=self.order)
+        return v[self.adj].sum(axis=1)
 
     def adjacency_dense(self) -> np.ndarray:
         A = np.zeros((self.order, self.order))
-        src = np.repeat(np.arange(self.order, dtype=np.int64), np.diff(self.offsets))
-        A[src, self.neighbors] = 1.0
+        np.put_along_axis(A, self.adj, 1.0, axis=1)
         return A
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.neighbors, other.neighbors)
-        )
+        return isinstance(other, Graph) and np.array_equal(self.adj, other.adj)
 
 
 @dataclass(frozen=True, eq=False)
 class CayleyGraph(Graph):
     n: int = 0
-    degree: int = 0
     family_tag: str = "custom"
 
 
@@ -210,19 +197,8 @@ class VertexMap:
         return len(self.pairs)
 
     def is_injective(self) -> bool:
-        targets = {t for _, t in self.pairs}
-        return len(targets) == len(self.pairs)
-
-
-def _graph_from_rows(rows: list[np.ndarray]) -> Graph:
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    neighbors = (
-        np.concatenate(rows).astype(np.int32)
-        if rows and offsets[-1] > 0
-        else np.empty(0, dtype=np.int32)
-    )
-    return Graph(offsets=offsets, neighbors=neighbors)
+        targets = np.array([t for _, t in self.pairs], dtype=np.int64)
+        return np.unique(targets).size == len(self.pairs)
 
 
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
@@ -248,12 +224,9 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
         # Row for vertex g of t*g: point i goes to g[t_i].
         nbrs[:, c] = alternating_ranks(verts[:, idx])
     nbrs.sort(axis=1)
-    offsets = np.arange(order + 1, dtype=np.int64) * degree
     return CayleyGraph(
-        offsets=offsets,
-        neighbors=nbrs.reshape(-1),
+        adj=nbrs,
         n=n,
-        degree=degree,
         family_tag=TAG_TO_FAMILY.get(gens.family_tag, "custom"),
     )
 
@@ -273,13 +246,8 @@ def is_connected(G: Graph) -> bool:
     seen = np.zeros(order, dtype=bool)
     seen[0] = True
     frontier = np.array([0], dtype=np.int64)
-    d = G.uniform_degree()
     while frontier.size:
-        if d is not None and d > 0:
-            nxt = G.neighbors.reshape(order, d)[frontier].reshape(-1)
-        else:
-            nxt = np.concatenate([G.neighbors_of(int(v)) for v in frontier]) if frontier.size else frontier
-        nxt = np.unique(nxt)
+        nxt = np.unique(G.adj[frontier])
         nxt = nxt[~seen[nxt]]
         seen[nxt] = True
         frontier = nxt
@@ -287,21 +255,24 @@ def is_connected(G: Graph) -> bool:
 
 
 def induced_subgraph(G: Graph, S) -> tuple[Graph, VertexMap]:
-    """Subgraph on vertex subset ``S`` plus the new-index -> old-index map."""
+    """Subgraph on vertex subset ``S`` plus the new-index -> old-index map.
+
+    Vertex k of the subgraph is the k-th smallest member of ``S``.  Raises
+    ``ValueError`` when ``S`` induces an irregular subgraph.
+    """
     S = np.unique(np.asarray(S, dtype=np.int64))
     if S.size == 0:
         raise ValueError("vertex subset is empty")
     if S[0] < 0 or S[-1] >= G.order:
         raise ValueError("vertex subset out of range")
-    inset = np.zeros(G.order, dtype=bool)
-    inset[S] = True
-    new_id = np.full(G.order, -1, dtype=np.int64)
+    new_id = np.full(G.order, -1, dtype=np.int32)
     new_id[S] = np.arange(S.size)
-    rows = []
-    for v in S:
-        nb = G.neighbors_of(int(v))
-        rows.append(new_id[nb[inset[nb]]])
-    sub = _graph_from_rows(rows)
+    rows = new_id[G.adj[S]]
+    inside = rows >= 0
+    degrees = inside.sum(axis=1)
+    if np.any(degrees != degrees[0]):
+        raise ValueError("vertex subset induces an irregular subgraph")
+    sub = Graph(adj=rows[inside].reshape(S.size, degrees[0]))
     pairs = tuple((int(k), int(v)) for k, v in enumerate(S))
     return sub, VertexMap(source="induced", target="parent", pairs=pairs)
 
@@ -348,35 +319,20 @@ def _inversion_parity(row: np.ndarray) -> int:
 
 
 def graph_invariant_violations(G: Graph) -> list[str]:
-    """Structural defects of the adjacency layout; empty list means clean."""
+    """Structural defects of the neighbor array; empty list means clean."""
     problems = []
-    if not np.all(np.diff(G.offsets) >= 0) or G.offsets[0] != 0 or G.offsets[-1] != len(G.neighbors):
-        problems.append("offsets are not a valid cumulative layout")
-        return problems
-    if len(G.neighbors) and (G.neighbors.min() < 0 or G.neighbors.max() >= G.order):
+    if G.adj.size and (G.adj.min() < 0 or G.adj.max() >= G.order):
         problems.append("neighbor index out of range")
         return problems
-    src = np.repeat(np.arange(G.order, dtype=np.int64), np.diff(G.offsets))
-    if np.any(src == G.neighbors):
+    rows = np.arange(G.order, dtype=np.int64)[:, None]
+    if np.any(G.adj == rows):
         problems.append("self-loop present")
-    if len(G.neighbors) > 1:
-        diffs = np.diff(G.neighbors.astype(np.int64))
-        within_row = np.ones(len(diffs), dtype=bool)
-        row_starts = G.offsets[1:-1]
-        within_row[row_starts[(row_starts > 0) & (row_starts < len(G.neighbors))] - 1] = False
-        if np.any(diffs[within_row] <= 0):
-            problems.append("a neighbor list is not strictly increasing")
-    forward = np.lexsort((G.neighbors, src))
-    backward = np.lexsort((src, G.neighbors))
-    if not (
-        np.array_equal(src[forward], G.neighbors[backward])
-        and np.array_equal(G.neighbors[forward], src[backward])
-    ):
+    if np.any(np.diff(G.adj, axis=1) <= 0):
+        problems.append("a neighbor list is not strictly increasing")
+    forward = np.sort((rows * G.order + G.adj).reshape(-1))
+    backward = np.sort((G.adj.astype(np.int64) * G.order + rows).reshape(-1))
+    if not np.array_equal(forward, backward):
         problems.append("adjacency is not symmetric")
-    if isinstance(G, CayleyGraph):
-        degs = np.diff(G.offsets)
-        if len(degs) and not np.all(degs == G.degree):
-            problems.append(f"graph is not {G.degree}-regular")
     return problems
 
 
@@ -388,8 +344,7 @@ def export_edges(G: Graph, path, family: str = "custom", n: int | None = None) -
     if isinstance(G, CayleyGraph):
         family = G.family_tag
         n = G.n
-    degree = G.uniform_degree()
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# family={family} n={n} order={G.order} degree={degree}\n")
+        fh.write(f"# family={family} n={n} order={G.order} degree={G.degree}\n")
         for u, v in G.edges_array():
             fh.write(f"{u} {v}\n")

@@ -57,8 +57,7 @@ def _subset_mask(G: Graph, S) -> np.ndarray:
 def boundary_size(G: Graph, S) -> int:
     """Number of edges with exactly one endpoint in S."""
     mask = _subset_mask(G, S)
-    src = np.repeat(np.arange(G.order, dtype=np.int64), np.diff(G.offsets))
-    return int(np.count_nonzero(mask[src] & ~mask[G.neighbors]))
+    return int(np.count_nonzero(mask[:, None] & ~mask[G.adj]))
 
 
 def cut_ratio(G: Graph, S, description: str = "subset") -> CutReport:
@@ -144,17 +143,16 @@ def brute_force_h(G: Graph, max_order: int = 20) -> tuple[Fraction, tuple[int, .
         )
     if order < 2:
         raise ValueError("isoperimetric number needs at least two vertices")
+    degree = G.degree
     nbr_mask = [0] * order
-    degs = [0] * order
     for v in range(order):
         m = 0
         for u in G.neighbors_of(v):
             m |= 1 << int(u)
         nbr_mask[v] = m
-        degs[v] = G.degree_of(v)
 
     smask = 1  # vertex 0 always in
-    boundary = degs[0]
+    boundary = degree
     best: Fraction | None = None
     best_witness: tuple[int, ...] = ()
 
@@ -176,9 +174,9 @@ def brute_force_h(G: Graph, max_order: int = 20) -> tuple[Fraction, tuple[int, .
         bit = 1 << v
         if smask & bit:
             smask ^= bit
-            boundary -= degs[v] - 2 * (nbr_mask[v] & smask).bit_count()
+            boundary -= degree - 2 * (nbr_mask[v] & smask).bit_count()
         else:
-            boundary += degs[v] - 2 * (nbr_mask[v] & smask).bit_count()
+            boundary += degree - 2 * (nbr_mask[v] & smask).bit_count()
             smask ^= bit
         if smask.bit_count() == order:
             continue

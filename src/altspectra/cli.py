@@ -190,7 +190,7 @@ def _run_build(args) -> tuple[dict, int]:
         "family": getattr(G, "family_tag", "custom"),
         "n": args.n,
         "order": G.order,
-        "degree": G.uniform_degree(),
+        "degree": G.degree,
         "edges": G.edge_count,
         "connected": is_connected(G),
     }
@@ -226,13 +226,11 @@ def _run_divisor(args) -> tuple[dict, int]:
 
 
 def _run_cut(args) -> tuple[dict, int]:
-    if args.family:
-        G = build_family(args.family, args.n, max_order=args.max_order or DEFAULT_MAX_ORDER)
-        S = _cheeger.canonical_cut(args.family, args.n, args.block)
-        label = f"{args.family} canonical block {args.block}"
-    else:
+    if not args.family:
         raise UsageError("cut needs --family (canonical blocks are family-specific)")
-    cr = _cheeger.cut_ratio(G, S, description=label)
+    G = _build(args)
+    S = _cheeger.canonical_cut(args.family, args.n, args.block)
+    cr = _cheeger.cut_ratio(G, S, description=f"{args.family} canonical block {args.block}")
     report = {"family": args.family, "n": args.n}
     report.update(cr.to_dict())
     return report, 0
@@ -302,12 +300,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _validate(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report, code = _HANDLERS[args.verb](args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OrderCapError, ConvergenceError) as exc:

@@ -184,17 +184,10 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
 
 
 def _neighbor_block_counts(G: Graph, assignment: np.ndarray, k: int) -> np.ndarray:
-    nbr_blocks = assignment[G.neighbors]
-    d = G.uniform_degree()
+    nbr_blocks = assignment[G.adj]
     counts = np.empty((G.order, k), dtype=np.int32)
-    if d is not None and d > 0:
-        mat = nbr_blocks.reshape(G.order, d)
-        for b in range(k):
-            counts[:, b] = (mat == b).sum(axis=1)
-    else:
-        counts[:] = 0
-        src = np.repeat(np.arange(G.order, dtype=np.int64), np.diff(G.offsets))
-        np.add.at(counts, (src, nbr_blocks.astype(np.int64)), 1)
+    for b in range(k):
+        counts[:, b] = (nbr_blocks == b).sum(axis=1)
     return counts
 
 

@@ -7,7 +7,7 @@ every shifted eigenvalue lies in [0, 2d], so the dominant eigenvalue on
 that complement is lambda_2 + d even when |lambda_min| exceeds lambda_2
 (AG_4 already has lambda_min = -lambda_2).  Deflation is enforced by
 re-projecting the iterate off the all-ones vector every step, and the
-matrix-vector product works directly on the compressed adjacency; no dense
+matrix-vector product works directly on the neighbor array; no dense
 matrix is ever formed in this mode.
 """
 
@@ -68,12 +68,9 @@ class SpectrumReport:
 
 
 def _meta(G: Graph) -> tuple[str | None, int | None, int]:
-    degree = G.uniform_degree()
-    if degree is None:
-        raise ValueError("spectral routines expect a regular graph")
     if isinstance(G, CayleyGraph):
-        return G.family_tag, G.n, degree
-    return None, None, degree
+        return G.family_tag, G.n, G.degree
+    return None, None, G.degree
 
 
 def dense_eigenpairs(G: Graph, order_cap: int = DENSE_ORDER_CAP) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +164,7 @@ def lambda2_iterative(
     of the degree is flagged with a warning: it usually means the graph was
     not connected.
     """
-    degree = G.uniform_degree()
-    if degree is None:
-        raise ValueError("iterative solver expects a regular graph")
+    degree = G.degree
     if G.order < 2:
         raise ValueError("graph must have at least two vertices")
     rng = np.random.default_rng(seed)
@@ -208,10 +203,7 @@ def lambda2_iterative(
 
 def spectral_gap(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
     """Degree minus the second-largest adjacency eigenvalue."""
-    degree = G.uniform_degree()
-    if degree is None:
-        raise ValueError("spectral gap is defined here for regular graphs")
-    return degree - lambda2_iterative(G, tol=tol, seed=seed)
+    return G.degree - lambda2_iterative(G, tol=tol, seed=seed)
 
 
 def gap_report(G: Graph, tol: float = 1e-8, seed: int = 42) -> SpectrumReport:
@@ -257,8 +249,8 @@ def predicted(family: str, n: int) -> tuple[int, int, int]:
 def integrality_check(report: SpectrumReport, tol: float = 1e-8) -> tuple[bool, float]:
     """Whether every eigenvalue sits within tol of an integer, plus the worst offset."""
     vals = np.asarray(report.eigenvalues)
-    offsets = np.abs(vals - np.round(vals))
-    worst = float(offsets.max(initial=0.0))
+    distances = np.abs(vals - np.round(vals))
+    worst = float(distances.max(initial=0.0))
     return worst <= tol, worst
 
 

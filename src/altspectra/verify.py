@@ -118,6 +118,13 @@ class _GraphCache:
         return self._graphs[key]
 
 
+def _edge_keys(edges: np.ndarray, order: int) -> np.ndarray:
+    """Sorted distinct int64 keys min*order + max of an (E, 2) edge array."""
+    u = edges[:, 0].astype(np.int64)
+    v = edges[:, 1].astype(np.int64)
+    return np.unique(np.minimum(u, v) * order + np.maximum(u, v))
+
+
 def _family_partition(family: str, n: int, i: int):
     if family == "AG":
         return blocks_AG(n, i)
@@ -133,26 +140,32 @@ def check_matchings(n: int, i: int, graph: Graph | None = None, cache=None) -> C
     G = graph if graph is not None else cache.get("AG", n)
 
     def run():
-        P = blocks_AG(n, i)
-        x, y, z, _ = P.blocks
+        x, y, z, _ = blocks_AG(n, i).blocks
         expected_size = x.size
+        rows = G.adj[x]
         problems = []
-        partners = {}
+        sizes = []
         for label, other in (("Y", y), ("Z", z)):
-            other_set = set(int(v) for v in other)
-            matched = set()
-            for v in x:
-                hits = [int(u) for u in G.neighbors_of(int(v)) if int(u) in other_set]
-                if len(hits) != 1:
-                    problems.append(f"vertex {int(v)} has {len(hits)} neighbors in {label}({i})")
-                    continue
-                if hits[0] in matched:
-                    problems.append(f"vertex {hits[0]} of {label}({i}) matched twice")
-                matched.add(hits[0])
-            partners[label] = len(matched)
+            in_other = np.zeros(G.order, dtype=bool)
+            in_other[other] = True
+            hit = in_other[rows]
+            counts = hit.sum(axis=1)
+            single = counts == 1
+            partner = np.full(x.size, -1, dtype=np.int64)
+            partner[single] = rows[hit & single[:, None]]
+            # A partner already taken by an earlier vertex of x is matched twice.
+            _, first = np.unique(partner[single], return_index=True)
+            repeated = single.copy()
+            repeated[np.nonzero(single)[0][first]] = False
+            for k in np.nonzero(~single | repeated)[0]:
+                if single[k]:
+                    problems.append(f"vertex {partner[k]} of {label}({i}) matched twice")
+                else:
+                    problems.append(f"vertex {x[k]} has {counts[k]} neighbors in {label}({i})")
+            sizes.append(int(first.size))
         observed = {
-            "matching_size_Y": partners.get("Y", 0),
-            "matching_size_Z": partners.get("Z", 0),
+            "matching_size_Y": sizes[0],
+            "matching_size_Z": sizes[1],
             "problems": problems,
         }
         predicted_value = {
@@ -160,7 +173,7 @@ def check_matchings(n: int, i: int, graph: Graph | None = None, cache=None) -> C
             "matching_size_Z": int(expected_size),
             "problems": [],
         }
-        return predicted_value, observed, None, not problems and partners["Y"] == partners["Z"] == expected_size
+        return predicted_value, observed, None, not problems and sizes[0] == sizes[1] == expected_size
 
     return _timed("matchings", "one-to-one edges between adjacent blocks", run)
 
@@ -177,37 +190,29 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     def run():
         G = cache.get(family, n)
         spanning = cache.get("AG" if family == "EAG" else "EAG", n)
-        total = set(map(tuple, G.edges_array()))
-        spanning_edges = set(map(tuple, spanning.edges_array()))
-        parts = [spanning_edges]
+        total = _edge_keys(G.edges_array(), G.order)
+        parts = [_edge_keys(spanning.edges_array(), G.order)]
         for i in range(1, n + 1):
             block = _cheeger.canonical_cut(family, n, i)
-            sub, vmap = induced_subgraph(G, block)
-            back = dict(vmap.pairs)
-            part = set()
-            for u, v in sub.edges_array():
-                a, b = back[int(u)], back[int(v)]
-                part.add((min(a, b), max(a, b)))
-            parts.append(part)
-        union = set()
-        disjoint = True
-        for part in parts:
-            if union & part:
-                disjoint = False
-            union |= part
-        counts = [len(p) for p in parts]
+            sub, _ = induced_subgraph(G, block)
+            # Subgraph vertex k is block[k], the k-th smallest block member.
+            parts.append(_edge_keys(block[sub.edges_array()], G.order))
+        merged = np.sort(np.concatenate(parts))
+        disjoint = not np.any(merged[1:] == merged[:-1])
+        union_equals_total = np.array_equal(np.unique(merged), total)
+        counts = [int(p.size) for p in parts]
         observed = {
-            "total_edges": len(total),
+            "total_edges": int(total.size),
             "spanning_subgraph_edges": counts[0],
             "block_edges": counts[1:],
             "disjoint": disjoint,
-            "union_equals_total": union == total,
+            "union_equals_total": union_equals_total,
         }
         predicted_value = {
-            "total_edges": G.order * G.uniform_degree() // 2,
-            "sum_of_parts": len(total),
+            "total_edges": G.order * G.degree // 2,
+            "sum_of_parts": int(total.size),
         }
-        passed = disjoint and union == total and sum(counts) == len(total)
+        passed = disjoint and union_equals_total and sum(counts) == total.size
         return predicted_value, observed, None, passed
 
     return _timed(
@@ -228,26 +233,23 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
         G = cache.get(family, n)
         H = cache.get(family, n - 1)
         vm = phi_isomorphism(n, i, family)
-        fwd = vm.as_dict()
-        block = np.asarray(sorted(fwd), dtype=np.int64)
-        sub, back_map = induced_subgraph(G, block)
-        back = dict(back_map.pairs)
-        mapped = set()
-        for u, v in sub.edges_array():
-            a, b = fwd[back[int(u)]], fwd[back[int(v)]]
-            mapped.add((min(a, b), max(a, b)))
-        target = set(map(tuple, H.edges_array()))
+        pairs = np.array(vm.pairs, dtype=np.int64).reshape(-1, 2)
+        block, image = pairs[np.argsort(pairs[:, 0])].T
+        sub, _ = induced_subgraph(G, block)
+        # Subgraph vertex k is block[k], which the map sends to image[k].
+        mapped = _edge_keys(image[sub.edges_array()], H.order)
+        target = _edge_keys(H.edges_array(), H.order)
         observed = {
             "block_size": int(block.size),
-            "mapped_edges": len(mapped),
-            "target_edges": len(target),
-            "edge_sets_equal": mapped == target,
+            "mapped_edges": int(mapped.size),
+            "target_edges": int(target.size),
+            "edge_sets_equal": np.array_equal(mapped, target),
             "bijective": vm.is_injective() and vm.size == H.order,
         }
         predicted_value = {
             "block_size": H.order,
-            "mapped_edges": len(target),
-            "target_edges": len(target),
+            "mapped_edges": int(target.size),
+            "target_edges": int(target.size),
             "edge_sets_equal": True,
             "bijective": True,
         }
@@ -324,7 +326,7 @@ def verify_family(
         violations = graph_invariant_violations(G)
         observed = {
             "order": G.order,
-            "degree": G.uniform_degree(),
+            "degree": G.degree,
             "edges": G.edge_count,
             "violations": violations,
             "connected": is_connected(G),

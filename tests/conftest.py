@@ -5,24 +5,6 @@ from altspectra.cayley import build_family
 _cache = {}
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--slow",
-        action="store_true",
-        default=False,
-        help="run checks gated as slow (large-degree graphs)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--slow"):
-        return
-    skip = pytest.mark.skip(reason="needs --slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def graph():
     """Session-wide memoized family graph builder."""

@@ -1,7 +1,6 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The large-degree
-CAG_7 eigenvalue solve runs only under ``--slow``.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import subprocess
@@ -9,7 +8,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from altspectra.cheeger import (
     brute_force_h,
@@ -87,11 +85,10 @@ def test_criterion_03_cag_second_eigenvalue(graph):
     conclude(3, "lambda2(CAG_n) = n(n-2)(n-4)/3 for n=4..6 and CAG_3 = -1", failures)
 
 
-@pytest.mark.slow
 def test_criterion_03b_cag7_second_eigenvalue(graph):
     lam2 = lambda2_iterative(graph("CAG", 7), tol=1e-8)
     failures = [] if abs(lam2 - 35.0) <= 1e-6 else [f"lambda2(CAG_7) = {lam2}"]
-    conclude(3, "lambda2(CAG_7) = 35 (slow extension)", failures)
+    conclude(3, "lambda2(CAG_7) = 35", failures)
 
 
 def test_criterion_04_divisor_matrices(graph):

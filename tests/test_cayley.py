@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from altspectra.cayley import (
     GeneratingSet,
+    Graph,
     build_cayley,
     build_family,
     custom_generating_set,
@@ -109,6 +111,27 @@ def test_invariants_exhaustive(graph, family, n):
     assert g.edge_count == g.order * g.degree // 2
 
 
+def _four_cycle_with(defect):
+    adj = np.array([[1, 3], [0, 2], [1, 3], [0, 2]], dtype=np.int32)
+    adj[0] = {
+        None: [1, 3],
+        "out of range": [1, 4],
+        "self-loop": [0, 3],
+        "not strictly increasing": [3, 1],
+        "not symmetric": [1, 2],
+    }[defect]
+    return Graph(adj=adj)
+
+
+@pytest.mark.parametrize(
+    "defect", ["out of range", "self-loop", "not strictly increasing", "not symmetric"]
+)
+def test_invariant_violations_are_reported(defect):
+    assert graph_invariant_violations(_four_cycle_with(None)) == []
+    problems = graph_invariant_violations(_four_cycle_with(defect))
+    assert any(defect in p for p in problems), problems
+
+
 @pytest.mark.parametrize("family,n", [("AG", 3), ("AG", 4), ("AG", 5), ("AG", 6), ("EAG", 5), ("CAG", 5)])
 def test_connected(graph, family, n):
     assert is_connected(graph(family, n))
@@ -164,7 +187,7 @@ def test_induced_subgraph_eag5_block(graph):
     block = blocks_Xij(5, i=3).blocks[1]  # position 2 pinned to the value 3
     sub, _ = induced_subgraph(graph("EAG", 5), block)
     assert sub.order == 12
-    assert sub.uniform_degree() == 6
+    assert sub.degree == 6
 
 
 def test_induced_subgraph_rejects_bad_subsets(graph):
@@ -173,6 +196,11 @@ def test_induced_subgraph_rejects_bad_subsets(graph):
         induced_subgraph(g, [])
     with pytest.raises(ValueError):
         induced_subgraph(g, [99])
+    with pytest.raises(ValueError, match="irregular"):
+        # vertex 0 has four neighbors inside, each neighbor only two
+        induced_subgraph(g, [0, *g.adj[0]])
+    with pytest.raises(ValueError):
+        Graph(adj=np.array([1, 0], dtype=np.int32))
 
 
 def test_phi_restriction_case():

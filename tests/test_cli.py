@@ -151,14 +151,34 @@ def test_usage_errors_exit_2_before_computation(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--family", "AG", "--n", "3"),
+        ("decompose", "--family", "EAG", "--n", "3"),
+        ("decompose", "--family", "CAG", "--n", "3"),
+        ("divisor", "--family", "AG", "--n", "3"),
+    ],
+)
+def test_handler_value_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(capsys, "gap", "--family", "AG", "--n", "4", "--bogus")[0] == 2
 
 
 def test_cap_exceeded_exits_3(capsys):
-    code, _, err = run(capsys, "spectrum", "--family", "AG", "--n", "7", "--max-order", "100")
-    assert code == 3
-    assert "cap" in err
+    for argv in (
+        ("spectrum", "--family", "AG", "--n", "7", "--max-order", "100"),
+        ("cut", "--family", "AG", "--n", "5", "--max-order", "0"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "cap" in err
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -15,33 +17,123 @@ from altspectra.verify import (
 
 
 def _graph_from_edge_set(order, edges):
-    rows = [[] for _ in range(order)]
-    for u, v in edges:
-        rows[u].append(v)
-        rows[v].append(u)
-    offsets = np.zeros(order + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    neighbors = np.concatenate([np.sort(r) for r in rows]).astype(np.int32)
-    return Graph(offsets=offsets, neighbors=neighbors)
+    """Regular graph on 0..order-1 with the given undirected edge set."""
+    arcs = np.array([(u, v) for e in edges for u, v in (e, e[::-1])])
+    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    return Graph(adj=arcs[:, 1].reshape(order, -1).astype(np.int32))
 
 
 @pytest.mark.parametrize("n,i,size", [(4, 1, 3), (5, 2, 12)])
-def test_matchings_pass(n, i, size):
+def test_matchings_pass(graph, n, i, size):
     result = check_matchings(n, i)
     assert result.passed
     assert result.observed["matching_size_Y"] == size
     assert result.observed["matching_size_Z"] == size
+    assert result.observed == _matchings_by_loops(graph("AG", n), n, i)
 
 
-def test_matchings_fail_after_deleting_one_edge(graph):
+def test_matchings_fail_after_swapping_edges(graph):
+    # Replace an X-Y edge (a, b) and a W-W edge (c, d) with (a, c) and
+    # (b, d): every degree is kept, but a loses its only Y neighbor.
     G = graph("AG", 4)
-    x, y = blocks_AG(4, 1).blocks[:2]
+    x, y, _, w = blocks_AG(4, 1).blocks
     edges = {tuple(map(int, e)) for e in G.edges_array()}
-    xy = next(e for e in edges if (e[0] in x and e[1] in y) or (e[0] in y and e[1] in x))
-    doctored = _graph_from_edge_set(G.order, edges - {xy})
+    a = int(x[0])
+    b = next(int(u) for u in G.neighbors_of(a) if u in y)
+    c, d = next(
+        (c, d)
+        for c, d in sorted(edges)
+        if c in w and d in w and not G.has_edge(a, c) and not G.has_edge(b, d)
+    )
+    swapped = edges - {(min(a, b), max(a, b)), (c, d)} | {(a, c), (b, d)}
+    doctored = _graph_from_edge_set(G.order, swapped)
     result = check_matchings(4, 1, graph=doctored)
     assert not result.passed
-    assert result.observed["problems"]
+    assert f"vertex {a} has 0 neighbors in Y(1)" in result.observed["problems"]
+    assert result.observed == _matchings_by_loops(doctored, 4, 1)
+
+
+def _random_swaps(G, rng, count):
+    """Degree-preserving double-edge swaps: (a, b), (c, d) -> (a, c), (b, d)."""
+    edges = {tuple(map(int, e)) for e in G.edges_array()}
+    done = 0
+    while done < count:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
+        if len({a, b, c, d}) < 4 or new & edges:
+            continue
+        edges = edges - {(a, b), (c, d)} | new
+        done += 1
+    return _graph_from_edge_set(G.order, edges)
+
+
+def test_matchings_agree_with_loops_after_random_swaps(graph):
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(20):
+        doctored = _random_swaps(graph("AG", 5), rng, 20)
+        for i in (1, 5):
+            observed = check_matchings(5, i, graph=doctored).observed
+            assert observed == _matchings_by_loops(doctored, 5, i)
+            kinds.update(p.split(" ", 2)[2].split(" in ")[0] for p in observed["problems"])
+    assert {"has 0 neighbors", "has 2 neighbors", "of Y(1) matched twice"} <= kinds
+
+
+def _matchings_by_loops(G, n, i):
+    """The matchings check's observed value, computed vertex by vertex."""
+    x, y, z, _ = blocks_AG(n, i).blocks
+    problems, sizes = [], []
+    for label, other in (("Y", set(y.tolist())), ("Z", set(z.tolist()))):
+        matched = set()
+        for v in x.tolist():
+            hits = [u for u in G.neighbors_of(v).tolist() if u in other]
+            if len(hits) != 1:
+                problems.append(f"vertex {v} has {len(hits)} neighbors in {label}({i})")
+                continue
+            if hits[0] in matched:
+                problems.append(f"vertex {hits[0]} of {label}({i}) matched twice")
+            matched.add(hits[0])
+        sizes.append(len(matched))
+    return {"matching_size_Y": sizes[0], "matching_size_Z": sizes[1], "problems": problems}
+
+
+class _FixedGraphs:
+    """A graph cache that hands out the given graphs, doctored or not."""
+
+    def __init__(self, graphs):
+        self.graphs = graphs
+
+    def get(self, family, n):
+        return self.graphs[(family, n)]
+
+
+@pytest.mark.parametrize(
+    "graphs,disjoint,union_equals_total",
+    [
+        # spanning subgraph replaced by the whole graph: parts overlap
+        ({("EAG", 4): ("EAG", 4), ("AG", 4): ("EAG", 4)}, False, True),
+        # whole graph replaced by a larger one: parts miss edges
+        ({("EAG", 4): ("CAG", 4), ("AG", 4): ("AG", 4)}, True, False),
+    ],
+)
+def test_edge_decomposition_fails_on_wrong_graphs(graph, graphs, disjoint, union_equals_total):
+    cache = _FixedGraphs({key: graph(*value) for key, value in graphs.items()})
+    result = check_edge_decomposition("EAG", 4, cache=cache)
+    assert not result.passed
+    assert result.observed["disjoint"] is disjoint
+    assert result.observed["union_equals_total"] is union_equals_total
+
+
+def test_subgraph_isomorphism_fails_on_relabelled_target(graph):
+    # Same order and edge count as AG_4, different edge set.
+    H = graph("AG", 4)
+    relabel = np.roll(np.arange(H.order), 1)
+    edges = {tuple(sorted(relabel[e].tolist())) for e in H.edges_array()}
+    cache = _FixedGraphs({("AG", 5): graph("AG", 5), ("AG", 4): _graph_from_edge_set(H.order, edges)})
+    result = check_subgraph_isomorphism("AG", 5, 1, cache=cache)
+    assert not result.passed
+    assert result.observed["mapped_edges"] == result.observed["target_edges"] == 24
+    assert result.observed["edge_sets_equal"] is False
 
 
 @pytest.mark.parametrize(
