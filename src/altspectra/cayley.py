@@ -247,10 +247,11 @@ def is_connected(G: Graph) -> bool:
     seen[0] = True
     frontier = np.array([0], dtype=np.int64)
     while frontier.size:
-        nxt = np.unique(G.adj[frontier])
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        frontier = nxt
+        hit = np.zeros(order, dtype=bool)
+        hit[G.adj[frontier]] = True
+        hit &= ~seen
+        seen |= hit
+        frontier = np.flatnonzero(hit)
     return bool(seen.all())
 
 

@@ -108,8 +108,11 @@ def _timed(name: str, ref: str, fn) -> CheckResult:
 
 
 class _GraphCache:
+    """Family graphs and their second eigenvalues, each computed once per battery."""
+
     def __init__(self):
         self._graphs: dict[tuple[str, int], Graph] = {}
+        self._lambda2: dict[tuple[str, int, float, int], float] = {}
 
     def get(self, family: str, n: int) -> Graph:
         key = (family, n)
@@ -117,12 +120,27 @@ class _GraphCache:
             self._graphs[key] = build_family(family, n)
         return self._graphs[key]
 
+    def lambda2(self, family: str, n: int, tol: float, seed: int) -> float:
+        key = (family, n, tol, seed)
+        if key not in self._lambda2:
+            self._lambda2[key] = lambda2_iterative(self.get(family, n), tol=tol, seed=seed)
+        return self._lambda2[key]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Same as ``np.unique`` on an integer array, via one sort and an
+    adjacent-difference mask (much cheaper than numpy's hash path)."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
 
 def _edge_keys(edges: np.ndarray, order: int) -> np.ndarray:
     """Sorted distinct int64 keys min*order + max of an (E, 2) edge array."""
     u = edges[:, 0].astype(np.int64)
     v = edges[:, 1].astype(np.int64)
-    return np.unique(np.minimum(u, v) * order + np.maximum(u, v))
+    return _sorted_unique(np.minimum(u, v) * order + np.maximum(u, v))
 
 
 def _family_partition(family: str, n: int, i: int):
@@ -199,7 +217,7 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
             parts.append(_edge_keys(block[sub.edges_array()], G.order))
         merged = np.sort(np.concatenate(parts))
         disjoint = not np.any(merged[1:] == merged[:-1])
-        union_equals_total = np.array_equal(np.unique(merged), total)
+        union_equals_total = np.array_equal(_sorted_unique(merged), total)
         counts = [int(p.size) for p in parts]
         observed = {
             "total_edges": int(total.size),
@@ -274,14 +292,14 @@ def check_decomposition_bound(
     cache = cache or _GraphCache()
 
     def run():
-        whole = lambda2_iterative(cache.get(family, n), tol=tol, seed=seed)
+        whole = cache.lambda2(family, n, tol, seed)
         if family == "EAG":
-            part1 = lambda2_iterative(cache.get("EAG", n - 1), tol=tol, seed=seed)
-            part2 = lambda2_iterative(cache.get("AG", n), tol=tol, seed=seed)
+            part1 = cache.lambda2("EAG", n - 1, tol, seed)
+            part2 = cache.lambda2("AG", n, tol, seed)
             label = ("EAG_{n-1}", "AG_n")
         else:
-            part1 = lambda2_iterative(cache.get("EAG", n), tol=tol, seed=seed)
-            part2 = lambda2_iterative(cache.get("CAG", n - 1), tol=tol, seed=seed)
+            part1 = cache.lambda2("EAG", n, tol, seed)
+            part2 = cache.lambda2("CAG", n - 1, tol, seed)
             label = ("EAG_n", "CAG_{n-1}")
         bound = part1 + part2
         observed = {"lambda2": whole, label[0]: part1, label[1]: part2, "bound": bound}
@@ -380,7 +398,7 @@ def verify_family(
         )
 
     def lam2_iter():
-        value = lambda2_iterative(G, tol=tol, seed=seed)
+        value = cache.lambda2(family, n, tol, seed)
         return lam2_pred, value, tol, abs(value - lam2_pred) <= max(tol, 1e-6)
 
     report.checks.append(
@@ -398,7 +416,7 @@ def verify_family(
         )
 
     def gap():
-        value = degree - lambda2_iterative(G, tol=tol, seed=seed)
+        value = degree - cache.lambda2(family, n, tol, seed)
         return gap_pred, value, 2 * tol, abs(value - gap_pred) <= max(2 * tol, 2e-6)
 
     report.checks.append(_timed("spectral_gap", "closed-form adjacency spectral gap", gap))
@@ -427,7 +445,7 @@ def verify_family(
             if dense_possible:
                 mu = dense_spectrum(G, tol=tol, order_cap=dense_cap).gap
             else:
-                mu = degree - lambda2_iterative(G, tol=tol, seed=seed)
+                mu = degree - cache.lambda2(family, n, tol, seed)
             lower = mu / 2
             ok = float(h) >= lower - 1e-9
             observed = {"h": _frac(h), "witness": list(witness), "lower": lower}

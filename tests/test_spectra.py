@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from altspectra.cayley import build_cayley, custom_generating_set
+from altspectra.cayley import Graph, build_cayley, custom_generating_set
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
 from altspectra.perm import from_cycle
@@ -185,3 +185,54 @@ def test_report_json_schema(graph):
     assert data["solver"] == "iterative"
     assert data["gap"] == pytest.approx(2.0, abs=1e-7)
     assert rep.algebraic_connectivity == rep.gap
+
+
+def _count_matvecs(monkeypatch):
+    calls = []
+    matvec = Graph.matvec
+
+    def counted(self, v):
+        calls.append(1)
+        return matvec(self, v)
+
+    monkeypatch.setattr(Graph, "matvec", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_lambda2_matches_dense_eigvalsh(graph, family, n):
+    G = graph(family, n)
+    expected = np.linalg.eigvalsh(G.adjacency_dense())[-2]
+    assert abs(lambda2_iterative(G) - expected) < 1e-9
+
+
+def test_lambda2_custom_set_needs_restarts(monkeypatch):
+    # An irrational second eigenvalue that takes more Lanczos steps than
+    # one basis holds, so the solve goes through at least one restart.
+    cycles = ([1, 2, 3], [1, 3, 2], [1, 2, 3, 4, 5, 6, 7], [1, 7, 6, 5, 4, 3, 2])
+    G = build_cayley(7, custom_generating_set(7, [from_cycle(7, c) for c in cycles]))
+    expected = np.linalg.eigvalsh(G.adjacency_dense())[-2]
+    assert expected == pytest.approx(3.71161754263538, abs=1e-12)
+    calls = _count_matvecs(monkeypatch)
+    assert abs(lambda2_iterative(G) - expected) < 1e-9
+    assert len(calls) > 32
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_lambda2_matvec_budget_at_n8(graph, monkeypatch, family):
+    G = graph(family, 8)
+    calls = _count_matvecs(monkeypatch)
+    assert lambda2_iterative(G) == pytest.approx(predicted(family, 8)[1], abs=1e-8)
+    assert len(calls) <= 25
+
+
+def test_lambda2_respects_matvec_cap(graph, monkeypatch):
+    calls = _count_matvecs(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        lambda2_iterative(graph("AG", 7), tol=1e-14, max_iterations=5)
+    assert len(calls) == 5
+
+
+def test_lambda2_zero_on_CAG4(graph):
+    assert abs(lambda2_iterative(graph("CAG", 4))) < 1e-12

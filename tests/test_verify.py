@@ -5,6 +5,7 @@ import pytest
 
 from altspectra.cayley import Graph
 from altspectra.partition import blocks_AG
+from altspectra import verify
 from altspectra.verify import (
     CheckResult,
     VerificationReport,
@@ -248,3 +249,28 @@ def test_overall_is_a_conjunction():
         CheckResult(name="bad", ref="r", predicted=1, observed=2, tolerance=None, passed=False, millis=0.0)
     )
     assert not report.overall
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 50, size=1000, dtype=np.int64)
+    assert np.array_equal(verify._sorted_unique(keys), np.unique(keys))
+    empty = np.array([], dtype=np.int64)
+    out = verify._sorted_unique(empty)
+    assert out.dtype == np.int64 and np.array_equal(out, np.unique(empty))
+
+
+@pytest.mark.parametrize(
+    "family,solved", [("CAG", [("CAG", 6), ("EAG", 6), ("CAG", 5)]), ("AG", [("AG", 6)])]
+)
+def test_verify_solves_each_lambda2_once(monkeypatch, family, solved):
+    calls = []
+    solve = verify.lambda2_iterative
+
+    def counted(G, **kwargs):
+        calls.append((G.family_tag, G.n))
+        return solve(G, **kwargs)
+
+    monkeypatch.setattr(verify, "lambda2_iterative", counted)
+    assert verify_family(family, 6).overall
+    assert calls == solved
