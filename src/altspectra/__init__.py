@@ -16,7 +16,6 @@ from .cayley import (
     CayleyGraph,
     GeneratingSet,
     Graph,
-    VertexMap,
     build_cayley,
     build_family,
     custom_generating_set,
@@ -49,7 +48,6 @@ from .partition import (
 from .perm import (
     Permutation,
     compose,
-    enumerate_alternating,
     from_cycle,
     identity,
     inverse,
@@ -64,7 +62,6 @@ from .spectra import (
     integrality_check,
     lambda2_iterative,
     predicted,
-    rayleigh,
     spectral_gap,
 )
 from .verify import VerificationReport, verify_family
@@ -83,7 +80,6 @@ __all__ = [
     "Permutation",
     "SpectrumReport",
     "VerificationReport",
-    "VertexMap",
     "VertexPartition",
     "blocks_AG",
     "blocks_Xij",
@@ -101,7 +97,6 @@ __all__ = [
     "dense_spectrum",
     "divisor_closed_form",
     "divisor_spectrum",
-    "enumerate_alternating",
     "export_edges",
     "from_cycle",
     "generating_set",
@@ -115,7 +110,6 @@ __all__ = [
     "phi_isomorphism",
     "predicted",
     "rank",
-    "rayleigh",
     "sign",
     "spectral_gap",
     "unrank",

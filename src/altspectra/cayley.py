@@ -148,14 +148,6 @@ class Graph:
     def edge_count(self) -> int:
         return self.adj.size // 2
 
-    def neighbors_of(self, v: int) -> np.ndarray:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.adj[u]
-        k = np.searchsorted(row, v)
-        return k < len(row) and row[k] == v
-
     def edges_array(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, sorted lexicographically."""
         mask = self.adj > np.arange(self.order)[:, None]
@@ -179,26 +171,6 @@ class Graph:
 class CayleyGraph(Graph):
     n: int = 0
     family_tag: str = "custom"
-
-
-@dataclass(frozen=True)
-class VertexMap:
-    """A pairing of source vertices with target vertices."""
-
-    source: str
-    target: str
-    pairs: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def is_injective(self) -> bool:
-        targets = np.array([t for _, t in self.pairs], dtype=np.int64)
-        return np.unique(targets).size == len(self.pairs)
 
 
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
@@ -255,8 +227,8 @@ def is_connected(G: Graph) -> bool:
     return bool(seen.all())
 
 
-def induced_subgraph(G: Graph, S) -> tuple[Graph, VertexMap]:
-    """Subgraph on vertex subset ``S`` plus the new-index -> old-index map.
+def induced_subgraph(G: Graph, S) -> Graph:
+    """Subgraph on vertex subset ``S``.
 
     Vertex k of the subgraph is the k-th smallest member of ``S``.  Raises
     ``ValueError`` when ``S`` induces an irregular subgraph.
@@ -273,17 +245,17 @@ def induced_subgraph(G: Graph, S) -> tuple[Graph, VertexMap]:
     degrees = inside.sum(axis=1)
     if np.any(degrees != degrees[0]):
         raise ValueError("vertex subset induces an irregular subgraph")
-    sub = Graph(adj=rows[inside].reshape(S.size, degrees[0]))
-    pairs = tuple((int(k), int(v)) for k, v in enumerate(S))
-    return sub, VertexMap(source="induced", target="parent", pairs=pairs)
+    return Graph(adj=rows[inside].reshape(S.size, degrees[0]))
 
 
-def phi_isomorphism(n: int, i: int, family: str) -> VertexMap:
+def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray]:
     """Bijection from the defining block of the family onto A_{n-1} vertices.
 
-    The block is {g : g_j = i} with j = n (AG), 2 (EAG) or 1 (CAG).  Each
-    member is mapped by deleting position j, shifting later positions down,
-    and renaming the value n to i (a no-op when i = n).  That pairing
+    Returns ``(block, image)``: ``block`` holds the block's vertices in
+    ascending order and ``image[k]`` is the A_{n-1} vertex that ``block[k]``
+    maps to.  The block is {g : g_j = i} with j = n (AG), 2 (EAG) or 1 (CAG).
+    Each member is mapped by deleting position j, shifting later positions
+    down, and renaming the value n to i (a no-op when i = n).  That pairing
     already preserves products g' * g^{-1}, hence adjacency; when the raw
     images come out odd, a fixed swap of the values 1 and 2 is applied on
     top, which leaves products untouched and lands the block in A_{n-1}.
@@ -301,22 +273,13 @@ def phi_isomorphism(n: int, i: int, family: str) -> VertexMap:
     if i != n:
         imgs[imgs == n] = i
     # Parity offset is uniform across the block; probe the first member.
-    if _inversion_parity(imgs[0]) != 0:
+    if sign(Permutation(tuple(int(x) for x in imgs[0]))) != 1:
         low = imgs <= 2
         imgs[low] = 3 - imgs[low]
-    targets = alternating_ranks(imgs)
-    pairs = tuple((int(u), int(w)) for u, w in zip(block, targets))
-    vm = VertexMap(source=f"{family}_{n}:pos{j}={i}", target=f"{family}_{n - 1}", pairs=pairs)
-    if not vm.is_injective() or vm.size != alternating_order(n - 1):
+    image = alternating_ranks(imgs)
+    if not np.array_equal(np.sort(image), np.arange(alternating_order(n - 1))):
         raise AssertionError("block map failed to biject onto A_{n-1}")
-    return vm
-
-
-def _inversion_parity(row: np.ndarray) -> int:
-    inv = 0
-    for a in range(len(row) - 1):
-        inv += int((row[a + 1 :] < row[a]).sum())
-    return inv % 2
+    return block, image
 
 
 def graph_invariant_violations(G: Graph) -> list[str]:

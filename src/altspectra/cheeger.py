@@ -17,6 +17,9 @@ from .cayley import BLOCK_POSITION, FAMILIES, Graph
 from .errors import OrderCapError
 from .perm import alternating_images
 
+# Largest order brute_force_h enumerates by default: 2^(order-1) subsets.
+BRUTE_ORDER_CAP = 20
+
 
 @dataclass(frozen=True)
 class CutReport:
@@ -126,7 +129,7 @@ def corollary_bounds(family: str, n: int) -> tuple[Fraction, Fraction]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def brute_force_h(G: Graph, max_order: int = 20) -> tuple[Fraction, tuple[int, ...]]:
+def brute_force_h(G: Graph, max_order: int = BRUTE_ORDER_CAP) -> tuple[Fraction, tuple[int, ...]]:
     """Exact isoperimetric number by exhaustion, with a minimizing subset.
 
     Enumerates every subset containing vertex 0 (each {S, complement} pair
@@ -147,7 +150,7 @@ def brute_force_h(G: Graph, max_order: int = 20) -> tuple[Fraction, tuple[int, .
     nbr_mask = [0] * order
     for v in range(order):
         m = 0
-        for u in G.neighbors_of(v):
+        for u in G.adj[v]:
             m |= 1 << int(u)
         nbr_mask[v] = m
 

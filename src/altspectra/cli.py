@@ -238,7 +238,7 @@ def _run_cut(args) -> tuple[dict, int]:
 
 def _run_hmin(args) -> tuple[dict, int]:
     G = _build(args)
-    cap = args.max_order if args.max_order is not None else 20
+    cap = args.max_order if args.max_order is not None else _cheeger.BRUTE_ORDER_CAP
     h, witness = _cheeger.brute_force_h(G, max_order=cap)
     return {
         "family": args.family or "custom",

@@ -17,14 +17,13 @@ Block families used throughout, all defined on the ranked vertices of A_n:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .cayley import Graph
-from .perm import alternating_images, alternating_order
+from .perm import alternating_images
 
 
 @dataclass(frozen=True)
@@ -254,23 +253,3 @@ def divisor_spectrum(B: DivisorMatrix, tol: float = 1e-10) -> np.ndarray:
     if np.abs(w.imag).max(initial=0.0) > tol * scale:
         raise ValueError("matrix has genuinely complex eigenvalues")
     return np.sort(w.real)[::-1]
-
-
-def partition_to_json(P: VertexPartition) -> str:
-    return json.dumps(
-        {"blocks": [b.tolist() for b in P.blocks], "labels": list(P.labels)},
-        separators=(",", ":"),
-    )
-
-
-def partition_from_json(text: str) -> VertexPartition:
-    data = json.loads(text)
-    blocks = tuple(np.asarray(sorted(b), dtype=np.int64) for b in data["blocks"])
-    labels = tuple(data.get("labels") or [f"V{i + 1}" for i in range(len(blocks))])
-    return VertexPartition(blocks=blocks, labels=labels)
-
-
-def block_sizes_AG(n: int) -> tuple[int, int, int, int]:
-    """Expected sizes of X, Y, Z, W: three of (n-1)!/2 and one of (n-3)(n-1)!/2."""
-    s = alternating_order(n - 1)
-    return (s, s, s, (n - 3) * s)

@@ -183,13 +183,6 @@ def unrank(n: int, v: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def enumerate_alternating(n: int) -> list[Permutation]:
-    """All n!/2 even permutations of {1..n} in rank order."""
-    if not 3 <= n <= MAX_POINTS:
-        raise ValueError(f"enumeration supported for 3 <= n <= {MAX_POINTS}, got {n}")
-    return [Permutation(tuple(int(x) for x in row)) for row in alternating_images(n)]
-
-
 @lru_cache(maxsize=None)
 def alternating_images(n: int) -> np.ndarray:
     """(n!/2, n) uint8 array of even permutations in lexicographic order.

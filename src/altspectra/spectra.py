@@ -46,11 +46,6 @@ class SpectrumReport:
     lambda2: float
     gap: float
 
-    @property
-    def algebraic_connectivity(self) -> float:
-        # Valid because every graph handled here is regular.
-        return self.gap
-
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -75,16 +70,6 @@ def _meta(G: Graph) -> tuple[str | None, int | None, int]:
     if isinstance(G, CayleyGraph):
         return G.family_tag, G.n, G.degree
     return None, None, G.degree
-
-
-def dense_eigenpairs(G: Graph, order_cap: int = DENSE_ORDER_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of the adjacency matrix."""
-    if G.order > order_cap:
-        raise OrderCapError(
-            f"order {G.order} above dense cap {order_cap}; use the iterative solver"
-        )
-    vals, vecs = np.linalg.eigh(G.adjacency_dense())
-    return vals, vecs
 
 
 def dense_spectrum(G: Graph, tol: float = 1e-8, order_cap: int = DENSE_ORDER_CAP) -> SpectrumReport:
@@ -142,16 +127,6 @@ def cluster_multiplicities(values_desc: np.ndarray, threshold: float) -> list[in
             run = 1
     mults.append(run)
     return mults
-
-
-def distinct_eigenvalues(report: SpectrumReport) -> list[float]:
-    """Cluster representatives (means) of the report's eigenvalue list."""
-    out = []
-    pos = 0
-    for m in report.multiplicities or [1] * len(report.eigenvalues):
-        out.append(float(np.mean(report.eigenvalues[pos : pos + m])))
-        pos += m
-    return out
 
 
 def lambda2_iterative(
@@ -281,14 +256,3 @@ def integrality_check(report: SpectrumReport, tol: float = 1e-8) -> tuple[bool, 
     distances = np.abs(vals - np.round(vals))
     worst = float(distances.max(initial=0.0))
     return worst <= tol, worst
-
-
-def rayleigh(G: Graph, f: np.ndarray) -> float:
-    """Quotient f^T A f / f^T f for a vertex-indexed vector."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (G.order,):
-        raise ValueError(f"vector length {f.shape} does not match order {G.order}")
-    denom = float(f @ f)
-    if denom == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector")
-    return float(f @ G.matvec(f)) / denom

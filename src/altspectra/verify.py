@@ -212,7 +212,7 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
         parts = [_edge_keys(spanning.edges_array(), G.order)]
         for i in range(1, n + 1):
             block = _cheeger.canonical_cut(family, n, i)
-            sub, _ = induced_subgraph(G, block)
+            sub = induced_subgraph(G, block)
             # Subgraph vertex k is block[k], the k-th smallest block member.
             parts.append(_edge_keys(block[sub.edges_array()], G.order))
         merged = np.sort(np.concatenate(parts))
@@ -250,10 +250,8 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     def run():
         G = cache.get(family, n)
         H = cache.get(family, n - 1)
-        vm = phi_isomorphism(n, i, family)
-        pairs = np.array(vm.pairs, dtype=np.int64).reshape(-1, 2)
-        block, image = pairs[np.argsort(pairs[:, 0])].T
-        sub, _ = induced_subgraph(G, block)
+        block, image = phi_isomorphism(n, i, family)
+        sub = induced_subgraph(G, block)
         # Subgraph vertex k is block[k], which the map sends to image[k].
         mapped = _edge_keys(image[sub.edges_array()], H.order)
         target = _edge_keys(H.edges_array(), H.order)
@@ -262,7 +260,7 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
             "mapped_edges": int(mapped.size),
             "target_edges": int(target.size),
             "edge_sets_equal": np.array_equal(mapped, target),
-            "bijective": vm.is_injective() and vm.size == H.order,
+            "bijective": _sorted_unique(image).size == image.size == H.order,
         }
         predicted_value = {
             "block_size": H.order,
@@ -319,7 +317,6 @@ def verify_family(
     tol: float = 1e-8,
     seed: int = 42,
     dense_cap: int = DENSE_ORDER_CAP,
-    brute_cap: int = 20,
     block_index: int = 1,
 ) -> VerificationReport:
     """Run the full check battery for one family at one n.
@@ -327,8 +324,10 @@ def verify_family(
     Order: graph invariants, solver mode, equitable partition vs the closed
     form, divisor spectrum vs the closed form, second eigenvalue (iterative
     always, dense when the order is within ``dense_cap``), spectral gap,
-    canonical cut ratio, isoperimetric bracket (order within ``brute_cap``),
-    then the structural checks.
+    canonical cut ratio, isoperimetric bracket (order within
+    ``cheeger.BRUTE_ORDER_CAP``), then the structural checks.  A battery
+    builds each graph, solves each second eigenvalue and makes the dense
+    solve at most once.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -405,11 +404,13 @@ def verify_family(
         _timed("lambda2_iterative", "closed-form second-largest eigenvalue", lam2_iter)
     )
 
+    dense = None
     if dense_possible:
 
         def lam2_dense():
-            rep = dense_spectrum(G, tol=tol, order_cap=dense_cap)
-            return lam2_pred, rep.lambda2, tol, abs(rep.lambda2 - lam2_pred) <= max(tol, 1e-6)
+            nonlocal dense
+            dense = dense_spectrum(G, tol=tol, order_cap=dense_cap)
+            return lam2_pred, dense.lambda2, tol, abs(dense.lambda2 - lam2_pred) <= max(tol, 1e-6)
 
         report.checks.append(
             _timed("lambda2_dense", "closed-form second-largest eigenvalue", lam2_dense)
@@ -438,12 +439,12 @@ def verify_family(
             _timed("canonical_cut_ratio", "edge boundary of the defining block", cut)
         )
 
-    if G.order <= brute_cap:
+    if G.order <= _cheeger.BRUTE_ORDER_CAP:
 
         def bracket():
-            h, witness = _cheeger.brute_force_h(G, max_order=brute_cap)
-            if dense_possible:
-                mu = dense_spectrum(G, tol=tol, order_cap=dense_cap).gap
+            h, witness = _cheeger.brute_force_h(G)
+            if dense is not None:
+                mu = dense.gap
             else:
                 mu = degree - cache.lambda2(family, n, tol, seed)
             lower = mu / 2

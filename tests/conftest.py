@@ -1,18 +1,9 @@
 import pytest
 
-from altspectra.cayley import build_family
-
-_cache = {}
+from altspectra.verify import _GraphCache
 
 
 @pytest.fixture(scope="session")
 def graph():
-    """Session-wide memoized family graph builder."""
-
-    def get(family, n):
-        key = (family, n)
-        if key not in _cache:
-            _cache[key] = build_family(family, n)
-        return _cache[key]
-
-    return get
+    """Session-wide family graph builder, memoized by the battery's own cache."""
+    return _GraphCache().get

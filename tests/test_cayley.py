@@ -16,9 +16,10 @@ from altspectra.cayley import (
     is_connected,
     phi_isomorphism,
 )
+from altspectra.cheeger import canonical_cut
 from altspectra.errors import OrderCapError
 from altspectra.partition import blocks_AG, blocks_Xij
-from altspectra.perm import compose, from_cycle, identity, rank, unrank
+from altspectra.perm import alternating_order, compose, from_cycle, identity, rank, unrank
 
 
 def test_generating_set_T1_n4_exact():
@@ -61,7 +62,7 @@ def test_ag3_is_triangle(graph):
     assert (g.order, g.degree, g.edge_count) == (3, 2, 3)
     for u in range(3):
         for v in range(3):
-            assert g.has_edge(u, v) == (u != v)
+            assert (v in g.adj[u]) == (u != v)
 
 
 def test_family_shapes(graph):
@@ -79,7 +80,7 @@ def test_neighbors_come_from_left_multiplication(graph):
         v = rng.randrange(g.order)
         gamma = unrank(5, v)
         expected = sorted(rank(compose(t, gamma)) for t in gens.elements)
-        assert list(g.neighbors_of(v)) == expected
+        assert list(g.adj[v]) == expected
 
 
 def test_neighborhood_block_profile(graph):
@@ -93,7 +94,7 @@ def test_neighborhood_block_profile(graph):
         x, y, z, w = (set(int(v) for v in b) for b in blocks_AG(n, i).blocks)
         for v in sorted(x)[:4]:
             gamma = unrank(n, v)
-            nbrs = set(int(u) for u in g5.neighbors_of(v))
+            nbrs = set(int(u) for u in g5.adj[v])
             assert len(nbrs & x) == 2 * n - 6
             assert nbrs & y == {rank(compose(from_cycle(n, [1, n, 2]), gamma))}
             assert nbrs & z == {rank(compose(from_cycle(n, [1, 2, n]), gamma))}
@@ -173,19 +174,21 @@ def test_edge_sets_are_nested_across_families(graph, n):
 def test_induced_subgraph_block_is_triangle(graph):
     g = graph("AG", 4)
     x4 = blocks_AG(4, 4).blocks[0]
-    sub, vmap = induced_subgraph(g, x4)
+    sub = induced_subgraph(g, x4)
     assert sub.order == 3 and sub.edge_count == 3
-    assert [orig for _, orig in vmap.pairs] == sorted(int(v) for v in x4)
+    # Subgraph vertex k is the k-th smallest member of x4.
+    inside = {(int(u), int(v)) for u, v in g.edges_array() if u in x4 and v in x4}
+    assert set(map(tuple, np.sort(x4)[sub.edges_array()].tolist())) == inside
 
 
 def test_induced_subgraph_single_vertex(graph):
-    sub, _ = induced_subgraph(graph("AG", 4), [5])
+    sub = induced_subgraph(graph("AG", 4), [5])
     assert sub.order == 1 and sub.edge_count == 0
 
 
 def test_induced_subgraph_eag5_block(graph):
     block = blocks_Xij(5, i=3).blocks[1]  # position 2 pinned to the value 3
-    sub, _ = induced_subgraph(graph("EAG", 5), block)
+    sub = induced_subgraph(graph("EAG", 5), block)
     assert sub.order == 12
     assert sub.degree == 6
 
@@ -205,21 +208,21 @@ def test_induced_subgraph_rejects_bad_subsets(graph):
 
 def test_phi_restriction_case():
     # i = n: members fix the last point and map to their restriction
-    vm = phi_isomorphism(4, 4, "AG")
-    for u, w in vm.pairs:
+    block, image = phi_isomorphism(4, 4, "AG")
+    for u, w in zip(block.tolist(), image.tolist()):
         gamma = unrank(4, u)
         assert gamma.images[3] == 4
         assert unrank(3, w).images == gamma.images[:3]
 
 
-def _phi_preserves_edges(G, H, vm):
-    fwd = vm.as_dict()
-    block = sorted(fwd)
+def _phi_preserves_edges(G, H, block, image):
+    fwd = dict(zip(block.tolist(), image.tolist()))
+    members = sorted(fwd)
     mapped = set()
-    for a in range(len(block)):
-        for b in range(a + 1, len(block)):
-            u, v = block[a], block[b]
-            if G.has_edge(u, v):
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            u, v = members[a], members[b]
+            if v in G.adj[u]:
                 mapped.add((min(fwd[u], fwd[v]), max(fwd[u], fwd[v])))
     return mapped == set(map(tuple, H.edges_array()))
 
@@ -227,9 +230,17 @@ def _phi_preserves_edges(G, H, vm):
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
 @pytest.mark.parametrize("n,i", [(4, 1), (4, 4), (5, 2), (5, 5)])
 def test_phi_is_edge_preserving(graph, family, n, i):
-    vm = phi_isomorphism(n, i, family)
-    assert vm.is_injective()
-    assert _phi_preserves_edges(graph(family, n), graph(family, n - 1), vm)
+    block, image = phi_isomorphism(n, i, family)
+    assert sorted(image.tolist()) == list(range(alternating_order(n - 1)))
+    assert _phi_preserves_edges(graph(family, n), graph(family, n - 1), block, image)
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n,i", [(4, 1), (4, 4), (5, 2), (5, 5), (6, 3)])
+def test_phi_block_is_canonical_cut(family, n, i):
+    block, image = phi_isomorphism(n, i, family)
+    assert np.array_equal(block, canonical_cut(family, n, i))
+    assert block.shape == image.shape
 
 
 def test_phi_rejects_small_n():

@@ -4,9 +4,9 @@ import pytest
 
 from altspectra.perm import (
     Permutation,
+    alternating_images,
     alternating_order,
     compose,
-    enumerate_alternating,
     from_cycle,
     from_cycles,
     identity,
@@ -17,6 +17,11 @@ from altspectra.perm import (
     sign,
     unrank,
 )
+
+
+def enumerate_alternating(n):
+    """All n!/2 even permutations of {1..n} in rank order."""
+    return [Permutation(tuple(int(x) for x in row)) for row in alternating_images(n)]
 
 
 def random_perm(rng, n):
@@ -147,8 +152,12 @@ def test_enumerate_alternating_small():
     perms = enumerate_alternating(3)
     assert perms == [identity(3), from_cycle(3, [1, 2, 3]), from_cycle(3, [1, 3, 2])]
     assert len(enumerate_alternating(5)) == 60
-    with pytest.raises(ValueError):
-        enumerate_alternating(2)
+
+
+@pytest.mark.parametrize("n", [0, 13])
+def test_alternating_images_rejects_point_count(n):
+    with pytest.raises(ValueError, match="point count"):
+        alternating_images(n)
 
 
 def test_enumeration_is_lexicographic():

@@ -40,11 +40,11 @@ def test_matchings_fail_after_swapping_edges(graph):
     x, y, _, w = blocks_AG(4, 1).blocks
     edges = {tuple(map(int, e)) for e in G.edges_array()}
     a = int(x[0])
-    b = next(int(u) for u in G.neighbors_of(a) if u in y)
+    b = next(int(u) for u in G.adj[a] if u in y)
     c, d = next(
         (c, d)
         for c, d in sorted(edges)
-        if c in w and d in w and not G.has_edge(a, c) and not G.has_edge(b, d)
+        if c in w and d in w and c not in G.adj[a] and d not in G.adj[b]
     )
     swapped = edges - {(min(a, b), max(a, b)), (c, d)} | {(a, c), (b, d)}
     doctored = _graph_from_edge_set(G.order, swapped)
@@ -87,7 +87,7 @@ def _matchings_by_loops(G, n, i):
     for label, other in (("Y", set(y.tolist())), ("Z", set(z.tolist()))):
         matched = set()
         for v in x.tolist():
-            hits = [u for u in G.neighbors_of(v).tolist() if u in other]
+            hits = [u for u in G.adj[v].tolist() if u in other]
             if len(hits) != 1:
                 problems.append(f"vertex {v} has {len(hits)} neighbors in {label}({i})")
                 continue
@@ -274,3 +274,21 @@ def test_verify_solves_each_lambda2_once(monkeypatch, family, solved):
     monkeypatch.setattr(verify, "lambda2_iterative", counted)
     assert verify_family(family, 6).overall
     assert calls == solved
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_verify_makes_one_dense_solve(monkeypatch, family):
+    # At n = 4 (order 12) both the lambda2_dense check and the
+    # isoperimetric bracket run; the bracket reuses the dense report.
+    calls = []
+    solve = verify.dense_spectrum
+
+    def counted(G, **kwargs):
+        calls.append(G.order)
+        return solve(G, **kwargs)
+
+    monkeypatch.setattr(verify, "dense_spectrum", counted)
+    report = verify_family(family, 4)
+    assert report.overall
+    assert {c.name for c in report.checks} >= {"lambda2_dense", "isoperimetric_bracket"}
+    assert calls == [12]
