@@ -20,7 +20,6 @@ The resulting graphs are called AG_n, EAG_n and CAG_n respectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -42,10 +41,6 @@ TAG_TO_FAMILY = {v: k for k, v in FAMILY_TO_TAG.items()}
 
 # 9!/2; larger builds must be requested explicitly via max_order.
 DEFAULT_MAX_ORDER = 181_440
-
-# Position that the defining block of each family pins: X(i) = {g : g_n = i}
-# for AG, {g : g_2 = i} for EAG, {g : g_1 = i} for CAG.
-BLOCK_POSITION = {"AG": None, "EAG": 2, "CAG": 1}
 
 
 @dataclass(frozen=True)
@@ -104,16 +99,6 @@ def generating_set(family: str, n: int) -> GeneratingSet:
 
 def custom_generating_set(n: int, elements) -> GeneratingSet:
     return GeneratingSet(n=n, elements=tuple(elements), family_tag="custom")
-
-
-def expected_degree(family: str, n: int) -> int:
-    if family == "AG":
-        return 2 * n - 4
-    if family == "EAG":
-        return (n - 1) * (n - 2)
-    if family == "CAG":
-        return 2 * comb(n, 3)
-    raise ValueError(f"unknown family {family!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,28 +233,37 @@ def induced_subgraph(G: Graph, S) -> Graph:
     return Graph(adj=rows[inside].reshape(S.size, degrees[0]))
 
 
-def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """Bijection from the defining block of the family onto A_{n-1} vertices.
+def block_labels(family: str, n: int) -> np.ndarray:
+    """Defining-block label of every vertex: the value at the position the
+    family pins, n (AG), 2 (EAG) or 1 (CAG).
 
-    Returns ``(block, image)``: ``block`` holds the block's vertices in
-    ascending order and ``image[k]`` is the A_{n-1} vertex that ``block[k]``
-    maps to.  The block is {g : g_j = i} with j = n (AG), 2 (EAG) or 1 (CAG).
-    Each member is mapped by deleting position j, shifting later positions
-    down, and renaming the value n to i (a no-op when i = n).  That pairing
-    already preserves products g' * g^{-1}, hence adjacency; when the raw
-    images come out odd, a fixed swap of the values 1 and 2 is applied on
-    top, which leaves products untouched and lands the block in A_{n-1}.
+    Block X(i) of the family is the set of vertices labelled i.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    position = {"AG": n, "EAG": 2, "CAG": 1}[family]
+    return alternating_images(n)[:, position - 1]
+
+
+def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Bijection from the defining block of the family onto A_{n-1} vertices.
+
+    Returns ``(block, image)``: ``block`` holds the vertices labelled i by
+    :func:`block_labels`, in ascending order, and ``image[k]`` is the
+    A_{n-1} vertex that ``block[k]`` maps to.  Each member is mapped by
+    dropping the value i from its image tuple, closing the gap, and renaming
+    the value n to i (a no-op when i = n).  That pairing already preserves
+    products g' * g^{-1}, hence adjacency; when the raw images come out odd,
+    a fixed swap of the values 1 and 2 is applied on top, which leaves
+    products untouched and lands the block in A_{n-1}.
+    """
     if n < 4:
         raise ValueError(f"block isomorphisms need n >= 4, got {n}")
     if not 1 <= i <= n:
         raise ValueError(f"block value {i} outside 1..{n}")
-    j = BLOCK_POSITION[family] or n
-    verts = alternating_images(n)
-    block = np.nonzero(verts[:, j - 1] == i)[0]
-    imgs = np.delete(verts[block], j - 1, axis=1).astype(np.uint8)
+    block = np.flatnonzero(block_labels(family, n) == i)
+    rows = alternating_images(n)[block]
+    imgs = rows[rows != i].reshape(block.size, n - 1)
     if i != n:
         imgs[imgs == n] = i
     # Parity offset is uniform across the block; probe the first member.

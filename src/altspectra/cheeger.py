@@ -13,9 +13,8 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .cayley import BLOCK_POSITION, FAMILIES, Graph
+from .cayley import Graph, block_labels
 from .errors import OrderCapError
-from .perm import alternating_images
 
 # Largest order brute_force_h enumerates by default: 2^(order-1) subsets.
 BRUTE_ORDER_CAP = 20
@@ -36,14 +35,10 @@ class CutReport:
         return {
             "subset_size": self.subset_size,
             "boundary": self.boundary,
-            "ratio": _fraction_str(self.ratio),
+            "ratio": str(self.ratio),
             "ratio_float": float(self.ratio),
             "description": self.description,
         }
-
-
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _subset_mask(G: Graph, S) -> np.ndarray:
@@ -76,15 +71,11 @@ def cut_ratio(G: Graph, S, description: str = "subset") -> CutReport:
 
 
 def canonical_cut(family: str, n: int, i: int = 1) -> np.ndarray:
-    """The family's distinguished block: {g_n = i} (AG), {g_2 = i} (EAG),
-    {g_1 = i} (CAG)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    """The family's distinguished block X(i), ascending: the vertices that
+    :func:`altspectra.cayley.block_labels` labels i."""
     if not 1 <= i <= n:
         raise ValueError(f"value {i} outside 1..{n}")
-    j = BLOCK_POSITION[family] or n
-    verts = alternating_images(n)
-    return np.nonzero(verts[:, j - 1] == i)[0]
+    return np.flatnonzero(block_labels(family, n) == i)
 
 
 def canonical_boundary(family: str, n: int) -> int:

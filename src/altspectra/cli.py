@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +34,14 @@ from .errors import ConvergenceError, OrderCapError
 from .partition import divisor_closed_form, divisor_spectrum
 from .perm import parse_generator_list
 from .spectra import DENSE_ORDER_CAP, dense_spectrum, gap_report, integrality_check
-from .verify import check_edge_decomposition, check_matchings, check_subgraph_isomorphism, verify_family
+from .verify import (
+    VerificationReport,
+    _GraphCache,
+    check_edge_decomposition,
+    check_matchings,
+    check_subgraph_isomorphism,
+    verify_family,
+)
 
 VERBS = ("build", "spectrum", "gap", "divisor", "cut", "hmin", "decompose", "verify")
 
@@ -100,8 +106,6 @@ def _normalize(value):
         return value
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -251,20 +255,14 @@ def _run_hmin(args) -> tuple[dict, int]:
 
 
 def _run_decompose(args) -> tuple[dict, int]:
-    checks = []
+    cache = _GraphCache()
     if args.family == "AG":
-        checks.append(check_matchings(args.n, args.block))
+        first = check_matchings(args.n, args.block, cache=cache)
     else:
-        checks.append(check_edge_decomposition(args.family, args.n))
-    checks.append(check_subgraph_isomorphism(args.family, args.n, args.block))
-    overall = all(c.passed for c in checks)
-    report = {
-        "family": args.family,
-        "n": args.n,
-        "checks": [c.to_dict(args.timings) for c in checks],
-        "overall": overall,
-    }
-    return report, 0 if overall else 1
+        first = check_edge_decomposition(args.family, args.n, cache=cache)
+    second = check_subgraph_isomorphism(args.family, args.n, args.block, cache=cache)
+    report = VerificationReport(args.family, args.n, args.seed, args.tol, [first, second])
+    return report.to_dict(args.timings), 0 if report.overall else 1
 
 
 def _run_verify(args) -> tuple[dict, int]:

@@ -79,9 +79,6 @@ class DivisorMatrix:
     def k(self) -> int:
         return self.entries.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class EquitableWitness:

@@ -49,10 +49,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        """Image of a single 1-based point."""
-        return self.images[point - 1]
-
     def __str__(self) -> str:
         return cycle_string(self)
 

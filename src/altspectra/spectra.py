@@ -14,7 +14,6 @@ returned Ritz pair.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from math import comb
@@ -61,9 +60,6 @@ class SpectrumReport:
             "lambda2": self.lambda2,
             "gap": self.gap,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
 def _meta(G: Graph) -> tuple[str | None, int | None, int]:

@@ -5,6 +5,9 @@ it was judged at, and a pass flag; a report is the ordered list of checks
 plus their conjunction.  Check failures are recorded, never raised;
 infrastructure failures (a solver that does not converge, a cap that is
 exceeded) propagate as exceptions since no meaningful report exists then.
+The structural checks take a family's defining blocks from per-vertex
+labels (:func:`altspectra.cayley.block_labels`) and compare sorted int64
+edge keys; they build no subgraphs, so a doctored graph fails a check.
 
 Reports are deterministic: given the same seed, two runs produce identical
 values.  Wall-clock timings are measured and kept on the result objects but
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -25,10 +27,9 @@ from . import cheeger as _cheeger
 from .cayley import (
     FAMILIES,
     Graph,
+    block_labels,
     build_family,
-    expected_degree,
     graph_invariant_violations,
-    induced_subgraph,
     is_connected,
     phi_isomorphism,
 )
@@ -136,10 +137,9 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _edge_keys(edges: np.ndarray, order: int) -> np.ndarray:
-    """Sorted distinct int64 keys min*order + max of an (E, 2) edge array."""
-    u = edges[:, 0].astype(np.int64)
-    v = edges[:, 1].astype(np.int64)
+def _edge_keys(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
+    """Sorted distinct int64 keys min*order + max of the edges (u[k], v[k])."""
+    u, v = u.astype(np.int64), v.astype(np.int64)
     return _sorted_unique(np.minimum(u, v) * order + np.maximum(u, v))
 
 
@@ -149,13 +149,13 @@ def _family_partition(family: str, n: int, i: int):
     return blocks_Xij(n, i=i)
 
 
-def check_matchings(n: int, i: int, graph: Graph | None = None, cache=None) -> CheckResult:
+def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     """Every vertex with the value i last has exactly one neighbor with the
     value i first and one with it second, and those edges are disjoint."""
     if n < 4:
         raise ValueError(f"matching checks need n >= 4, got {n}")
     cache = cache or _GraphCache()
-    G = graph if graph is not None else cache.get("AG", n)
+    G = cache.get("AG", n)
 
     def run():
         x, y, z, _ = blocks_AG(n, i).blocks
@@ -198,7 +198,12 @@ def check_matchings(n: int, i: int, graph: Graph | None = None, cache=None) -> C
 
 def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     """Exact edge-set split of EAG_n (resp. CAG_n) into the n block
-    subgraphs plus AG_n (resp. EAG_n)."""
+    subgraphs plus AG_n (resp. EAG_n).
+
+    Block i's edges are the edge keys whose two ends both carry the block
+    label i; they must be disjoint from the spanning subgraph's edges, and
+    the two together must make up the whole edge set.
+    """
     if family not in ("EAG", "CAG"):
         raise ValueError("edge decompositions exist for EAG and CAG only")
     if n < 4:
@@ -208,21 +213,19 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     def run():
         G = cache.get(family, n)
         spanning = cache.get("AG" if family == "EAG" else "EAG", n)
-        total = _edge_keys(G.edges_array(), G.order)
-        parts = [_edge_keys(spanning.edges_array(), G.order)]
-        for i in range(1, n + 1):
-            block = _cheeger.canonical_cut(family, n, i)
-            sub = induced_subgraph(G, block)
-            # Subgraph vertex k is block[k], the k-th smallest block member.
-            parts.append(_edge_keys(block[sub.edges_array()], G.order))
-        merged = np.sort(np.concatenate(parts))
+        total = _edge_keys(*G.edges_array().T, G.order)
+        span = _edge_keys(*spanning.edges_array().T, G.order)
+        label = block_labels(family, n)
+        first = label[total // G.order]
+        inside = first == label[total % G.order]
+        block_edges = np.bincount(first[inside], minlength=n + 1)[1:].tolist()
+        merged = np.sort(np.concatenate([span, total[inside]]))
         disjoint = not np.any(merged[1:] == merged[:-1])
         union_equals_total = np.array_equal(_sorted_unique(merged), total)
-        counts = [int(p.size) for p in parts]
         observed = {
             "total_edges": int(total.size),
-            "spanning_subgraph_edges": counts[0],
-            "block_edges": counts[1:],
+            "spanning_subgraph_edges": int(span.size),
+            "block_edges": block_edges,
             "disjoint": disjoint,
             "union_equals_total": union_equals_total,
         }
@@ -230,7 +233,7 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
             "total_edges": G.order * G.degree // 2,
             "sum_of_parts": int(total.size),
         }
-        passed = disjoint and union_equals_total and sum(counts) == total.size
+        passed = disjoint and union_equals_total and span.size + sum(block_edges) == total.size
         return predicted_value, observed, None, passed
 
     return _timed(
@@ -242,7 +245,12 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
 
 def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> CheckResult:
     """The defining block induces a graph isomorphic to the (n-1)-point
-    family graph, via the explicit relabeling map."""
+    family graph, via the explicit relabeling map.
+
+    The block's neighbor rows are renamed through the map, with neighbors
+    outside the block dropped; the renamed edge set must equal the smaller
+    graph's.  A doctored graph yields a failed check, not an exception.
+    """
     if n < 4:
         raise ValueError(f"block isomorphism checks need n >= 4, got {n}")
     cache = cache or _GraphCache()
@@ -251,10 +259,12 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
         G = cache.get(family, n)
         H = cache.get(family, n - 1)
         block, image = phi_isomorphism(n, i, family)
-        sub = induced_subgraph(G, block)
-        # Subgraph vertex k is block[k], which the map sends to image[k].
-        mapped = _edge_keys(image[sub.edges_array()], H.order)
-        target = _edge_keys(H.edges_array(), H.order)
+        rename = np.full(G.order, -1, dtype=np.int64)
+        rename[block] = image
+        rows = rename[G.adj[block]]
+        inside = rows >= 0
+        mapped = _edge_keys(np.broadcast_to(image[:, None], rows.shape)[inside], rows[inside], H.order)
+        target = _edge_keys(*H.edges_array().T, H.order)
         observed = {
             "block_size": int(block.size),
             "mapped_edges": int(mapped.size),
@@ -336,8 +346,7 @@ def verify_family(
     cache = _GraphCache()
     report = VerificationReport(family=family, n=n, seed=seed, tol=tol)
     G = cache.get(family, n)
-    degree = expected_degree(family, n)
-    _, lam2_pred, gap_pred = predicted(family, n)
+    degree, lam2_pred, gap_pred = predicted(family, n)
 
     def invariants():
         violations = graph_invariant_violations(G)
@@ -431,8 +440,8 @@ def verify_family(
             _, upper = _cheeger.corollary_bounds(family, n)
             boundary_pred = _cheeger.canonical_boundary(family, n)
             ok = cr.ratio == upper and cr.boundary == boundary_pred
-            predicted_value = {"ratio": _frac(upper), "boundary": boundary_pred}
-            observed = {"ratio": _frac(cr.ratio), "boundary": cr.boundary}
+            predicted_value = {"ratio": str(upper), "boundary": boundary_pred}
+            observed = {"ratio": str(cr.ratio), "boundary": cr.boundary}
             return predicted_value, observed, None, ok
 
         report.checks.append(
@@ -449,7 +458,7 @@ def verify_family(
                 mu = degree - cache.lambda2(family, n, tol, seed)
             lower = mu / 2
             ok = float(h) >= lower - 1e-9
-            observed = {"h": _frac(h), "witness": list(witness), "lower": lower}
+            observed = {"h": str(h), "witness": list(witness), "lower": lower}
             predicted_value = {"h_at_least": lower}
             if G.order > 3:
                 _, upper = _cheeger.cheeger_bounds(mu, degree)
@@ -471,8 +480,3 @@ def verify_family(
         report.checks.append(check_subgraph_isomorphism(family, n, block_index, cache=cache))
 
     return report
-
-
-def _frac(f: Fraction) -> str:
-    f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -6,6 +6,7 @@ import pytest
 from altspectra.cayley import (
     GeneratingSet,
     Graph,
+    block_labels,
     build_cayley,
     build_family,
     custom_generating_set,
@@ -204,6 +205,19 @@ def test_induced_subgraph_rejects_bad_subsets(graph):
         induced_subgraph(g, [0, *g.adj[0]])
     with pytest.raises(ValueError):
         Graph(adj=np.array([1, 0], dtype=np.int32))
+
+
+@pytest.mark.parametrize(
+    "family,n,position", [("AG", 4, 4), ("AG", 5, 5), ("EAG", 5, 2), ("CAG", 5, 1)]
+)
+def test_block_labels_read_the_pinned_position(family, n, position):
+    want = [unrank(n, v).images[position - 1] for v in range(alternating_order(n))]
+    assert block_labels(family, n).tolist() == want
+
+
+def test_block_labels_reject_unknown_family():
+    with pytest.raises(ValueError):
+        block_labels("XAG", 5)
 
 
 def test_phi_restriction_case():

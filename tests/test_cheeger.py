@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from altspectra.cayley import block_labels
 from altspectra.cheeger import (
     boundary_size,
     brute_force_h,
@@ -27,6 +28,14 @@ def test_boundary_sizes_of_canonical_cuts(graph):
     assert boundary_size(graph("AG", 4), canonical_cut("AG", 4, 1)) == 6
     assert boundary_size(graph("EAG", 4), canonical_cut("EAG", 4, 1)) == 12
     assert boundary_size(graph("CAG", 4), canonical_cut("CAG", 4, 1)) == 18
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_canonical_cut_is_a_label_class(family, n):
+    labels = block_labels(family, n)
+    for i in range(1, n + 1):
+        assert np.array_equal(canonical_cut(family, n, i), np.flatnonzero(labels == i))
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])

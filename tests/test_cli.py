@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from altspectra import verify
 from altspectra.cli import emit, main
 from altspectra.verify import CheckResult, VerificationReport
 
@@ -107,6 +108,28 @@ def test_decompose_verb(capsys):
     code, out, _ = run(capsys, "decompose", "--family", "EAG", "--n", "4", "--format", "json")
     assert code == 0
     assert json.loads(out)["overall"] is True
+
+
+@pytest.mark.parametrize(
+    "family,built",
+    [
+        ("AG", [("AG", 6), ("AG", 5)]),
+        ("EAG", [("EAG", 6), ("AG", 6), ("EAG", 5)]),
+        ("CAG", [("CAG", 6), ("EAG", 6), ("CAG", 5)]),
+    ],
+)
+def test_decompose_builds_each_graph_once(capsys, monkeypatch, family, built):
+    calls = []
+    build = verify.build_family
+
+    def counted(family, n, **kwargs):
+        calls.append((family, n))
+        return build(family, n, **kwargs)
+
+    monkeypatch.setattr(verify, "build_family", counted)
+    code, _, _ = run(capsys, "decompose", "--family", family, "--n", "6")
+    assert code == 0
+    assert calls == built
 
 
 def test_build_with_custom_generators(capsys):

@@ -40,6 +40,16 @@ GOLDEN = {
         "3ca39bdec3b5f533f2209d5d58c15faf1c314fe0c8af21f114f8b5dd1d796cd9", 0),
     "build --gens (1,2,3),(1,3,2) --n 5": (
         "41f24d678f4bf3375f093e03e5c7cffdead4e4678bcd106091b2b33ab469b9ea", 0),
+    "decompose --family AG --n 6 --block 3": (
+        "1d462118ba4d882e463bca149834b8610ec3490bff88b40c205af55f5691edea", 0),
+    "decompose --family EAG --n 6 --block 3": (
+        "18a53c24f4a652ddc9cc6d8b630ae0b70321f51fe255a1c685af872895e7eeeb", 0),
+    "decompose --family CAG --n 6 --block 3": (
+        "f4672112b191c382c256c77aeccf2b7dcb06841786d94da686c20756c108bcab", 0),
+    "verify --family EAG --n 6 --block 4 --seed 11 --format json": (
+        "813a1e194e6dee327075ec9141b3723427eec8ec509d3cfc113b2baa29e0c2b5", 0),
+    "verify --family CAG --n 6 --block 4 --seed 11 --format json": (
+        "69033c86862bd63b8e27d1358d3e13bfcc53cea7105aa5ec7b5f957e458f5c92", 0),
 }
 
 EXPORT_AG5 = "a91b0cb3980ccf503bc20176404efa9e16e4cb8bf74816dc3cc97c3c0c48e8be"

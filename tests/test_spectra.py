@@ -175,7 +175,7 @@ def test_lambda2_deterministic_per_seed(graph):
 
 def test_report_json_schema(graph):
     rep = gap_report(graph("AG", 5))
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert list(data) == [
         "family", "n", "order", "degree", "solver", "tolerance", "seed",
         "eigenvalues", "multiplicities", "lambda1", "lambda2", "gap",

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from altspectra.cayley import Graph
+from altspectra.cayley import Graph, block_labels, induced_subgraph
+from altspectra.cheeger import canonical_cut
 from altspectra.partition import blocks_AG
 from altspectra import verify
 from altspectra.verify import (
@@ -48,7 +49,7 @@ def test_matchings_fail_after_swapping_edges(graph):
     )
     swapped = edges - {(min(a, b), max(a, b)), (c, d)} | {(a, c), (b, d)}
     doctored = _graph_from_edge_set(G.order, swapped)
-    result = check_matchings(4, 1, graph=doctored)
+    result = check_matchings(4, 1, cache=_FixedGraphs({("AG", 4): doctored}))
     assert not result.passed
     assert f"vertex {a} has 0 neighbors in Y(1)" in result.observed["problems"]
     assert result.observed == _matchings_by_loops(doctored, 4, 1)
@@ -73,8 +74,9 @@ def test_matchings_agree_with_loops_after_random_swaps(graph):
     kinds = set()
     for _ in range(20):
         doctored = _random_swaps(graph("AG", 5), rng, 20)
+        cache = _FixedGraphs({("AG", 5): doctored})
         for i in (1, 5):
-            observed = check_matchings(5, i, graph=doctored).observed
+            observed = check_matchings(5, i, cache=cache).observed
             assert observed == _matchings_by_loops(doctored, 5, i)
             kinds.update(p.split(" ", 2)[2].split(" in ")[0] for p in observed["problems"])
     assert {"has 0 neighbors", "has 2 neighbors", "of Y(1) matched twice"} <= kinds
@@ -123,6 +125,37 @@ def test_edge_decomposition_fails_on_wrong_graphs(graph, graphs, disjoint, union
     assert not result.passed
     assert result.observed["disjoint"] is disjoint
     assert result.observed["union_equals_total"] is union_equals_total
+
+
+@pytest.mark.parametrize("family,spanning", [("EAG", "AG"), ("CAG", "EAG")])
+def test_structural_checks_record_failures_on_swapped_graphs(graph, family, spanning):
+    # Swapped blocks induce irregular subgraphs; the checks must report,
+    # not raise.
+    rng = random.Random(11)
+    isomorphism_passes = []
+    for _ in range(20):
+        doctored = _random_swaps(graph(family, 5), rng, 5)
+        cache = _FixedGraphs(
+            {(family, 5): doctored, (spanning, 5): graph(spanning, 5), (family, 4): graph(family, 4)}
+        )
+        assert check_edge_decomposition(family, 5, cache=cache).passed is False
+        isomorphism_passes.append(check_subgraph_isomorphism(family, 5, 1, cache=cache).passed)
+    assert False in isomorphism_passes
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_block_edges_match_induced_subgraphs(graph, family, n):
+    G = graph(family, n)
+    oracle = [induced_subgraph(G, canonical_cut(family, n, i)).edge_count for i in range(1, n + 1)]
+    if family == "AG":
+        # AG has no edge decomposition check; count label-equal edges directly.
+        label = block_labels(family, n)[G.edges_array()]
+        same = label[:, 0] == label[:, 1]
+        observed = np.bincount(label[same, 0], minlength=n + 1)[1:].tolist()
+    else:
+        observed = check_edge_decomposition(family, n).observed["block_edges"]
+    assert observed == oracle
 
 
 def test_subgraph_isomorphism_fails_on_relabelled_target(graph):
