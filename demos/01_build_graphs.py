@@ -29,7 +29,7 @@ print()
 print("AG_3 is the triangle: every pair of vertices is adjacent.")
 G = build_family("AG", 3)
 for v in range(G.order):
-    print(f"  vertex {v}: neighbors {[int(u) for u in G.adj[v]]}")
+    print(f"  vertex {v}: neighbors {sorted(int(u) for u in G.perms[:, v])}")
 
 export_edges(build_family("AG", 4), "/tmp/ag4_edges.txt")
 print()

@@ -3,7 +3,7 @@
 
 The gaps are 2 (AG_n, n >= 4), 2n-3 (EAG_n) and n^2-2n (CAG_n).  The dense
 solver diagonalizes the full adjacency matrix; the iterative one only ever
-touches the (order, degree) neighbor array, so it scales to much larger
+touches the (degree, order) array of generator rows, so it scales to much larger
 orders.
 """
 

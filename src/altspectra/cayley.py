@@ -1,10 +1,11 @@
-"""Cayley graphs on A_n as (order, degree) neighbour arrays.
+"""Cayley graphs on A_n as one row of neighbours per generator.
 
 Vertices are even permutations numbered by :func:`altspectra.perm.rank`.
 The neighbors of a vertex g are the products t*g for t in the generating
 set, with t applied first (left multiplication under the package-wide
-left-to-right composition).  Every graph here is regular, so row v of one
-(order, degree) array holds the sorted neighbor list of vertex v.  Built
+left-to-right composition).  A graph is one (degree, order) array whose
+row c maps every vertex to its c-th neighbor; for a Cayley graph row c is
+the bijection g -> t_c*g, and the row of t_c^{-1} is its inverse.  Built
 graphs are immutable: the array is marked read-only, so a graph can be
 shared freely across threads.
 
@@ -103,53 +104,59 @@ def custom_generating_set(n: int, elements) -> GeneratingSet:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected regular graph as an (order, degree) array.
+    """Immutable undirected regular graph as a (degree, order) array.
 
-    ``adj[v]`` is the sorted neighbor list of vertex v.  Equality is
-    canonical: two graphs are equal iff their arrays match entry for entry.
+    ``perms[c, v]`` is the c-th neighbor of vertex v.  Each row is meant to
+    be a bijection whose inverse is also a row (an involution is its own
+    inverse); :func:`graph_invariant_violations` reports where it is not.
+    Two graphs are equal iff their arrays match entry for entry.
     """
 
-    adj: np.ndarray
+    perms: np.ndarray
 
     def __post_init__(self):
-        if self.adj.ndim != 2:
-            raise ValueError(f"adj must be an (order, degree) array, got shape {self.adj.shape}")
-        self.adj.setflags(write=False)
+        if self.perms.ndim != 2:
+            raise ValueError(f"perms must be a (degree, order) array, got shape {self.perms.shape}")
+        self.perms.setflags(write=False)
 
     @property
     def order(self) -> int:
-        return self.adj.shape[0]
+        return self.perms.shape[1]
 
     @property
     def degree(self) -> int:
-        return self.adj.shape[1]
+        return self.perms.shape[0]
 
     @property
     def neighbors(self) -> np.ndarray:
-        """All neighbor lists back to back, a flat view of ``adj``."""
-        return self.adj.reshape(-1)
+        """Every neighbor entry, row by row: a flat view of ``perms``."""
+        return self.perms.reshape(-1)
 
     @property
     def edge_count(self) -> int:
-        return self.adj.size // 2
+        return self.perms.size // 2
 
     def edges_array(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, sorted lexicographically."""
-        mask = self.adj > np.arange(self.order)[:, None]
-        return np.column_stack([np.nonzero(mask)[0], self.adj[mask]])
+        nbrs = np.sort(self.perms.T, axis=1)
+        mask = nbrs > np.arange(self.order)[:, None]
+        return np.column_stack([np.nonzero(mask)[0], nbrs[mask]])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ v without materializing A."""
         v = np.asarray(v, dtype=np.float64)
-        return v[self.adj].sum(axis=1)
+        out = np.zeros(self.order)
+        for row in self.perms:
+            out += v[row]
+        return out
 
     def adjacency_dense(self) -> np.ndarray:
         A = np.zeros((self.order, self.order))
-        np.put_along_axis(A, self.adj, 1.0, axis=1)
+        A[np.arange(self.order), self.perms] = 1.0
         return A
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and np.array_equal(self.adj, other.adj)
+        return isinstance(other, Graph) and np.array_equal(self.perms, other.perms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +168,8 @@ class CayleyGraph(Graph):
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
     """Cayley graph of A_n with respect to ``gens``.
 
-    Vertex v is the even permutation ``unrank(n, v)``; its neighbors are the
-    ranks of t*g (t first) over all generators t.
+    Vertex v is the even permutation ``unrank(n, v)``; row c holds the
+    ranks of t_c*g (t_c first) over all vertices g.
     """
     if gens.n != n:
         raise ValueError(f"generating set is on {gens.n} points, graph wants {n}")
@@ -174,15 +181,13 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
             f"order {order} exceeds cap {max_order}; pass max_order explicitly to override"
         )
     verts = alternating_images(n)
-    degree = gens.size
-    nbrs = np.empty((order, degree), dtype=np.int32)
+    perms = np.empty((gens.size, order), dtype=np.int32)
     for c, t in enumerate(gens.elements):
         idx = np.asarray(t.images, dtype=np.intp) - 1
-        # Row for vertex g of t*g: point i goes to g[t_i].
-        nbrs[:, c] = alternating_ranks(verts[:, idx])
-    nbrs.sort(axis=1)
+        # t*g sends point i to g[t_i].
+        perms[c] = alternating_ranks(verts[:, idx])
     return CayleyGraph(
-        adj=nbrs,
+        perms=perms,
         n=n,
         family_tag=TAG_TO_FAMILY.get(gens.family_tag, "custom"),
     )
@@ -205,7 +210,7 @@ def is_connected(G: Graph) -> bool:
     frontier = np.array([0], dtype=np.int64)
     while frontier.size:
         hit = np.zeros(order, dtype=bool)
-        hit[G.adj[frontier]] = True
+        hit[G.perms[:, frontier]] = True
         hit &= ~seen
         seen |= hit
         frontier = np.flatnonzero(hit)
@@ -213,10 +218,10 @@ def is_connected(G: Graph) -> bool:
 
 
 def induced_subgraph(G: Graph, S) -> Graph:
-    """Subgraph on vertex subset ``S``.
+    """Subgraph on vertex subset ``S``, made of the rows that map S into S.
 
     Vertex k of the subgraph is the k-th smallest member of ``S``.  Raises
-    ``ValueError`` when ``S`` induces an irregular subgraph.
+    ``ValueError`` when a row maps only part of ``S`` into ``S``.
     """
     S = np.unique(np.asarray(S, dtype=np.int64))
     if S.size == 0:
@@ -225,12 +230,12 @@ def induced_subgraph(G: Graph, S) -> Graph:
         raise ValueError("vertex subset out of range")
     new_id = np.full(G.order, -1, dtype=np.int32)
     new_id[S] = np.arange(S.size)
-    rows = new_id[G.adj[S]]
+    rows = new_id[G.perms[:, S]]
     inside = rows >= 0
-    degrees = inside.sum(axis=1)
-    if np.any(degrees != degrees[0]):
-        raise ValueError("vertex subset induces an irregular subgraph")
-    return Graph(adj=rows[inside].reshape(S.size, degrees[0]))
+    keep = inside.all(axis=1)
+    if np.any(inside.any(axis=1) & ~keep):
+        raise ValueError("a row maps only part of the vertex subset into it")
+    return Graph(perms=rows[keep])
 
 
 def block_labels(family: str, n: int) -> np.ndarray:
@@ -277,19 +282,20 @@ def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray
 
 
 def graph_invariant_violations(G: Graph) -> list[str]:
-    """Structural defects of the neighbor array; empty list means clean."""
+    """Structural defects of the neighbor rows; empty list means clean."""
     problems = []
-    if G.adj.size and (G.adj.min() < 0 or G.adj.max() >= G.order):
+    P = G.perms
+    if P.size and (P.min() < 0 or P.max() >= G.order):
         problems.append("neighbor index out of range")
         return problems
-    rows = np.arange(G.order, dtype=np.int64)[:, None]
-    if np.any(G.adj == rows):
+    vertices = np.arange(G.order)
+    if np.any(P == vertices):
         problems.append("self-loop present")
-    if np.any(np.diff(G.adj, axis=1) <= 0):
-        problems.append("a neighbor list is not strictly increasing")
-    forward = np.sort((rows * G.order + G.adj).reshape(-1))
-    backward = np.sort((G.adj.astype(np.int64) * G.order + rows).reshape(-1))
-    if not np.array_equal(forward, backward):
+    if np.any(np.diff(np.sort(P, axis=0), axis=0) == 0):
+        problems.append("a vertex has a repeated neighbor")
+    # Each row's reverse arcs must all lie in the row that takes row[0] back
+    # to 0; with no repeated neighbors that makes the adjacency symmetric.
+    if not all(np.array_equal(P[np.argmax(P[:, row[0]] == 0)][row], vertices) for row in P):
         problems.append("adjacency is not symmetric")
     return problems
 

@@ -55,7 +55,7 @@ def _subset_mask(G: Graph, S) -> np.ndarray:
 def boundary_size(G: Graph, S) -> int:
     """Number of edges with exactly one endpoint in S."""
     mask = _subset_mask(G, S)
-    return int(np.count_nonzero(mask[:, None] & ~mask[G.adj]))
+    return int(np.count_nonzero(mask & ~mask[G.perms]))
 
 
 def cut_ratio(G: Graph, S, description: str = "subset") -> CutReport:
@@ -141,7 +141,7 @@ def brute_force_h(G: Graph, max_order: int = BRUTE_ORDER_CAP) -> tuple[Fraction,
     nbr_mask = [0] * order
     for v in range(order):
         m = 0
-        for u in G.adj[v]:
+        for u in G.perms[:, v]:
             m |= 1 << int(u)
         nbr_mask[v] = m
 

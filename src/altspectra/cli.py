@@ -83,8 +83,8 @@ def _validate(args) -> None:
         raise UsageError(f"--n must be at least 3, got {args.n}")
     if args.n > 12:
         raise UsageError(f"--n must be at most 12, got {args.n}")
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    if not 0 < args.tol < float("inf"):
+        raise UsageError("--tol must be positive and finite")
     if not 1 <= args.block <= args.n:
         raise UsageError(f"--block must be in 1..{args.n}")
     if args.gens:

@@ -180,10 +180,10 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
 
 
 def _neighbor_block_counts(G: Graph, assignment: np.ndarray, k: int) -> np.ndarray:
-    nbr_blocks = assignment[G.adj]
+    nbr_blocks = assignment[G.perms]
     counts = np.empty((G.order, k), dtype=np.int32)
     for b in range(k):
-        counts[:, b] = (nbr_blocks == b).sum(axis=1)
+        counts[:, b] = (nbr_blocks == b).sum(axis=0)
     return counts
 
 

@@ -6,8 +6,8 @@ plus their conjunction.  Check failures are recorded, never raised;
 infrastructure failures (a solver that does not converge, a cap that is
 exceeded) propagate as exceptions since no meaningful report exists then.
 The structural checks take a family's defining blocks from per-vertex
-labels (:func:`altspectra.cayley.block_labels`) and compare sorted int64
-edge keys; they build no subgraphs, so a doctored graph fails a check.
+labels (:func:`altspectra.cayley.block_labels`) and compare the graphs'
+generator rows; they build no subgraphs, so a doctored graph fails a check.
 
 Reports are deterministic: given the same seed, two runs produce identical
 values.  Wall-clock timings are measured and kept on the result objects but
@@ -128,21 +128,6 @@ class _GraphCache:
         return self._lambda2[key]
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Same as ``np.unique`` on an integer array, via one sort and an
-    adjacent-difference mask (much cheaper than numpy's hash path)."""
-    keys = np.sort(keys)
-    keep = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
-def _edge_keys(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
-    """Sorted distinct int64 keys min*order + max of the edges (u[k], v[k])."""
-    u, v = u.astype(np.int64), v.astype(np.int64)
-    return _sorted_unique(np.minimum(u, v) * order + np.maximum(u, v))
-
-
 def _family_partition(family: str, n: int, i: int):
     if family == "AG":
         return blocks_AG(n, i)
@@ -160,7 +145,7 @@ def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     def run():
         x, y, z, _ = blocks_AG(n, i).blocks
         expected_size = x.size
-        rows = G.adj[x]
+        rows = G.perms[:, x].T
         problems = []
         sizes = []
         for label, other in (("Y", y), ("Z", z)):
@@ -200,9 +185,10 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     """Exact edge-set split of EAG_n (resp. CAG_n) into the n block
     subgraphs plus AG_n (resp. EAG_n).
 
-    Block i's edges are the edge keys whose two ends both carry the block
-    label i; they must be disjoint from the spanning subgraph's edges, and
-    the two together must make up the whole edge set.
+    Block i's edges are the arcs whose ends both carry the block label i.
+    Each spanning row must equal the row of the whole graph that sends
+    vertex 0 to the same place; no such row may have an arc inside a block,
+    and every other row must stay inside the blocks at every vertex.
     """
     if family not in ("EAG", "CAG"):
         raise ValueError("edge decompositions exist for EAG and CAG only")
@@ -213,27 +199,28 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     def run():
         G = cache.get(family, n)
         spanning = cache.get("AG" if family == "EAG" else "EAG", n)
-        total = _edge_keys(*G.edges_array().T, G.order)
-        span = _edge_keys(*spanning.edges_array().T, G.order)
         label = block_labels(family, n)
-        first = label[total // G.order]
-        inside = first == label[total % G.order]
-        block_edges = np.bincount(first[inside], minlength=n + 1)[1:].tolist()
-        merged = np.sort(np.concatenate([span, total[inside]]))
-        disjoint = not np.any(merged[1:] == merged[:-1])
-        union_equals_total = np.array_equal(_sorted_unique(merged), total)
+        inside = label[G.perms] == label
+        arcs = np.bincount(label, weights=np.count_nonzero(inside, axis=0), minlength=n + 1)
+        block_edges = [int(a) // 2 for a in arcs[1:]]
+        match = np.argmax(spanning.perms[:, :1] == G.perms[:, 0], axis=1)
+        equal = np.all(G.perms[match] == spanning.perms, axis=1)
+        matched = np.isin(np.arange(G.degree), match[equal])
+        disjoint = not inside[matched].any()
+        union_equals_total = bool(equal.all() and np.all(matched | inside.all(axis=1)))
         observed = {
-            "total_edges": int(total.size),
-            "spanning_subgraph_edges": int(span.size),
+            "total_edges": G.edge_count,
+            "spanning_subgraph_edges": spanning.edge_count,
             "block_edges": block_edges,
             "disjoint": disjoint,
             "union_equals_total": union_equals_total,
         }
         predicted_value = {
             "total_edges": G.order * G.degree // 2,
-            "sum_of_parts": int(total.size),
+            "sum_of_parts": G.edge_count,
         }
-        passed = disjoint and union_equals_total and span.size + sum(block_edges) == total.size
+        parts = spanning.edge_count + sum(block_edges)
+        passed = disjoint and union_equals_total and parts == G.edge_count
         return predicted_value, observed, None, passed
 
     return _timed(
@@ -247,9 +234,11 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     """The defining block induces a graph isomorphic to the (n-1)-point
     family graph, via the explicit relabeling map.
 
-    The block's neighbor rows are renamed through the map, with neighbors
-    outside the block dropped; the renamed edge set must equal the smaller
-    graph's.  A doctored graph yields a failed check, not an exception.
+    The rows that meet the block, renamed through the map, must be the
+    smaller graph's rows: both sets are put in the order of where each row
+    sends vertex 0 and compared entry for entry.  A row that leaves the
+    block part way keeps a -1 and matches none.  A doctored graph yields a
+    failed check, not an exception.
     """
     if n < 4:
         raise ValueError(f"block isomorphism checks need n >= 4, got {n}")
@@ -259,23 +248,23 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
         G = cache.get(family, n)
         H = cache.get(family, n - 1)
         block, image = phi_isomorphism(n, i, family)
-        rename = np.full(G.order, -1, dtype=np.int64)
+        rename = np.full(G.order, -1, dtype=np.int32)
         rename[block] = image
-        rows = rename[G.adj[block]]
+        rows = rename[G.perms[:, block]]
         inside = rows >= 0
-        mapped = _edge_keys(np.broadcast_to(image[:, None], rows.shape)[inside], rows[inside], H.order)
-        target = _edge_keys(*H.edges_array().T, H.order)
+        mapped = rows[inside.any(axis=1)][:, np.argsort(image)]
+        mapped = mapped[np.argsort(mapped[:, 0])]
         observed = {
             "block_size": int(block.size),
-            "mapped_edges": int(mapped.size),
-            "target_edges": int(target.size),
-            "edge_sets_equal": np.array_equal(mapped, target),
-            "bijective": _sorted_unique(image).size == image.size == H.order,
+            "mapped_edges": int(np.count_nonzero(inside)) // 2,
+            "target_edges": H.edge_count,
+            "edge_sets_equal": np.array_equal(mapped, H.perms[np.argsort(H.perms[:, 0])]),
+            "bijective": np.unique(image).size == image.size == H.order,
         }
         predicted_value = {
             "block_size": H.order,
-            "mapped_edges": int(target.size),
-            "target_edges": int(target.size),
+            "mapped_edges": H.edge_count,
+            "target_edges": H.edge_count,
             "edge_sets_equal": True,
             "bijective": True,
         }

@@ -99,7 +99,7 @@ def test_brute_force_K3(graph):
 def test_brute_force_K2():
     from altspectra.cayley import Graph
 
-    K2 = Graph(adj=np.array([[1], [0]], dtype=np.int32))
+    K2 = Graph(perms=np.array([[1, 0]], dtype=np.int32))
     h, witness = brute_force_h(K2)
     assert h == Fraction(1)
     assert witness == (0,)

@@ -165,6 +165,9 @@ def test_build_export_edges(tmp_path, capsys):
         ("gap", "--gens", "(1,2,", "--n", "4"),  # malformed cycles
         ("gap", "--family", "AG", "--n", "11", "--block", "99"),  # bad block, big n
         ("cut", "--gens", "(1,2,3),(1,3,2)", "--n", "4"),  # cut needs a family
+        ("verify", "--family", "AG", "--n", "5", "--tol", "inf"),  # infinite tolerance
+        ("gap", "--family", "AG", "--n", "5", "--tol", "inf", "--format", "json"),
+        ("gap", "--family", "AG", "--n", "5", "--tol", "nan"),  # not a number
     ],
 )
 def test_usage_errors_exit_2_before_computation(capsys, argv):

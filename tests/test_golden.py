@@ -1,9 +1,10 @@
 """Golden CLI output: sha256 of stdout and the exit code, pinned across commits.
 
-The digests were recorded from the CLI before the graph layout became an
-(order, degree) array; any change to a report's bytes, including the order
-of checks, keys or problem strings, shows up here.  Re-record a digest only
-when an output change is intended, and say so in CHANGES.md.
+The first digests were recorded before the graph layout became an (order,
+degree) array, the last seven before it became one row per generator; any
+change to a report's bytes, including the order of checks, keys or problem
+strings, shows up here.  Re-record a digest only when an output change is
+intended, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -50,6 +51,20 @@ GOLDEN = {
         "813a1e194e6dee327075ec9141b3723427eec8ec509d3cfc113b2baa29e0c2b5", 0),
     "verify --family CAG --n 6 --block 4 --seed 11 --format json": (
         "69033c86862bd63b8e27d1358d3e13bfcc53cea7105aa5ec7b5f957e458f5c92", 0),
+    "spectrum --family EAG --n 5 --format json": (
+        "fe6532cc12be164555c867a3ce11058d499446599a88e7912537488ce921b2cb", 0),
+    "hmin --family AG --n 4": (
+        "3440c1c016e70f8857687f8bc5d6a46a049783e852827ea93dde56805bfb1b86", 0),
+    "gap --family CAG --n 6 --format json": (
+        "287ad3ebf0a12291487f1e5efac34a8dedd3c9729d09e5958e15cc28821eae28", 0),
+    "cut --family CAG --n 6 --block 6": (
+        "7c140a7be0171da9212af180a7c18b81ef7ad4c9c33ceb5b948d58fa7cbf11c0", 0),
+    "build --family EAG --n 6 --format json": (
+        "3499b2902b757074bca56fbd373902f3ad94e7778c83f8e77e502a75d4328dc2", 0),
+    "verify --family AG --n 5 --block 5 --format json": (
+        "80fc2db026c68f0f9a05928f04e36c9824410311171c064f43d344f735b164d8", 0),
+    "gap --gens (1,2,3),(1,3,2),(1,2,3,4,5,6,7),(1,7,6,5,4,3,2) --n 7 --format json": (
+        "5bafbf54de9d0249d43e39d5672a9a325ad51d471b1ee7f84cf95feae7c06eea", 0),
 }
 
 EXPORT_AG5 = "a91b0cb3980ccf503bc20176404efa9e16e4cb8bf74816dc3cc97c3c0c48e8be"

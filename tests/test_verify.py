@@ -18,11 +18,14 @@ from altspectra.verify import (
 )
 
 
-def _graph_from_edge_set(order, edges):
-    """Regular graph on 0..order-1 with the given undirected edge set."""
-    arcs = np.array([(u, v) for e in edges for u, v in (e, e[::-1])])
-    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
-    return Graph(adj=arcs[:, 1].reshape(order, -1).astype(np.int32))
+def _swap_arcs(perms, c, a, x):
+    """Arcs a -> b and x -> d of row c become a -> d and x -> b, and their
+    reverse arcs move in the inverse row, so every row stays a bijection
+    with an inverse row."""
+    back = np.argmax(perms[:, perms[c, 0]] == 0)
+    b, d = perms[c, a], perms[c, x]
+    perms[c, a], perms[c, x] = d, b
+    perms[back, d], perms[back, b] = a, x
 
 
 @pytest.mark.parametrize("n,i,size", [(4, 1, 3), (5, 2, 12)])
@@ -35,20 +38,19 @@ def test_matchings_pass(graph, n, i, size):
 
 
 def test_matchings_fail_after_swapping_edges(graph):
-    # Replace an X-Y edge (a, b) and a W-W edge (c, d) with (a, c) and
-    # (b, d): every degree is kept, but a loses its only Y neighbor.
+    # Swap the X-Y arc a -> b of row c with a W-W arc v -> d of the same
+    # row: every degree is kept, but a loses its only Y neighbor.
     G = graph("AG", 4)
     x, y, _, w = blocks_AG(4, 1).blocks
-    edges = {tuple(map(int, e)) for e in G.edges_array()}
+    perms = G.perms.copy()
     a = int(x[0])
-    b = next(int(u) for u in G.adj[a] if u in y)
-    c, d = next(
-        (c, d)
-        for c, d in sorted(edges)
-        if c in w and d in w and c not in G.adj[a] and d not in G.adj[b]
+    c = next(c for c in range(G.degree) if perms[c, a] in y)
+    b = perms[c, a]
+    v = next(
+        v for v in w if perms[c, v] in w and perms[c, v] not in perms[:, a] and b not in perms[:, v]
     )
-    swapped = edges - {(min(a, b), max(a, b)), (c, d)} | {(a, c), (b, d)}
-    doctored = _graph_from_edge_set(G.order, swapped)
+    _swap_arcs(perms, c, a, v)
+    doctored = Graph(perms=perms)
     result = check_matchings(4, 1, cache=_FixedGraphs({("AG", 4): doctored}))
     assert not result.passed
     assert f"vertex {a} has 0 neighbors in Y(1)" in result.observed["problems"]
@@ -56,17 +58,18 @@ def test_matchings_fail_after_swapping_edges(graph):
 
 
 def _random_swaps(G, rng, count):
-    """Degree-preserving double-edge swaps: (a, b), (c, d) -> (a, c), (b, d)."""
-    edges = {tuple(map(int, e)) for e in G.edges_array()}
+    """``count`` random arc swaps that add no self-loop or repeated neighbor."""
+    perms = G.perms.copy()
     done = 0
     while done < count:
-        (a, b), (c, d) = rng.sample(sorted(edges), 2)
-        new = {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
-        if len({a, b, c, d}) < 4 or new & edges:
+        c = rng.randrange(G.degree)
+        a, x = rng.sample(range(G.order), 2)
+        b, d = perms[c, a], perms[c, x]
+        if len({a, b, x, d}) < 4 or d in perms[:, a] or b in perms[:, x]:
             continue
-        edges = edges - {(a, b), (c, d)} | new
+        _swap_arcs(perms, c, a, x)
         done += 1
-    return _graph_from_edge_set(G.order, edges)
+    return Graph(perms=perms)
 
 
 def test_matchings_agree_with_loops_after_random_swaps(graph):
@@ -89,7 +92,7 @@ def _matchings_by_loops(G, n, i):
     for label, other in (("Y", set(y.tolist())), ("Z", set(z.tolist()))):
         matched = set()
         for v in x.tolist():
-            hits = [u for u in G.adj[v].tolist() if u in other]
+            hits = [u for u in G.perms[:, v].tolist() if u in other]
             if len(hits) != 1:
                 problems.append(f"vertex {v} has {len(hits)} neighbors in {label}({i})")
                 continue
@@ -117,6 +120,8 @@ class _FixedGraphs:
         ({("EAG", 4): ("EAG", 4), ("AG", 4): ("EAG", 4)}, False, True),
         # whole graph replaced by a larger one: parts miss edges
         ({("EAG", 4): ("CAG", 4), ("AG", 4): ("AG", 4)}, True, False),
+        # spanning subgraph replaced by a larger graph: it has edges the whole lacks
+        ({("EAG", 4): ("EAG", 4), ("AG", 4): ("CAG", 4)}, False, False),
     ],
 )
 def test_edge_decomposition_fails_on_wrong_graphs(graph, graphs, disjoint, union_equals_total):
@@ -125,6 +130,21 @@ def test_edge_decomposition_fails_on_wrong_graphs(graph, graphs, disjoint, union
     assert not result.passed
     assert result.observed["disjoint"] is disjoint
     assert result.observed["union_equals_total"] is union_equals_total
+
+
+def test_edge_decomposition_compares_whole_rows(graph):
+    # A swap away from vertex 0 keeps every spanning row matched to the same
+    # row of EAG_4, but one of them no longer equals its match.
+    AG4 = graph("AG", 4)
+    spanning = next(
+        s
+        for s in (_random_swaps(AG4, random.Random(seed), 1) for seed in range(100))
+        if np.array_equal(s.perms[:, 0], AG4.perms[:, 0])
+    )
+    cache = _FixedGraphs({("EAG", 4): graph("EAG", 4), ("AG", 4): spanning})
+    result = check_edge_decomposition("EAG", 4, cache=cache)
+    assert not result.passed
+    assert result.observed["union_equals_total"] is False
 
 
 @pytest.mark.parametrize("family,spanning", [("EAG", "AG"), ("CAG", "EAG")])
@@ -162,11 +182,40 @@ def test_subgraph_isomorphism_fails_on_relabelled_target(graph):
     # Same order and edge count as AG_4, different edge set.
     H = graph("AG", 4)
     relabel = np.roll(np.arange(H.order), 1)
-    edges = {tuple(sorted(relabel[e].tolist())) for e in H.edges_array()}
-    cache = _FixedGraphs({("AG", 5): graph("AG", 5), ("AG", 4): _graph_from_edge_set(H.order, edges)})
+    # Conjugate every row: vertex v becomes relabel[v].
+    perms = np.empty_like(H.perms)
+    perms[:, relabel] = relabel[H.perms]
+    cache = _FixedGraphs({("AG", 5): graph("AG", 5), ("AG", 4): Graph(perms=perms)})
     result = check_subgraph_isomorphism("AG", 5, 1, cache=cache)
     assert not result.passed
     assert result.observed["mapped_edges"] == result.observed["target_edges"] == 24
+    assert result.observed["edge_sets_equal"] is False
+
+
+def test_subgraph_isomorphism_fails_when_a_row_enters_the_block(graph):
+    # Swap two arcs of a row that leaves the block so that one of them joins
+    # two block vertices: the block gains an edge that no row keeping the
+    # block carries.
+    G = graph("AG", 5)
+    block = canonical_cut("AG", 5, 1)
+    in_block = np.isin(np.arange(G.order), block)
+    perms = G.perms.copy()
+    a = int(block[0])
+    c = next(c for c in range(G.degree) if not in_block[perms[c, a]])
+    b = perms[c, a]
+    x = next(
+        x
+        for x in np.flatnonzero(~in_block)
+        if in_block[perms[c, x]]
+        and len({a, b, x, perms[c, x]}) == 4
+        and perms[c, x] not in perms[:, a]
+        and b not in perms[:, x]
+    )
+    _swap_arcs(perms, c, a, x)
+    cache = _FixedGraphs({("AG", 5): Graph(perms=perms), ("AG", 4): graph("AG", 4)})
+    result = check_subgraph_isomorphism("AG", 5, 1, cache=cache)
+    assert not result.passed
+    assert result.observed["mapped_edges"] == 25
     assert result.observed["edge_sets_equal"] is False
 
 
@@ -282,15 +331,6 @@ def test_overall_is_a_conjunction():
         CheckResult(name="bad", ref="r", predicted=1, observed=2, tolerance=None, passed=False, millis=0.0)
     )
     assert not report.overall
-
-
-def test_sorted_unique_matches_np_unique():
-    rng = np.random.default_rng(0)
-    keys = rng.integers(0, 50, size=1000, dtype=np.int64)
-    assert np.array_equal(verify._sorted_unique(keys), np.unique(keys))
-    empty = np.array([], dtype=np.int64)
-    out = verify._sorted_unique(empty)
-    assert out.dtype == np.int64 and np.array_equal(out, np.unique(empty))
 
 
 @pytest.mark.parametrize(
