@@ -44,9 +44,9 @@ print("eigenvalues:", divisor_spectrum(B).round(10))
 print()
 print("an arbitrary split is almost never equitable:")
 rng = np.random.default_rng(1)
-half = np.sort(rng.choice(12, size=5, replace=False))
-rest = np.setdiff1d(np.arange(12), half)
-witness = check_equitable(E, VertexPartition(blocks=(half, rest), labels=("A", "B")))
+block_of = np.ones(12, dtype=np.int32)  # vertex v lies in block block_of[v]
+block_of[rng.choice(12, size=5, replace=False)] = 0
+witness = check_equitable(E, VertexPartition(block_of=block_of, labels=("A", "B")))
 print(f"  {witness}")
 
 print()

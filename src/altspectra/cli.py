@@ -140,45 +140,27 @@ def emit(report: dict, fmt: str) -> str:
     report = _normalize(report)
     if fmt == "json":
         return json.dumps(report, separators=(",", ":")) + "\n"
+    header = ["name", "predicted", "observed", "tolerance", "pass"]
+    rows = [[_fmt(check.get(key)) for key in header] for check in report.get("checks") or []]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "predicted", "observed", "tolerance", "pass"])
+        writer.writerow(header)
         if "checks" in report:
-            for check in report["checks"]:
-                writer.writerow(
-                    [
-                        check.get("name"),
-                        _fmt(check.get("predicted")),
-                        _fmt(check.get("observed")),
-                        _fmt(check.get("tolerance")),
-                        _fmt(check.get("pass")),
-                    ]
-                )
+            writer.writerows(rows)
         else:
             # scalar reports: one key per row in the observed column
             for key, value in report.items():
                 writer.writerow([key, "", _fmt(value), "", ""])
         return buf.getvalue()
     lines = []
-    checks = report.get("checks")
     scalars = {k: v for k, v in report.items() if k != "checks"}
     if scalars:
         width = max(len(k) for k in scalars)
         for k, v in scalars.items():
             lines.append(f"{k:<{width}}  {_fmt(v)}")
-    if checks:
-        rows = [["name", "predicted", "observed", "tolerance", "pass"]]
-        for check in checks:
-            rows.append(
-                [
-                    str(check.get("name")),
-                    _fmt(check.get("predicted")),
-                    _fmt(check.get("observed")),
-                    _fmt(check.get("tolerance")),
-                    _fmt(check.get("pass")),
-                ]
-            )
+    if rows:
+        rows.insert(0, header)
         widths = [max(len(r[c]) for r in rows) for c in range(5)]
         for r in rows:
             lines.append("  ".join(f"{r[c]:<{widths[c]}}" for c in range(5)).rstrip())

@@ -1,11 +1,15 @@
 """Vertex block families, the equitable-partition check, and divisor matrices.
 
-A partition of the vertex set is equitable when the number of neighbors a
-vertex has in each block depends only on the vertex's own block.  The k x k
-matrix of those counts is the divisor matrix; its eigenvalues are a subset
-of the graph's spectrum.
+A partition of the vertex set is stored as one block index per vertex
+(``VertexPartition.block_of``), the characteristic-matrix view of Godsil and
+Royle, *Algebraic Graph Theory*, ch. 9; such an array cannot express
+overlapping or uncovered vertices.  The partition is equitable when the
+number of neighbors a vertex has in each block depends only on the vertex's
+own block.  The k x k matrix of those counts is the divisor matrix; its
+eigenvalues are a subset of the graph's spectrum.
 
-Block families used throughout, all defined on the ranked vertices of A_n:
+Block families used throughout, all read from the image tuples of the
+ranked vertices of A_n:
 
 - ``blocks_AG(n, i)``: the four blocks {g_n = i}, {g_1 = i}, {g_2 = i} and
   the rest, labelled X(i), Y(i), Z(i), W(i).
@@ -28,40 +32,29 @@ from .perm import alternating_images
 
 @dataclass(frozen=True)
 class VertexPartition:
-    blocks: tuple[np.ndarray, ...]
+    """Vertex v lies in the block labelled ``labels[block_of[v]]``."""
+
+    block_of: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.labels):
-            raise ValueError("labels do not match blocks")
-        for b in self.blocks:
-            if b.size == 0:
-                raise ValueError("empty block in partition")
-            if np.any(np.diff(b) <= 0):
-                raise ValueError("block indices must be sorted and distinct")
-            b.setflags(write=False)
+        b = np.asarray(self.block_of)
+        if b.ndim != 1:
+            raise ValueError("block_of must hold one block index per vertex")
+        if b.size and (b.min() < 0 or b.max() >= self.k):
+            raise ValueError(f"block index outside 0..{self.k - 1}")
+        if np.bincount(b, minlength=self.k).min(initial=1) == 0:
+            raise ValueError("empty block in partition")
+        b = b.astype(np.int32, copy=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "block_of", b)
 
     @property
     def k(self) -> int:
-        return len(self.blocks)
+        return len(self.labels)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(int(b.size) for b in self.blocks)
-
-    def block_assignment(self, order: int) -> np.ndarray:
-        """Block index per vertex; raises unless blocks partition 0..order-1."""
-        assignment = np.full(order, -1, dtype=np.int32)
-        total = 0
-        for bi, block in enumerate(self.blocks):
-            if block[0] < 0 or block[-1] >= order:
-                raise ValueError(f"block {self.labels[bi]} has out-of-range vertices")
-            if np.any(assignment[block] != -1):
-                raise ValueError(f"block {self.labels[bi]} overlaps an earlier block")
-            assignment[block] = bi
-            total += block.size
-        if total != order:
-            raise ValueError(f"blocks cover {total} of {order} vertices")
-        return assignment
+        return tuple(int(s) for s in np.bincount(self.block_of, minlength=self.k))
 
 
 @dataclass(frozen=True)
@@ -101,20 +94,21 @@ class EquitableWitness:
         )
 
 
+def _value_positions(n: int, i: int) -> np.ndarray:
+    """Zero-based position of the value i in every vertex's image tuple."""
+    if not 1 <= i <= n:
+        raise ValueError(f"value {i} outside 1..{n}")
+    return (alternating_images(n) == i).argmax(axis=1)
+
+
 def blocks_AG(n: int, i: int) -> VertexPartition:
     """The four-block partition pinning where the value i appears."""
     if n < 4:
         raise ValueError(f"four-block partitions need n >= 4, got {n}")
-    if not 1 <= i <= n:
-        raise ValueError(f"value {i} outside 1..{n}")
-    verts = alternating_images(n)
-    x = np.nonzero(verts[:, n - 1] == i)[0]
-    y = np.nonzero(verts[:, 0] == i)[0]
-    z = np.nonzero(verts[:, 1] == i)[0]
-    rest = (verts[:, 0] != i) & (verts[:, 1] != i) & (verts[:, n - 1] != i)
-    w = np.nonzero(rest)[0]
+    block_at = np.full(n, 3, dtype=np.int32)
+    block_at[[n - 1, 0, 1]] = 0, 1, 2
     return VertexPartition(
-        blocks=(x, y, z, w),
+        block_of=block_at[_value_positions(n, i)],
         labels=(f"X({i})", f"Y({i})", f"Z({i})", f"W({i})"),
     )
 
@@ -131,18 +125,17 @@ def blocks_Xij(n: int, *, i: int | None = None, j: int | None = None) -> VertexP
         raise ValueError(f"partitions need n >= 3, got {n}")
     if (i is None) == (j is None):
         raise ValueError("give exactly one of i= (fixed value) or j= (fixed position)")
-    verts = alternating_images(n)
     if i is not None:
-        if not 1 <= i <= n:
-            raise ValueError(f"value {i} outside 1..{n}")
-        blocks = tuple(np.nonzero(verts[:, jj - 1] == i)[0] for jj in range(1, n + 1))
-        labels = tuple(f"X_{i}({jj})" for jj in range(1, n + 1))
-    else:
-        if not 1 <= j <= n:
-            raise ValueError(f"position {j} outside 1..{n}")
-        blocks = tuple(np.nonzero(verts[:, j - 1] == v)[0] for v in range(1, n + 1))
-        labels = tuple(f"X_{v}({j})" for v in range(1, n + 1))
-    return VertexPartition(blocks=blocks, labels=labels)
+        return VertexPartition(
+            block_of=_value_positions(n, i),
+            labels=tuple(f"X_{i}({jj})" for jj in range(1, n + 1)),
+        )
+    if not 1 <= j <= n:
+        raise ValueError(f"position {j} outside 1..{n}")
+    return VertexPartition(
+        block_of=alternating_images(n)[:, j - 1] - 1,
+        labels=tuple(f"X_{v}({j})" for v in range(1, n + 1)),
+    )
 
 
 def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWitness:
@@ -153,19 +146,20 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
     vertex of its own block; ties on the vertex break by the lowest target
     block.
     """
-    order = G.order
-    assignment = P.block_assignment(order)
-    k = P.k
-    counts = _neighbor_block_counts(G, assignment, k)
-    first_of_block = np.array([b[0] for b in P.blocks], dtype=np.int64)
-    reference = counts[first_of_block]
-    diff = counts != reference[assignment]
-    bad = np.nonzero(diff.any(axis=1))[0]
+    block_of = P.block_of
+    if block_of.size != G.order:
+        raise ValueError(f"partition labels {block_of.size} vertices, graph has {G.order}")
+    nbr_blocks = block_of[G.perms]
+    counts = np.stack([(nbr_blocks == b).sum(axis=0, dtype=np.int32) for b in range(P.k)], axis=1)
+    _, lowest = np.unique(block_of, return_index=True)
+    reference = counts[lowest]
+    diff = counts != reference[block_of]
+    bad = np.flatnonzero(diff.any(axis=1))
     if bad.size:
         v = int(bad[0])
-        bi = int(assignment[v])
-        tj = int(np.nonzero(diff[v])[0][0])
-        u = int(first_of_block[bi])
+        bi = int(block_of[v])
+        tj = int(np.argmax(diff[v]))
+        u = int(lowest[bi])
         return EquitableWitness(
             block_index=bi,
             block_label=P.labels[bi],
@@ -177,14 +171,6 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
             count_b=int(counts[v, tj]),
         )
     return DivisorMatrix(entries=reference.astype(np.int64))
-
-
-def _neighbor_block_counts(G: Graph, assignment: np.ndarray, k: int) -> np.ndarray:
-    nbr_blocks = assignment[G.perms]
-    counts = np.empty((G.order, k), dtype=np.int32)
-    for b in range(k):
-        counts[:, b] = (nbr_blocks == b).sum(axis=0)
-    return counts
 
 
 def divisor_closed_form(family: str, n: int) -> DivisorMatrix:

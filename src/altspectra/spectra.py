@@ -15,7 +15,7 @@ returned Ritz pair.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 import numpy as np
@@ -46,20 +46,7 @@ class SpectrumReport:
     gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "order": self.order,
-            "degree": self.degree,
-            "solver": self.solver,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "eigenvalues": list(self.eigenvalues),
-            "multiplicities": list(self.multiplicities) if self.multiplicities else None,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "gap": self.gap,
-        }
+        return asdict(self)
 
 
 def _meta(G: Graph) -> tuple[str | None, int | None, int]:

@@ -128,12 +128,6 @@ class _GraphCache:
         return self._lambda2[key]
 
 
-def _family_partition(family: str, n: int, i: int):
-    if family == "AG":
-        return blocks_AG(n, i)
-    return blocks_Xij(n, i=i)
-
-
 def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     """Every vertex with the value i last has exactly one neighbor with the
     value i first and one with it second, and those edges are disjoint."""
@@ -143,15 +137,15 @@ def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     G = cache.get("AG", n)
 
     def run():
-        x, y, z, _ = blocks_AG(n, i).blocks
+        block_of = blocks_AG(n, i).block_of
+        x = np.flatnonzero(block_of == 0)
         expected_size = x.size
         rows = G.perms[:, x].T
+        row_blocks = block_of[rows]
         problems = []
         sizes = []
-        for label, other in (("Y", y), ("Z", z)):
-            in_other = np.zeros(G.order, dtype=bool)
-            in_other[other] = True
-            hit = in_other[rows]
+        for label, other in (("Y", 1), ("Z", 2)):
+            hit = row_blocks == other
             counts = hit.sum(axis=1)
             single = counts == 1
             partner = np.full(x.size, -1, dtype=np.int64)
@@ -188,7 +182,9 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     Block i's edges are the arcs whose ends both carry the block label i.
     Each spanning row must equal the row of the whole graph that sends
     vertex 0 to the same place; no such row may have an arc inside a block,
-    and every other row must stay inside the blocks at every vertex.
+    and every other row must stay inside the blocks at every vertex.  The
+    edge count of the graph and the sum of the parts' edge counts must both
+    equal the closed form n!/2 * d/2, with d the family degree.
     """
     if family not in ("EAG", "CAG"):
         raise ValueError("edge decompositions exist for EAG and CAG only")
@@ -212,15 +208,17 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
             "total_edges": G.edge_count,
             "spanning_subgraph_edges": spanning.edge_count,
             "block_edges": block_edges,
+            "sum_of_parts": spanning.edge_count + sum(block_edges),
             "disjoint": disjoint,
             "union_equals_total": union_equals_total,
         }
-        predicted_value = {
-            "total_edges": G.order * G.degree // 2,
-            "sum_of_parts": G.edge_count,
-        }
-        parts = spanning.edge_count + sum(block_edges)
-        passed = disjoint and union_equals_total and parts == G.edge_count
+        edges = factorial(n) // 2 * predicted(family, n)[0] // 2
+        predicted_value = {"total_edges": edges, "sum_of_parts": edges}
+        passed = (
+            disjoint
+            and union_equals_total
+            and observed["total_edges"] == observed["sum_of_parts"] == edges
+        )
         return predicted_value, observed, None, passed
 
     return _timed(
@@ -332,6 +330,10 @@ def verify_family(
         raise ValueError(f"unknown family {family!r}")
     if n < 3:
         raise ValueError(f"families are defined for n >= 3, got {n}")
+    if not 0 < tol < 0.5:
+        # Every named-family spectrum is integral: a residual under 1/2 ties
+        # lambda2 to a single integer, a larger one lets any value pass.
+        raise ValueError(f"tol must be in (0, 0.5), got {tol}")
     cache = _GraphCache()
     report = VerificationReport(family=family, n=n, seed=seed, tol=tol)
     G = cache.get(family, n)
@@ -369,7 +371,7 @@ def verify_family(
     if partition_applies:
 
         def equitable():
-            P = _family_partition(family, n, block_index)
+            P = blocks_AG(n, block_index) if family == "AG" else blocks_Xij(n, i=block_index)
             result = check_equitable(G, P)
             B = divisor_closed_form(family, n)
             if isinstance(result, DivisorMatrix):

@@ -92,7 +92,8 @@ def test_neighborhood_block_profile(graph):
     n = 5
     g5 = graph("AG", n)
     for i in (1, 3, n):
-        x, y, z, w = (set(int(v) for v in b) for b in blocks_AG(n, i).blocks)
+        block_of = blocks_AG(n, i).block_of
+        x, y, z, w = (set(np.flatnonzero(block_of == b).tolist()) for b in range(4))
         for v in sorted(x)[:4]:
             gamma = unrank(n, v)
             nbrs = set(int(u) for u in g5.perms[:, v])
@@ -177,7 +178,7 @@ def test_edge_sets_are_nested_across_families(graph, n):
 
 def test_induced_subgraph_block_is_triangle(graph):
     g = graph("AG", 4)
-    x4 = blocks_AG(4, 4).blocks[0]
+    x4 = np.flatnonzero(blocks_AG(4, 4).block_of == 0)
     sub = induced_subgraph(g, x4)
     assert sub.order == 3 and sub.edge_count == 3
     # Subgraph vertex k is the k-th smallest member of x4.
@@ -191,7 +192,7 @@ def test_induced_subgraph_single_vertex(graph):
 
 
 def test_induced_subgraph_eag5_block(graph):
-    block = blocks_Xij(5, i=3).blocks[1]  # position 2 pinned to the value 3
+    block = np.flatnonzero(blocks_Xij(5, i=3).block_of == 1)  # the value 3 at position 2
     sub = induced_subgraph(graph("EAG", 5), block)
     assert sub.order == 12
     assert sub.degree == 6

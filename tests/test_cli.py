@@ -166,6 +166,7 @@ def test_build_export_edges(tmp_path, capsys):
         ("gap", "--family", "AG", "--n", "11", "--block", "99"),  # bad block, big n
         ("cut", "--gens", "(1,2,3),(1,3,2)", "--n", "4"),  # cut needs a family
         ("verify", "--family", "AG", "--n", "5", "--tol", "inf"),  # infinite tolerance
+        ("verify", "--family", "AG", "--n", "5", "--tol", "1e6"),  # tolerance past 1/2
         ("gap", "--family", "AG", "--n", "5", "--tol", "inf", "--format", "json"),
         ("gap", "--family", "AG", "--n", "5", "--tol", "nan"),  # not a number
     ],
@@ -175,6 +176,12 @@ def test_usage_errors_exit_2_before_computation(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.strip()
+
+
+def test_verify_runs_at_a_loose_tol_below_half(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "AG", "--n", "5", "--tol", "0.4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["overall"] is True
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Golden CLI output: sha256 of stdout and the exit code, pinned across commits.
 
 The first digests were recorded before the graph layout became an (order,
-degree) array, the last seven before it became one row per generator; any
-change to a report's bytes, including the order of checks, keys or problem
-strings, shows up here.  Re-record a digest only when an output change is
-intended, and say so in CHANGES.md.
+degree) array, the last seven before it became one row per generator.  The
+EAG and CAG verify and decompose digests were re-recorded when the
+edge_decomposition check gained an observed sum_of_parts.  Any change to a
+report's bytes, including the order of checks, keys or problem strings,
+shows up here.  Re-record a digest only when an output change is intended,
+and say so in CHANGES.md.
 """
 
 import hashlib
@@ -20,19 +22,19 @@ GOLDEN = {
     "verify --family AG --n 6 --format text": (
         "d434f2b7d0fc2ca5d0a0d047121e38283fe48ea5cd347588a9552ec76e5acc87", 0),
     "verify --family EAG --n 6 --format json": (
-        "813a1e194e6dee327075ec9141b3723427eec8ec509d3cfc113b2baa29e0c2b5", 0),
+        "cbf497adae9b61bd4eda0e1c8139cfd9358bca99ff66d5351c8a2022d91380a6", 0),
     "verify --family EAG --n 6 --format text": (
-        "98891d112d0187e4944dccf7b65ce5b02e39431e8f2580cc6cf391b987469e9d", 0),
+        "08a21cce95c50c768c279fede2cfc0229df075cf9e471426ddfe3be18221c532", 0),
     "verify --family CAG --n 6 --format json": (
-        "69033c86862bd63b8e27d1358d3e13bfcc53cea7105aa5ec7b5f957e458f5c92", 0),
+        "ca9f12d56d14456ac763c1c21596519ef71a5c0bc6ff423b9a59170f0377e30d", 0),
     "verify --family CAG --n 6 --format text": (
-        "2227c6d1fbe557740e9d17abee3f8f710f6c3fb1e2567437f7e4f16300ba0420", 0),
+        "4874e5612b48da806bfbb18c592a97d10af3fc1d9ba032cf09126b73cf6d3cac", 0),
     "decompose --family AG --n 5": (
         "1db2af2b7e82520d7da9e59d70b9d4b17ce3abe9c05fed9364c645cd6556c20f", 0),
     "decompose --family EAG --n 5": (
-        "59e599caa00f4e0d706b66b820fc22f4c521f936da622fd3231d70ddff544671", 0),
+        "5b68a684ca21c8f278dd7814800facf3e1851da79221e90cbd36226e05064a5d", 0),
     "decompose --family CAG --n 5": (
-        "cf7077de34fa0c622b4b5abaec6447ec9a64a8b5135c5c807f3bcc24f2f3054c", 0),
+        "2f4f61bb4b9ec751e38e7e807cee6ec26677002e6d00032802175cb4c00e302e", 0),
     "cut --family AG --n 5": (
         "55931b11f801971b4b881290df5fdf716e65ae5ab72035b05168eee6466a54ef", 0),
     "cut --family EAG --n 5": (
@@ -44,13 +46,13 @@ GOLDEN = {
     "decompose --family AG --n 6 --block 3": (
         "1d462118ba4d882e463bca149834b8610ec3490bff88b40c205af55f5691edea", 0),
     "decompose --family EAG --n 6 --block 3": (
-        "18a53c24f4a652ddc9cc6d8b630ae0b70321f51fe255a1c685af872895e7eeeb", 0),
+        "2fce9063c4474c2fc4da269feec8f89e05c8de304f684a65be92ddcc40ec7573", 0),
     "decompose --family CAG --n 6 --block 3": (
-        "f4672112b191c382c256c77aeccf2b7dcb06841786d94da686c20756c108bcab", 0),
+        "61a10df2aab8a73cd05a2a59870a378a0a5724f736d54ce887b0703c03a65fff", 0),
     "verify --family EAG --n 6 --block 4 --seed 11 --format json": (
-        "813a1e194e6dee327075ec9141b3723427eec8ec509d3cfc113b2baa29e0c2b5", 0),
+        "cbf497adae9b61bd4eda0e1c8139cfd9358bca99ff66d5351c8a2022d91380a6", 0),
     "verify --family CAG --n 6 --block 4 --seed 11 --format json": (
-        "69033c86862bd63b8e27d1358d3e13bfcc53cea7105aa5ec7b5f957e458f5c92", 0),
+        "ca9f12d56d14456ac763c1c21596519ef71a5c0bc6ff423b9a59170f0377e30d", 0),
     "spectrum --family EAG --n 5 --format json": (
         "fe6532cc12be164555c867a3ce11058d499446599a88e7912537488ce921b2cb", 0),
     "hmin --family AG --n 4": (

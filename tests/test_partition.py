@@ -14,7 +14,8 @@ from altspectra.partition import (
     divisor_eigenvalues_closed_form,
     divisor_spectrum,
 )
-from altspectra.perm import identity, rank
+from altspectra.cayley import block_labels
+from altspectra.perm import identity, rank, unrank
 from altspectra.spectra import dense_spectrum
 
 
@@ -31,8 +32,7 @@ def test_blocks_AG_identity_membership():
     for n in (4, 5):
         e = rank(identity(n))
         for i in range(1, n + 1):
-            x = blocks_AG(n, i).blocks[0]
-            assert (e in x) == (i == n)
+            assert (blocks_AG(n, i).block_of[e] == 0) == (i == n)
 
 
 def test_blocks_AG_rejects_small_n():
@@ -49,10 +49,33 @@ def test_blocks_Xij_fixed_position():
 def test_blocks_Xij_fixed_value_partitions_everything():
     P = blocks_Xij(5, i=5)
     assert P.sizes() == (12,) * 5
-    union = np.concatenate(P.blocks)
-    assert len(union) == 60
-    assert len(np.unique(union)) == 60
-    P.block_assignment(60)  # raises if not a partition
+    assert P.block_of.shape == (60,)
+    assert P.block_of.dtype == np.int32
+    assert not P.block_of.flags.writeable
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_blocks_agree_with_unranked_images(n):
+    # X(i) = {g_n = i}, Y(i) = {g_1 = i}, Z(i) = {g_2 = i}, W(i) the rest
+    ag_block = {n: 0, 1: 1, 2: 2}
+    values = range(1, n + 1)
+    ag = {i: blocks_AG(n, i).block_of for i in values}
+    by_value = {i: blocks_Xij(n, i=i).block_of for i in values}
+    by_position = {j: blocks_Xij(n, j=j).block_of for j in values}
+    for v in range(factorial(n) // 2):
+        images = unrank(n, v).images
+        for i in values:
+            position = images.index(i) + 1
+            assert ag[i][v] == ag_block.get(position, 3)
+            assert by_value[i][v] == position - 1
+            assert by_position[i][v] == images[i - 1] - 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_blocks_Xij_position_matches_block_labels(n):
+    for family, position in (("AG", n), ("EAG", 2), ("CAG", 1)):
+        labels = block_labels(family, n)
+        assert np.array_equal(blocks_Xij(n, j=position).block_of + 1, labels)
 
 
 def test_identity_in_its_own_position_block():
@@ -61,7 +84,7 @@ def test_identity_in_its_own_position_block():
         for j in range(1, n + 1):
             P = blocks_Xij(n, j=j)
             # identity has the value j at position j
-            assert e in P.blocks[j - 1]
+            assert P.block_of[e] == j - 1
 
 
 def test_blocks_Xij_selector_validation():
@@ -102,7 +125,9 @@ def test_unbalanced_split_yields_witness(graph):
     rng = np.random.default_rng(0)
     half = np.sort(rng.choice(12, size=5, replace=False))
     rest = np.setdiff1d(np.arange(12), half)
-    result = check_equitable(G, VertexPartition(blocks=(half, rest), labels=("A", "B")))
+    block_of = np.ones(12, dtype=np.int32)
+    block_of[half] = 0
+    result = check_equitable(G, VertexPartition(block_of=block_of, labels=("A", "B")))
     assert isinstance(result, EquitableWitness)
     # confirm the witness by recounting neighbors directly
     members = {0: set(half.tolist()), 1: set(rest.tolist())}
@@ -115,8 +140,7 @@ def test_unbalanced_split_yields_witness(graph):
 
 def test_witness_is_deterministic(graph):
     G = graph("AG", 4)
-    blocks = (np.arange(0, 5), np.arange(5, 12))
-    P = VertexPartition(blocks=blocks, labels=("A", "B"))
+    P = VertexPartition(block_of=np.arange(12) >= 5, labels=("A", "B"))
     first = check_equitable(G, P)
     second = check_equitable(G, P)
     assert first == second
@@ -124,11 +148,15 @@ def test_witness_is_deterministic(graph):
 
 def test_partition_validation(graph):
     G = graph("AG", 4)
-    with pytest.raises(ValueError):
-        check_equitable(G, VertexPartition(blocks=(np.arange(0, 5),), labels=("A",)))
-    overlapping = VertexPartition(blocks=(np.arange(0, 7), np.arange(6, 12)), labels=("A", "B"))
-    with pytest.raises(ValueError):
-        check_equitable(G, overlapping)
+    with pytest.raises(ValueError, match="partition labels 5 vertices"):
+        check_equitable(G, VertexPartition(block_of=np.zeros(5, dtype=int), labels=("A",)))
+    for bad in ([0, 1, 2], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="block index outside"):
+            VertexPartition(block_of=np.array(bad), labels=("A", "B"))
+    with pytest.raises(ValueError, match="empty block"):
+        VertexPartition(block_of=np.array([0, 0, 2]), labels=("A", "B", "C"))
+    with pytest.raises(ValueError, match="one block index per vertex"):
+        VertexPartition(block_of=np.zeros((3, 4), dtype=int), labels=("A",))
 
 
 @pytest.mark.parametrize(

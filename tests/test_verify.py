@@ -41,7 +41,7 @@ def test_matchings_fail_after_swapping_edges(graph):
     # Swap the X-Y arc a -> b of row c with a W-W arc v -> d of the same
     # row: every degree is kept, but a loses its only Y neighbor.
     G = graph("AG", 4)
-    x, y, _, w = blocks_AG(4, 1).blocks
+    x, y, _, w = _ag_blocks(4, 1)
     perms = G.perms.copy()
     a = int(x[0])
     c = next(c for c in range(G.degree) if perms[c, a] in y)
@@ -85,9 +85,15 @@ def test_matchings_agree_with_loops_after_random_swaps(graph):
     assert {"has 0 neighbors", "has 2 neighbors", "of Y(1) matched twice"} <= kinds
 
 
+def _ag_blocks(n, i):
+    """The vertices of X(i), Y(i), Z(i) and W(i), each ascending."""
+    block_of = blocks_AG(n, i).block_of
+    return [np.flatnonzero(block_of == b) for b in range(4)]
+
+
 def _matchings_by_loops(G, n, i):
     """The matchings check's observed value, computed vertex by vertex."""
-    x, y, z, _ = blocks_AG(n, i).blocks
+    x, y, z, _ = _ag_blocks(n, i)
     problems, sizes = [], []
     for label, other in (("Y", set(y.tolist())), ("Z", set(z.tolist()))):
         matched = set()
@@ -145,6 +151,20 @@ def test_edge_decomposition_compares_whole_rows(graph):
     result = check_edge_decomposition("EAG", 4, cache=cache)
     assert not result.passed
     assert result.observed["union_equals_total"] is False
+
+
+@pytest.mark.parametrize("family,spanning", [("EAG", "AG"), ("CAG", "EAG")])
+def test_edge_decomposition_counts_edges_against_the_closed_form(graph, family, spanning):
+    # The whole graph replaced by its own spanning subgraph: every row is
+    # matched and no block has an edge, so only the edge count is wrong.
+    G = graph(spanning, 5)
+    cache = _FixedGraphs({(family, 5): G, (spanning, 5): G})
+    result = check_edge_decomposition(family, 5, cache=cache)
+    assert not result.passed
+    assert result.observed["disjoint"] and result.observed["union_equals_total"]
+    edges = {"EAG": 360, "CAG": 600}[family]
+    assert result.predicted == {"total_edges": edges, "sum_of_parts": edges}
+    assert result.observed["total_edges"] == result.observed["sum_of_parts"] == G.edge_count
 
 
 @pytest.mark.parametrize("family,spanning", [("EAG", "AG"), ("CAG", "EAG")])
@@ -229,6 +249,8 @@ def test_edge_decomposition_counts(family, n, spanning, blocks):
     assert result.observed["spanning_subgraph_edges"] == spanning
     assert result.observed["block_edges"] == blocks
     assert result.observed["total_edges"] == spanning + sum(blocks)
+    assert result.observed["sum_of_parts"] == spanning + sum(blocks)
+    assert result.predicted["total_edges"] == result.predicted["sum_of_parts"] == spanning + sum(blocks)
 
 
 @pytest.mark.parametrize("family,n,i", [("AG", 5, 3), ("EAG", 5, 1), ("CAG", 4, 2)])
@@ -271,6 +293,13 @@ def test_verify_family_CAG3_special_case():
     assert report.overall
     lam2 = next(c for c in report.checks if c.name == "lambda2_iterative")
     assert lam2.observed == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e6, 0.5, 0.0, -1e-8, float("inf"), float("nan")])
+def test_verify_family_rejects_tol_outside_open_half_unit(tol):
+    # A residual of 1/2 or more no longer ties lambda2 to one integer.
+    with pytest.raises(ValueError, match="tol must be in"):
+        verify_family("AG", 5, tol=tol)
 
 
 def test_verify_family_every_check_names_a_source():
