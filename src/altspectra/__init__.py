@@ -8,8 +8,8 @@ The three graph families live on the even permutations of {1..n}:
 - CAG_n: all 3-cycles, degree 2*C(n,3).
 
 The library builds these graphs, checks their equitable partitions against
-closed-form divisor matrices, computes spectral gaps densely and
-iteratively, and brackets their isoperimetric numbers.
+closed-form divisor matrices, proves their exact spectra, computes spectral
+gaps densely and iteratively, and brackets their isoperimetric numbers.
 """
 
 from .cayley import (
@@ -58,7 +58,9 @@ from .perm import (
 )
 from .spectra import (
     SpectrumReport,
+    certify_spectrum,
     dense_spectrum,
+    exact_spectrum,
     integrality_check,
     lambda2_iterative,
     predicted,
@@ -88,6 +90,7 @@ __all__ = [
     "build_cayley",
     "build_family",
     "canonical_cut",
+    "certify_spectrum",
     "check_equitable",
     "cheeger_bounds",
     "compose",
@@ -97,6 +100,7 @@ __all__ = [
     "dense_spectrum",
     "divisor_closed_form",
     "divisor_spectrum",
+    "exact_spectrum",
     "export_edges",
     "from_cycle",
     "generating_set",

@@ -1,5 +1,5 @@
-"""Adjacency spectra: dense solves for small orders, iterative second
-eigenvalue for large ones, and the closed-form predictions per family.
+"""Adjacency spectra: closed forms and exact spectra of the families with an
+integer certificate, dense solves, and iterative second eigenvalues.
 
 The iterative solver is Lanczos with full reorthogonalization on the
 complement of the all-ones vector.  For a connected regular graph the
@@ -15,13 +15,15 @@ returned Ritz pair.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
-from math import comb
+from math import comb, factorial, isqrt, prod
 
 import numpy as np
 
-from .cayley import CayleyGraph, Graph, is_connected
+from .cayley import FAMILIES, CayleyGraph, Graph, is_connected
 from .errors import ConvergenceError, OrderCapError
+from .perm import alternating_images, alternating_ranks, from_cycle
 
 DENSE_ORDER_CAP = 3000
 ITERATION_CAP = 200_000
@@ -76,6 +78,9 @@ def dense_spectrum(G: Graph, tol: float = 1e-8, order_cap: int = DENSE_ORDER_CAP
             f"dense solve residual {achieved:.3e} above tolerance {tol:.3e}", achieved
         )
     desc = vals[::-1].copy()
+    # A cluster of eigenvalues starts wherever a value is not within 100*tol
+    # of the one before.
+    cluster_starts = np.flatnonzero(~(desc[:-1] - desc[1:] < 100 * tol)) + 1
     lambda1 = float(desc[0])
     lambda2 = float(desc[1]) if len(desc) > 1 else float("nan")
     if is_connected(G) and abs(lambda1 - degree) > max(tol * max(degree, 1), achieved * 10):
@@ -91,25 +96,11 @@ def dense_spectrum(G: Graph, tol: float = 1e-8, order_cap: int = DENSE_ORDER_CAP
         tolerance=achieved,
         seed=None,
         eigenvalues=tuple(float(x) for x in desc),
-        multiplicities=tuple(cluster_multiplicities(desc, 100 * tol)),
+        multiplicities=tuple(np.diff([0, *cluster_starts, len(desc)]).tolist()),
         lambda1=lambda1,
         lambda2=lambda2,
         gap=lambda1 - lambda2,
     )
-
-
-def cluster_multiplicities(values_desc: np.ndarray, threshold: float) -> list[int]:
-    """Group consecutive eigenvalues closer than ``threshold`` into one cluster."""
-    mults = []
-    run = 1
-    for a in range(1, len(values_desc)):
-        if values_desc[a - 1] - values_desc[a] < threshold:
-            run += 1
-        else:
-            mults.append(run)
-            run = 1
-    mults.append(run)
-    return mults
 
 
 def lambda2_iterative(
@@ -125,9 +116,9 @@ def lambda2_iterative(
     ``max_iterations`` caps the matrix-vector products over all restarts.
     A Ritz pair is accepted only when its explicit eigenpair residual
     ||A x - rho x|| is below tol; for a symmetric matrix that residual
-    bounds the eigenvalue error directly.  A result within 10*tol of the
-    degree is flagged with a warning: it usually means the graph was not
-    connected.
+    bounds the eigenvalue error directly.  A result whose certified
+    interval (within tol) holds the degree is flagged with a warning: it
+    usually means the graph was not connected.
     """
     if G.order < 2:
         raise ValueError("graph must have at least two vertices")
@@ -180,7 +171,7 @@ def lambda2_iterative(
             resid = float(np.linalg.norm(ax - rq * x))
             if resid < tol:
                 break
-    if abs(rq - G.degree) <= 10 * tol:
+    if abs(rq - G.degree) <= tol:
         warnings.warn(
             "second eigenvalue equals the degree; the graph is likely disconnected",
             stacklevel=2,
@@ -215,22 +206,110 @@ def gap_report(G: Graph, tol: float = 1e-8, seed: int = 42) -> SpectrumReport:
 
 def predicted(family: str, n: int) -> tuple[int, int, int]:
     """Closed-form (lambda1, lambda2, gap) for each family; exact integers."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 3:
+        raise ValueError(f"{family} is defined for n >= 3, got {n}")
     if family == "AG":
-        if n == 3:
-            return (2, -1, 3)
-        if n < 3:
-            raise ValueError(f"AG is defined for n >= 3, got {n}")
-        return (2 * n - 4, 2 * n - 6, 2)
+        return (2, -1, 3) if n == 3 else (2 * n - 4, 2 * n - 6, 2)
     if family == "EAG":
-        if n < 3:
-            raise ValueError(f"EAG is defined for n >= 3, got {n}")
         return ((n - 1) * (n - 2), n * n - 5 * n + 5, 2 * n - 3)
-    if family == "CAG":
-        if n < 3:
-            raise ValueError(f"CAG is defined for n >= 3, got {n}")
-        lam2 = n * (n - 2) * (n - 4) // 3
-        return (2 * comb(n, 3), lam2, n * n - 2 * n)
-    raise ValueError(f"unknown family {family!r}")
+    return (2 * comb(n, 3), n * (n - 2) * (n - 4) // 3, n * n - 2 * n)
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n as non-increasing tuples of row lengths."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest or n), 0, -1):
+        yield from ((first, *rest) for rest in _partitions(n - first, first))
+
+
+def _dimension(shape: tuple[int, ...]) -> int:
+    """Number of standard Young tableaux of ``shape`` (hook-length formula)."""
+    cols = [sum(r > j for r in shape) for j in range(max(shape, default=0))]
+    hooks = (r - j + cols[j] - i - 1 for i, r in enumerate(shape) for j in range(r))
+    return factorial(sum(shape)) // prod(hooks)
+
+
+def _corners(shape: tuple[int, ...]):
+    """(content, shape without it) for each removable cell of ``shape``."""
+    for i, r in enumerate(shape):
+        if r and (i + 1 == len(shape) or shape[i + 1] < r):
+            yield r - 1 - i, (*shape[:i], r - 1, *shape[i + 1 :])
+
+
+def exact_spectrum(family: str, n: int) -> dict[int, int]:
+    """Eigenvalue -> multiplicity of the family graph on A_n, descending.
+
+    Each partition lambda of n (d_lambda its hook-length dimension, a and b
+    contents of removable cells) contributes, with half its S_n weight:
+    CAG, the sum of squared contents - C(n,2), weight d_lambda^2; EAG,
+    a^2 - (n-1), weight d_lambda d_(lambda-a); AG = sY + Ys - 2I (s = (1 2),
+    Y = sum of (1 i)) with n, n-1 in cells a, b, weight d_lambda
+    d_(lambda-a-b): 2a - 2 in one row, -2a - 2 in one column, else
+    -1 +- |a + b| once per pair.
+    """
+    predicted(family, n)  # rejects an unknown family and n < 3
+    counts: Counter[int] = Counter()
+    for shape in _partitions(n):
+        d = _dimension(shape)
+        if family == "CAG":
+            squares = sum((j - i) ** 2 for i, r in enumerate(shape) for j in range(r))
+            counts[squares - comb(n, 2)] += d * d
+            continue
+        for a, rest in _corners(shape):
+            if family == "EAG":
+                counts[a * a - (n - 1)] += d * _dimension(rest)
+                continue
+            for b, base in _corners(rest):  # contents of corners fall row by row
+                weight = d * _dimension(base)
+                if abs(a - b) == 1:
+                    counts[2 * a - 2 if b < a else -2 * a - 2] += weight
+                elif b < a:
+                    counts[-1 + abs(a + b)] += weight
+                    counts[-1 - abs(a + b)] += weight
+    return {theta: counts[theta] // 2 for theta in sorted(counts, reverse=True)}
+
+
+def certify_spectrum(G: CayleyGraph, spectrum: dict[int, int]) -> dict[str, bool]:
+    """Exact proof that ``spectrum`` (eigenvalue -> multiplicity) is that of G.
+
+    ``left_invariant``: each row commutes with right translation by (1 2 3)
+    and (1 2 ... n) (odd n) or (2 3 ... n) (even n), generators of A_n, so
+    p(A) e_0 = 0 gives p(A) = 0.  ``annihilated``: prod (A - theta) e_0 = 0.
+    ``moments_match``: N (A^k)_00 = sum m theta^k for k < m.  A^k e_0 runs
+    in int64 modulo primes whose product exceeds twice every bound.
+    """
+    N, d, m, n = G.order, G.degree, len(spectrum), G.n
+    verts = alternating_images(n)
+    left_invariant = True
+    for cycle in ([1, 2, 3], range(2 - n % 2, n + 1)):
+        right = alternating_ranks(np.array([0, *from_cycle(n, cycle).images])[verts])
+        left_invariant &= bool(np.array_equal(G.perms[:, right], right[G.perms]))
+    poly = [1]  # coefficients of prod (x - theta), constant term first
+    for theta in spectrum:
+        poly = [a - theta * b for a, b in zip([0, *poly], [*poly, 0])]
+    bound = 2 * max(prod(d + abs(theta) for theta in spectrum), N * d ** (m - 1))
+    odd, primes = np.arange(3, isqrt(2**31) + 1, 2), [2**31 - 1]
+    while prod(primes) <= bound:
+        primes.append(next(p for p in range(primes[-1] - 2, 0, -2) if np.all(p % odd)))
+    assert max(d, primes[0]) * primes[0] < 2**63  # row sums and products of residues
+    mods = np.array(primes)[:, None]
+    u = np.zeros((len(primes), N), dtype=np.int64)
+    u[:, 0] = 1
+    killed, walks = np.zeros_like(u), []
+    for k, c in enumerate(poly):
+        killed = (killed + u * np.array([[c % p] for p in primes])) % mods
+        if k < m:
+            walks.append(u[:, 0].tolist())
+            u = sum(np.take(u, row, axis=1) for row in G.perms) % mods
+    M = prod(primes)  # Chinese remainder lift of each closed-walk count
+    lift = [M // p * pow(M // p, -1, p) for p in primes]
+    walks = [N * (sum(r * x for r, x in zip(w, lift)) % M) for w in walks]
+    moments = [sum(x * theta**k for theta, x in spectrum.items()) for k in range(m)]
+    return {"left_invariant": left_invariant, "annihilated": not killed.any(),
+            "moments_match": walks == moments}
 
 
 def integrality_check(report: SpectrumReport, tol: float = 1e-8) -> tuple[bool, float]:

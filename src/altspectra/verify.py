@@ -44,7 +44,8 @@ from .partition import (
 )
 from .spectra import (
     DENSE_ORDER_CAP,
-    dense_spectrum,
+    certify_spectrum,
+    exact_spectrum,
     lambda2_iterative,
     predicted,
 )
@@ -320,11 +321,13 @@ def verify_family(
 
     Order: graph invariants, solver mode, equitable partition vs the closed
     form, divisor spectrum vs the closed form, second eigenvalue (iterative
-    always, dense when the order is within ``dense_cap``), spectral gap,
+    always; exact when the order is within ``dense_cap``), spectral gap,
     canonical cut ratio, isoperimetric bracket (order within
     ``cheeger.BRUTE_ORDER_CAP``), then the structural checks.  A battery
-    builds each graph, solves each second eigenvalue and makes the dense
-    solve at most once.
+    builds each graph and solves each second eigenvalue once.  ``dense_cap``
+    caps the order of the exact check, which proves the exact spectrum on
+    the graph (:func:`~altspectra.spectra.certify_spectrum`) and gives the
+    isoperimetric bracket its gap; no dense matrix is formed.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -359,10 +362,10 @@ def verify_family(
 
     report.checks.append(_timed("graph_invariants", "regular Cayley graph structure", invariants))
 
-    dense_possible = G.order <= dense_cap
+    exact_possible = G.order <= dense_cap
 
     def solver_mode():
-        mode = "dense+iterative" if dense_possible else "partial (iterative)"
+        mode = "exact+iterative" if exact_possible else "partial (iterative)"
         return mode, mode, None, True
 
     report.checks.append(_timed("solver_mode", "which solvers this order admits", solver_mode))
@@ -404,16 +407,20 @@ def verify_family(
         _timed("lambda2_iterative", "closed-form second-largest eigenvalue", lam2_iter)
     )
 
-    dense = None
-    if dense_possible:
+    exact_lambda2 = None
+    if exact_possible:
 
-        def lam2_dense():
-            nonlocal dense
-            dense = dense_spectrum(G, tol=tol, order_cap=dense_cap)
-            return lam2_pred, dense.lambda2, tol, abs(dense.lambda2 - lam2_pred) <= max(tol, 1e-6)
+        def lam2_exact():
+            nonlocal exact_lambda2
+            spectrum = exact_spectrum(family, n)
+            exact_lambda2 = list(spectrum)[1]
+            certificate = certify_spectrum(G, spectrum)
+            observed = {"lambda2": exact_lambda2, "distinct": len(spectrum), **certificate}
+            predicted_value = {**observed, "lambda2": lam2_pred, **dict.fromkeys(certificate, True)}
+            return predicted_value, observed, None, observed == predicted_value
 
         report.checks.append(
-            _timed("lambda2_dense", "closed-form second-largest eigenvalue", lam2_dense)
+            _timed("lambda2_exact", "closed-form second-largest eigenvalue", lam2_exact)
         )
 
     def gap():
@@ -443,10 +450,8 @@ def verify_family(
 
         def bracket():
             h, witness = _cheeger.brute_force_h(G)
-            if dense is not None:
-                mu = dense.gap
-            else:
-                mu = degree - cache.lambda2(family, n, tol, seed)
+            lam2 = cache.lambda2(family, n, tol, seed) if exact_lambda2 is None else exact_lambda2
+            mu = degree - lam2
             lower = mu / 2
             ok = float(h) >= lower - 1e-9
             observed = {"h": str(h), "witness": list(witness), "lower": lower}

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -182,6 +183,16 @@ def test_verify_runs_at_a_loose_tol_below_half(capsys):
     code, out, _ = run(capsys, "verify", "--family", "AG", "--n", "5", "--tol", "0.4", "--format", "json")
     assert code == 0
     assert json.loads(out)["overall"] is True
+
+
+def test_loose_tol_raises_no_disconnected_warning(capsys):
+    # lambda2 = 2 and degree 4 lie 2 apart, far outside the residual
+    # interval of 0.4; any warning becomes an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--family", "AG", "--n", "4", "--tol", "0.4")
+    assert code == 0
+    assert err == ""
 
 
 @pytest.mark.parametrize(

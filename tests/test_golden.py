@@ -3,7 +3,10 @@
 The first digests were recorded before the graph layout became an (order,
 degree) array, the last seven before it became one row per generator.  The
 EAG and CAG verify and decompose digests were re-recorded when the
-edge_decomposition check gained an observed sum_of_parts.  Any change to a
+edge_decomposition check gained an observed sum_of_parts, and every verify
+digest at n <= 7 when the dense lambda2 check became the exact one.  The
+n = 8 verify digests were recorded before that change, which must leave
+them alone: the exact check runs only up to the dense order cap.  Any change to a
 report's bytes, including the order of checks, keys or problem strings,
 shows up here.  Re-record a digest only when an output change is intended,
 and say so in CHANGES.md.
@@ -18,17 +21,17 @@ from altspectra.cli import main
 
 GOLDEN = {
     "verify --family AG --n 6 --format json": (
-        "d209117e5e61690286a4954e2eb79f8dd750aa9d179c8fcceb4110b2248f97de", 0),
+        "135a45394a26acaebb525eab75f2166a27fed0b591fee06e9c178bb400691850", 0),
     "verify --family AG --n 6 --format text": (
-        "d434f2b7d0fc2ca5d0a0d047121e38283fe48ea5cd347588a9552ec76e5acc87", 0),
+        "21fc606911fe08db682321204bfe0cb56c1d7771c673964baf16c8fd934fbc7c", 0),
     "verify --family EAG --n 6 --format json": (
-        "cbf497adae9b61bd4eda0e1c8139cfd9358bca99ff66d5351c8a2022d91380a6", 0),
+        "b331c9207235264646fa17897666dd43a9bab0c7ee987e375caab21f60a3282a", 0),
     "verify --family EAG --n 6 --format text": (
-        "08a21cce95c50c768c279fede2cfc0229df075cf9e471426ddfe3be18221c532", 0),
+        "0bd6a3d4dbed9a84f288d44250ea62322467bfeeff79a16715f46faf977977f2", 0),
     "verify --family CAG --n 6 --format json": (
-        "ca9f12d56d14456ac763c1c21596519ef71a5c0bc6ff423b9a59170f0377e30d", 0),
+        "9ece6749ad7ccf9cf45f990a7c4d9f5c8ffcb054e736c69a2d56543b26c30a99", 0),
     "verify --family CAG --n 6 --format text": (
-        "4874e5612b48da806bfbb18c592a97d10af3fc1d9ba032cf09126b73cf6d3cac", 0),
+        "31f2c36d0d2b89ecacbfecba9d4a6e15226f8d236bb5e54ad707223bdc776a4c", 0),
     "decompose --family AG --n 5": (
         "1db2af2b7e82520d7da9e59d70b9d4b17ce3abe9c05fed9364c645cd6556c20f", 0),
     "decompose --family EAG --n 5": (
@@ -50,9 +53,9 @@ GOLDEN = {
     "decompose --family CAG --n 6 --block 3": (
         "61a10df2aab8a73cd05a2a59870a378a0a5724f736d54ce887b0703c03a65fff", 0),
     "verify --family EAG --n 6 --block 4 --seed 11 --format json": (
-        "cbf497adae9b61bd4eda0e1c8139cfd9358bca99ff66d5351c8a2022d91380a6", 0),
+        "b331c9207235264646fa17897666dd43a9bab0c7ee987e375caab21f60a3282a", 0),
     "verify --family CAG --n 6 --block 4 --seed 11 --format json": (
-        "ca9f12d56d14456ac763c1c21596519ef71a5c0bc6ff423b9a59170f0377e30d", 0),
+        "9ece6749ad7ccf9cf45f990a7c4d9f5c8ffcb054e736c69a2d56543b26c30a99", 0),
     "spectrum --family EAG --n 5 --format json": (
         "fe6532cc12be164555c867a3ce11058d499446599a88e7912537488ce921b2cb", 0),
     "hmin --family AG --n 4": (
@@ -64,9 +67,15 @@ GOLDEN = {
     "build --family EAG --n 6 --format json": (
         "3499b2902b757074bca56fbd373902f3ad94e7778c83f8e77e502a75d4328dc2", 0),
     "verify --family AG --n 5 --block 5 --format json": (
-        "80fc2db026c68f0f9a05928f04e36c9824410311171c064f43d344f735b164d8", 0),
+        "e15684f0718d67ef2213d8267ebcfa8adce0d5d44e6661b747321312f061a224", 0),
     "gap --gens (1,2,3),(1,3,2),(1,2,3,4,5,6,7),(1,7,6,5,4,3,2) --n 7 --format json": (
         "5bafbf54de9d0249d43e39d5672a9a325ad51d471b1ee7f84cf95feae7c06eea", 0),
+    "verify --family AG --n 8 --format json": (
+        "c10d8800a044d4ae3af60909de3548c5b2c5027d8749bc4d716b651a4bde5c3c", 0),
+    "verify --family EAG --n 8 --format json": (
+        "a7acfcc9f0a80bb6c7ea33c4033b67710ba6f07c1e65fbf3a54a2f51dfa597a8", 0),
+    "verify --family CAG --n 8 --format json": (
+        "cd480d5dd8baf80068c0d88010c6f67adfe758dd5b42ace6fe7916b10d880d6a", 0),
 }
 
 EXPORT_AG5 = "a91b0cb3980ccf503bc20176404efa9e16e4cb8bf74816dc3cc97c3c0c48e8be"

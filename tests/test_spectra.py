@@ -1,15 +1,21 @@
 import json
+from collections import Counter
+from fractions import Fraction
+from math import factorial, lcm, prod
 
 import numpy as np
 import pytest
 
-from altspectra.cayley import Graph, build_cayley, custom_generating_set
+from altspectra.cayley import CayleyGraph, Graph, build_cayley, custom_generating_set
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
 from altspectra.perm import from_cycle
+from test_verify import _swap_arcs
 from altspectra.spectra import (
     SpectrumReport,
+    certify_spectrum,
     dense_spectrum,
+    exact_spectrum,
     gap_report,
     integrality_check,
     lambda2_iterative,
@@ -31,6 +37,24 @@ def test_dense_AG4_distinct_values(graph):
     # multiplicity of the degree eigenvalue is 1, the rest carry 11
     assert rep.multiplicities[0] == 1
     assert sum(rep.multiplicities[1:]) == 11
+
+
+def _clusters_by_loop(values_desc, threshold):
+    """Run lengths of consecutive values closer than ``threshold``."""
+    runs = [1]
+    for a in range(1, len(values_desc)):
+        if values_desc[a - 1] - values_desc[a] < threshold:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n,tol", [(3, 1e-8), (4, 1e-8), (5, 1e-8), (5, 0.02)])
+def test_dense_multiplicities_match_loop_clustering(graph, family, n, tol):
+    rep = dense_spectrum(graph(family, n), tol=tol)
+    assert list(rep.multiplicities) == _clusters_by_loop(rep.eigenvalues, 100 * tol)
 
 
 def test_dense_K3(graph):
@@ -234,3 +258,82 @@ def test_lambda2_respects_matvec_cap(graph, monkeypatch):
 
 def test_lambda2_zero_on_CAG4(graph):
     assert abs(lambda2_iterative(graph("CAG", 4))) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_exact_spectrum_matches_eigvalsh(graph, family, n):
+    values = np.rint(np.linalg.eigvalsh(graph(family, n).adjacency_dense())).astype(int)
+    counts = Counter(values.tolist())
+    assert exact_spectrum(family, n) == {theta: counts[theta] for theta in sorted(counts, reverse=True)}
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_exact_spectrum_traces_and_top_two(family, n):
+    spectrum = exact_spectrum(family, n)
+    order = factorial(n) // 2
+    degree, lambda2, _ = predicted(family, n)
+    assert sum(spectrum.values()) == order
+    assert sum(m * theta for theta, m in spectrum.items()) == 0
+    assert sum(m * theta**2 for theta, m in spectrum.items()) == order * degree
+    assert list(spectrum.items())[0] == (degree, 1)
+    assert list(spectrum)[1] == lambda2
+    assert list(spectrum) == sorted(spectrum, reverse=True)
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_certify_spectrum_passes(graph, family, n):
+    certificate = certify_spectrum(graph(family, n), exact_spectrum(family, n))
+    assert certificate == {"left_invariant": True, "annihilated": True, "moments_match": True}
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_certify_spectrum_fails_without_one_eigenvalue(graph, family):
+    spectrum = exact_spectrum(family, 5)
+    for theta in spectrum:
+        partial = {t: m for t, m in spectrum.items() if t != theta}
+        certificate = certify_spectrum(graph(family, 5), partial)
+        assert certificate["left_invariant"]
+        assert not certificate["annihilated"]
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_certify_spectrum_fails_on_moved_multiplicity(graph, family):
+    spectrum = exact_spectrum(family, 5)
+    thetas = list(spectrum)
+    moved = {**spectrum, thetas[1]: spectrum[thetas[1]] - 2, thetas[2]: spectrum[thetas[2]] + 2}
+    certificate = certify_spectrum(graph(family, 5), moved)
+    assert certificate == {"left_invariant": True, "annihilated": True, "moments_match": False}
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_certify_spectrum_checks_the_top_moment(graph, family):
+    # Lagrange weights 1/prod(theta_i - theta_j) sum to zero against every
+    # power below m - 1, so moving the multiplicities along them changes
+    # only the highest moment the certificate compares.
+    spectrum = exact_spectrum(family, 5)
+    thetas = list(spectrum)
+    weights = [prod(Fraction(1, t - s) for s in thetas if s != t) for t in thetas]
+    scale = lcm(*(w.denominator for w in weights))
+    moved = {t: spectrum[t] + int(w * scale) for t, w in zip(thetas, weights)}
+    certificate = certify_spectrum(graph(family, 5), moved)
+    assert certificate == {"left_invariant": True, "annihilated": True, "moments_match": False}
+
+
+def test_certify_spectrum_fails_on_swapped_arcs(graph):
+    # Two arcs of one row swapped: every row is still a bijection with an
+    # inverse row, but row 0 is no longer a left translation.
+    G = graph("AG", 5)
+    perms = G.perms.copy()
+    x = next(
+        x
+        for x in range(1, G.order)
+        if len({0, perms[0, 0], x, perms[0, x]}) == 4
+        and perms[0, x] not in perms[:, 0]
+        and perms[0, 0] not in perms[:, x]
+    )
+    _swap_arcs(perms, 0, 0, x)
+    certificate = certify_spectrum(CayleyGraph(perms=perms, n=5), exact_spectrum("AG", 5))
+    assert certificate["left_invariant"] is False

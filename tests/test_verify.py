@@ -6,7 +6,8 @@ import pytest
 from altspectra.cayley import Graph, block_labels, induced_subgraph
 from altspectra.cheeger import canonical_cut
 from altspectra.partition import blocks_AG
-from altspectra import verify
+from altspectra import spectra, verify
+from altspectra.spectra import predicted
 from altspectra.verify import (
     CheckResult,
     VerificationReport,
@@ -312,7 +313,7 @@ def test_partial_mode_when_dense_cap_is_low():
     report = verify_family("AG", 4, dense_cap=5)
     mode = next(c for c in report.checks if c.name == "solver_mode")
     assert mode.observed == "partial (iterative)"
-    assert all(c.name != "lambda2_dense" for c in report.checks)
+    assert all(c.name != "lambda2_exact" for c in report.checks)
     assert report.overall
 
 
@@ -345,7 +346,7 @@ def test_verify_family_passes_iterative_only_at_n7(family):
     report = verify_family(family, 7, tol=1e-6, dense_cap=2000)
     assert report.overall
     names = [c.name for c in report.checks]
-    assert "lambda2_dense" not in names
+    assert "lambda2_exact" not in names
     mode = next(c for c in report.checks if c.name == "solver_mode")
     assert mode.observed == "partial (iterative)"
 
@@ -379,18 +380,20 @@ def test_verify_solves_each_lambda2_once(monkeypatch, family, solved):
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
-def test_verify_makes_one_dense_solve(monkeypatch, family):
-    # At n = 4 (order 12) both the lambda2_dense check and the
-    # isoperimetric bracket run; the bracket reuses the dense report.
-    calls = []
-    solve = verify.dense_spectrum
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_verify_makes_no_dense_solve(monkeypatch, family, n):
+    # The exact check replaces the dense solve, and at n <= 4 the
+    # isoperimetric bracket takes its gap from the exact spectrum.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify must not form or solve a dense matrix")
 
-    def counted(G, **kwargs):
-        calls.append(G.order)
-        return solve(G, **kwargs)
-
-    monkeypatch.setattr(verify, "dense_spectrum", counted)
-    report = verify_family(family, 4)
+    monkeypatch.setattr(spectra, "dense_spectrum", refuse)
+    monkeypatch.setattr(Graph, "adjacency_dense", refuse)
+    report = verify_family(family, n)
     assert report.overall
-    assert {c.name for c in report.checks} >= {"lambda2_dense", "isoperimetric_bracket"}
-    assert calls == [12]
+    checks = {c.name: c for c in report.checks}
+    assert ("isoperimetric_bracket" in checks) == (n <= 4)
+    if n <= 4:
+        assert checks["isoperimetric_bracket"].observed["lower"] == predicted(family, n)[2] / 2
+    assert checks["solver_mode"].observed == "exact+iterative"
+    assert checks["lambda2_exact"].observed["lambda2"] == predicted(family, n)[1]
