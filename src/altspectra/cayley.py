@@ -9,6 +9,11 @@ the bijection g -> t_c*g, and the row of t_c^{-1} is its inverse.  Built
 graphs are immutable: the array is marked read-only, so a graph can be
 shared freely across threads.
 
+A build ranks at most n-1 vertex arrays, one per star transposition (1 a),
+and assembles each generator's row from them by integer gathers: it
+writes the generator as a word of star transpositions
+(:func:`altspectra.perm.star_word`) and follows the word's rows.
+
 Three generating families are provided:
 
 - T1: the 3-cycles (1,2,i) and (1,i,2) for 3 <= i <= n,
@@ -34,6 +39,7 @@ from .perm import (
     identity,
     inverse,
     sign,
+    star_word,
 )
 
 FAMILIES = ("AG", "EAG", "CAG")
@@ -168,8 +174,14 @@ class CayleyGraph(Graph):
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
     """Cayley graph of A_n with respect to ``gens``.
 
-    Vertex v is the even permutation ``unrank(n, v)``; row c holds the
-    ranks of t_c*g (t_c first) over all vertices g.
+    Vertex v is the even permutation g_v = ``unrank(n, v)``; row c holds the
+    ranks of t_c*g (t_c first) over all vertices g.  With s the swap of the
+    values 1 and 2 applied last, the star row of a point a holds
+    rank((1 a)*g_v*s) at v.  Right multiplication commutes with left
+    multiplication and s*s = 1, so following the star row of b and then
+    that of a gives rank((1 a)(1 b)*g_v); each generator is an even star
+    word, so its row is the word's star rows chained by gathers.  Only the
+    star rows the words use are ranked.
     """
     if gens.n != n:
         raise ValueError(f"generating set is on {gens.n} points, graph wants {n}")
@@ -181,11 +193,21 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
             f"order {order} exceeds cap {max_order}; pass max_order explicitly to override"
         )
     verts = alternating_images(n)
+    words = [star_word(t) for t in gens.elements]
+    # g*s for every vertex g: xor with 3 swaps the values 1 and 2.
+    twisted = verts ^ (verts < 3) * np.uint8(3)
+    star = {}
+    for a in sorted({a for word in words for a in word}):
+        # (1 a)*h sends point i to h[(1 a)_i]: positions 1 and a swap.
+        idx = np.arange(n)
+        idx[[0, a - 1]] = a - 1, 0
+        star[a] = alternating_ranks(twisted[:, idx]).astype(np.int32)
     perms = np.empty((gens.size, order), dtype=np.int32)
-    for c, t in enumerate(gens.elements):
-        idx = np.asarray(t.images, dtype=np.intp) - 1
-        # t*g sends point i to g[t_i].
-        perms[c] = alternating_ranks(verts[:, idx])
+    for c, word in enumerate(words):
+        row = star[word[-1]]
+        for a in reversed(word[:-1]):
+            row = star[a].take(row)
+        perms[c] = row
     return CayleyGraph(
         perms=perms,
         n=n,

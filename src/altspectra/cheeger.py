@@ -52,16 +52,19 @@ def _subset_mask(G: Graph, S) -> np.ndarray:
     return mask
 
 
+def _mask_boundary(G: Graph, mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask & ~mask[G.perms]))
+
+
 def boundary_size(G: Graph, S) -> int:
     """Number of edges with exactly one endpoint in S."""
-    mask = _subset_mask(G, S)
-    return int(np.count_nonzero(mask & ~mask[G.perms]))
+    return _mask_boundary(G, _subset_mask(G, S))
 
 
 def cut_ratio(G: Graph, S, description: str = "subset") -> CutReport:
     mask = _subset_mask(G, S)
     size = int(mask.sum())
-    boundary = boundary_size(G, S)
+    boundary = _mask_boundary(G, mask)
     return CutReport(
         subset_size=size,
         boundary=boundary,

@@ -12,6 +12,13 @@ Conventions, fixed once for the whole package:
   pairs share the first n-2 entries and differ by a swap of the last two,
   so exactly one member of each pair is even and the even rank is the full
   Lehmer rank halved.
+- A_n is enumerated without listing S_n: the rows of A_k that start with
+  the value f are the rows of A_{k-1} relabelled to skip f.  A leading f
+  adds f-1 inversions, so for even f the relabelled rows must be odd; by
+  the pairing above, A_{k-1} with its last two columns swapped lists the
+  odd permutations of k-1 points in lexicographic order.
+- Every permutation is a product of star transpositions (1 a);
+  :func:`star_word` writes one such product, which the graph build uses.
 
 Everything here is a pure value; no function mutates its arguments, so all
 operations are safe to call concurrently.
@@ -22,14 +29,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _all_permutations
 from math import factorial
 
 import numpy as np
 
+from .errors import OrderCapError
+
 # n! must stay well inside 64-bit arithmetic; graphs are built for far
 # smaller n anyway.
 MAX_POINTS = 12
+# A_10 is 1.8 M rows (18 MB); A_11 would take 0.2 GB at once and A_12 2.9 GB.
+MAX_ENUMERATED_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -184,16 +194,31 @@ def alternating_images(n: int) -> np.ndarray:
     """(n!/2, n) uint8 array of even permutations in lexicographic order.
 
     Row v is the image tuple of ``unrank(n, v)``; the graph and partition
-    modules index vertices straight into this array.  The returned array is
-    cached and marked read-only.
+    modules index vertices straight into this array.  A_k is built from
+    A_{k-1} for k = 2..n, one leading-value block at a time (see the module
+    docstring).  The returned array is cached and marked read-only.  Raises
+    ``OrderCapError`` beyond ``MAX_ENUMERATED_POINTS`` points.
     """
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
-    full = np.array(list(_all_permutations(range(1, n + 1))), dtype=np.uint8)
-    inv = np.zeros(len(full), dtype=np.int64)
-    for a in range(n - 1):
-        inv += (full[:, a + 1 :] < full[:, a : a + 1]).sum(axis=1)
-    verts = np.ascontiguousarray(full[inv % 2 == 0])
+    if n > MAX_ENUMERATED_POINTS:
+        raise OrderCapError(
+            f"A_{n} has {alternating_order(n)} elements; enumeration is capped "
+            f"at n = {MAX_ENUMERATED_POINTS}"
+        )
+    verts = np.ones((1, 1), dtype=np.uint8)
+    for k in range(2, n + 1):
+        # The odd permutations of k-1 points; there are none for k = 2.
+        odd = verts[:, [*range(k - 3), k - 2, k - 3]] if k > 2 else verts[:0]
+        out = np.empty((alternating_order(k), k), dtype=np.uint8)
+        start = 0
+        for f in range(1, k + 1):
+            rest = verts if f % 2 else odd
+            block = out[start : start + len(rest)]
+            block[:, 0] = f
+            np.add(rest, rest >= f, out=block[:, 1:])
+            start += len(rest)
+        verts = out
     verts.setflags(write=False)
     return verts
 
@@ -208,6 +233,35 @@ def alternating_ranks(images: np.ndarray) -> np.ndarray:
         )
         ranks += smaller_later * factorial(n - 1 - a)
     return ranks // 2
+
+
+def star_word(p: Permutation) -> tuple[int, ...]:
+    """Points a_1, ..., a_m with ``p`` = (1 a_1)(1 a_2)...(1 a_m), (1 a_1)
+    applied first; m has the parity of ``p``.
+
+    Right multiplication by (1 a) swaps the values 1 and a in an image
+    tuple.  Each swap gives the position holding 1 its own value or, when
+    1 is at position 1, moves 1 onto the first displaced position, until
+    the identity is reached; the swaps read backwards are the word.  Raises
+    ``AssertionError`` if the word does not multiply back to ``p``.
+    """
+    images = list(p.images)
+    undo = []
+    while True:
+        at = images.index(1)
+        a = at + 1 if at else next((v for k, v in enumerate(images, 1) if v != k), None)
+        if a is None:
+            break
+        k = images.index(a)
+        images[at], images[k] = a, 1
+        undo.append(a)
+    word = tuple(reversed(undo))
+    product = identity(p.n)
+    for a in word:
+        product = compose(product, from_cycle(p.n, [1, a]))
+    if product != p:
+        raise AssertionError(f"star word {word} does not multiply to {p}")
+    return word
 
 
 _CYCLE_RE = re.compile(r"\(([0-9,]*)\)")

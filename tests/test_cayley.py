@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from altspectra.cayley import (
+    FAMILY_TO_TAG,
     GeneratingSet,
     Graph,
     block_labels,
@@ -20,7 +21,26 @@ from altspectra.cayley import (
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import OrderCapError
 from altspectra.partition import blocks_AG, blocks_Xij
-from altspectra.perm import alternating_order, compose, from_cycle, identity, rank, unrank
+from altspectra.perm import (
+    alternating_images,
+    alternating_order,
+    alternating_ranks,
+    compose,
+    from_cycle,
+    identity,
+    parse_generator_list,
+    rank,
+    unrank,
+)
+
+
+def reference_rows(n, gens):
+    """One full rank per generator: row c holds rank(t_c * g) for every g."""
+    verts = alternating_images(n)
+    return np.array(
+        [alternating_ranks(verts[:, np.asarray(t.images) - 1]) for t in gens.elements],
+        dtype=np.int32,
+    )
 
 
 def test_generating_set_T1_n4_exact():
@@ -141,6 +161,28 @@ def test_invariant_violations_are_reported(defect):
 @pytest.mark.parametrize("family,n", [("AG", 3), ("AG", 4), ("AG", 5), ("AG", 6), ("EAG", 5), ("CAG", 5)])
 def test_connected(graph, family, n):
     assert is_connected(graph(family, n))
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_star_rows_match_per_generator_ranks(graph, family, n):
+    gens = generating_set(FAMILY_TO_TAG[family], n)
+    assert np.array_equal(graph(family, n).perms, reference_rows(n, gens))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        "(2,3,4),(2,4,3),(1,2)(3,4)",
+        "(1,2)(3,4),(1,3)(2,4),(1,4)(2,3)",
+        "(1,2,3,4,5),(1,5,4,3,2),(2,4,3),(2,3,4)",
+        "(2,3,4,5,6),(2,6,5,4,3),(1,2)(5,6)",
+    ],
+)
+@pytest.mark.parametrize("n", [6, 7])
+def test_star_rows_match_per_generator_ranks_custom(gens, n):
+    gset = custom_generating_set(n, parse_generator_list(gens, n))
+    assert np.array_equal(build_cayley(n, gset).perms, reference_rows(n, gset))
 
 
 def test_empty_generating_set_gives_disconnected_graph():

@@ -58,6 +58,18 @@ def test_boundary_is_symmetric_under_complement(graph):
         assert boundary_size(G, S) == boundary_size(G, comp)
 
 
+def test_cut_ratio_counts_the_boundary_of_its_subset(graph):
+    G = graph("CAG", 5)
+    rng = random.Random(9)
+    for _ in range(10):
+        # Repeated and unsorted members: the subset is their set.
+        S = rng.choices(range(G.order), k=rng.randrange(1, G.order))
+        size = len(set(S))
+        report = cut_ratio(G, S)
+        assert (report.subset_size, report.boundary) == (size, boundary_size(G, S))
+        assert report.ratio == Fraction(report.boundary, min(size, G.order - size))
+
+
 def test_boundary_rejects_improper_subsets(graph):
     G = graph("AG", 4)
     with pytest.raises(ValueError):

@@ -219,6 +219,9 @@ def test_cap_exceeded_exits_3(capsys):
     for argv in (
         ("spectrum", "--family", "AG", "--n", "7", "--max-order", "100"),
         ("cut", "--family", "AG", "--n", "5", "--max-order", "0"),
+        # A raised graph cap still meets the enumeration cap above n = 10.
+        ("build", "--family", "AG", "--n", "11", "--max-order", "1000000000"),
+        ("cut", "--family", "CAG", "--n", "12", "--max-order", "1000000000"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3

@@ -6,7 +6,10 @@ EAG and CAG verify and decompose digests were re-recorded when the
 edge_decomposition check gained an observed sum_of_parts, and every verify
 digest at n <= 7 when the dense lambda2 check became the exact one.  The
 n = 8 verify digests were recorded before that change, which must leave
-them alone: the exact check runs only up to the dense order cap.  Any change to a
+them alone: the exact check runs only up to the dense order cap.  The two
+custom-set digests (a generator fixing 1 and a double transposition) were
+recorded before the graph build moved to star-transposition rows, which
+must leave them alone.  Any change to a
 report's bytes, including the order of checks, keys or problem strings,
 shows up here.  Re-record a digest only when an output change is intended,
 and say so in CHANGES.md.
@@ -76,6 +79,10 @@ GOLDEN = {
         "a7acfcc9f0a80bb6c7ea33c4033b67710ba6f07c1e65fbf3a54a2f51dfa597a8", 0),
     "verify --family CAG --n 8 --format json": (
         "cd480d5dd8baf80068c0d88010c6f67adfe758dd5b42ace6fe7916b10d880d6a", 0),
+    "build --gens (2,3,4),(2,4,3),(1,2)(3,4) --n 6 --format json": (
+        "95c8b54349d6be6675aebc3dc550bdbd7eef052c41ede178fa65e52eabcc6e40", 0),
+    "gap --gens (2,3,4),(2,4,3),(1,2)(3,4) --n 6 --format json": (
+        "2c3b6e3a418926a91df290816ee62a6b0f80de63033609f43fda6a4f7136525f", 0),
 }
 
 EXPORT_AG5 = "a91b0cb3980ccf503bc20176404efa9e16e4cb8bf74816dc3cc97c3c0c48e8be"

@@ -1,7 +1,14 @@
 import random
+import tracemalloc
+from itertools import permutations
 
+import numpy as np
 import pytest
 
+from altspectra.cayley import block_labels, phi_isomorphism
+from altspectra.cheeger import canonical_cut
+from altspectra.errors import OrderCapError
+from altspectra.partition import blocks_AG, blocks_Xij
 from altspectra.perm import (
     Permutation,
     alternating_images,
@@ -15,6 +22,7 @@ from altspectra.perm import (
     parse_generator_list,
     rank,
     sign,
+    star_word,
     unrank,
 )
 
@@ -28,6 +36,19 @@ def random_perm(rng, n):
     images = list(range(1, n + 1))
     rng.shuffle(images)
     return Permutation(tuple(images))
+
+
+def inversion_counts(images):
+    inv = np.zeros(len(images), dtype=np.int64)
+    for a in range(images.shape[1] - 1):
+        inv += (images[:, a + 1 :] < images[:, a : a + 1]).sum(axis=1)
+    return inv
+
+
+def reference_alternating_images(n):
+    """All n! image tuples from itertools, filtered by inversion parity."""
+    full = np.array(list(permutations(range(1, n + 1))), dtype=np.uint8)
+    return full[inversion_counts(full) % 2 == 0]
 
 
 def test_identity():
@@ -163,6 +184,77 @@ def test_alternating_images_rejects_point_count(n):
 def test_enumeration_is_lexicographic():
     images = [p.images for p in enumerate_alternating(5)]
     assert images == sorted(images)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_alternating_images_match_reference(n):
+    got = alternating_images(n)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, reference_alternating_images(n))
+
+
+def test_alternating_images_n10():
+    images = alternating_images(10)
+    assert images.shape == (alternating_order(10), 10)
+    assert not images.flags.writeable
+    # Strictly increasing rows: the first column that differs goes up.
+    diff = np.diff(images.astype(np.int16), axis=0)
+    first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+    assert (first > 0).all()
+    assert (inversion_counts(images) % 2 == 0).all()
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_alternating_images_cap_allocates_nothing(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapError):
+            alternating_images(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: blocks_AG(n, 1),
+        lambda n: blocks_Xij(n, i=1),
+        lambda n: blocks_Xij(n, j=2),
+        lambda n: block_labels("CAG", n),
+        lambda n: canonical_cut("EAG", n, 1),
+        lambda n: phi_isomorphism(n, 1, "AG"),
+    ],
+    ids=["blocks_AG", "blocks_Xij_i", "blocks_Xij_j", "block_labels", "canonical_cut", "phi"],
+)
+def test_vertex_entry_points_hit_the_enumeration_cap(entry, n):
+    with pytest.raises(OrderCapError):
+        entry(n)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_star_word_multiplies_back(n):
+    rng = random.Random(n)
+    for _ in range(30):
+        p = random_perm(rng, n)
+        if sign(p) != 1:
+            p = compose(p, from_cycle(n, [1, 2]))
+        word = star_word(p)
+        assert len(word) % 2 == 0 and all(2 <= a <= n for a in word)
+        product = identity(n)
+        for a in word:
+            product = compose(product, from_cycle(n, [1, a]))
+        assert product == p
+
+
+def test_star_word_examples():
+    assert star_word(identity(5)) == ()
+    assert star_word(from_cycle(5, [1, 2])) == (2,)
+    # A 3-cycle through 1 takes two letters, one avoiding 1 takes four.
+    assert len(star_word(from_cycle(5, [1, 2, 4]))) == 2
+    assert len(star_word(from_cycle(5, [2, 3, 4]))) == 4
 
 
 def test_parse_cycles():
