@@ -46,7 +46,7 @@ FAMILIES = ("AG", "EAG", "CAG")
 FAMILY_TO_TAG = {"AG": "T1", "EAG": "T2", "CAG": "T3"}
 TAG_TO_FAMILY = {v: k for k, v in FAMILY_TO_TAG.items()}
 
-# 9!/2; larger builds must be requested explicitly via max_order.
+# 9!/2: the largest graph order built unless max_order (--max-order) is raised.
 DEFAULT_MAX_ORDER = 181_440
 
 
@@ -190,7 +190,7 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
     order = alternating_order(n)
     if order > max_order:
         raise OrderCapError(
-            f"order {order} exceeds cap {max_order}; pass max_order explicitly to override"
+            f"order {order} exceeds cap {max_order}; raise max_order (--max-order) to build it"
         )
     verts = alternating_images(n)
     words = [star_word(t) for t in gens.elements]
@@ -245,11 +245,12 @@ def induced_subgraph(G: Graph, S) -> Graph:
     Vertex k of the subgraph is the k-th smallest member of ``S``.  Raises
     ``ValueError`` when a row maps only part of ``S`` into ``S``.
     """
-    S = np.unique(np.asarray(S, dtype=np.int64))
+    S = np.asarray(S, dtype=np.int64)
     if S.size == 0:
         raise ValueError("vertex subset is empty")
-    if S[0] < 0 or S[-1] >= G.order:
+    if S.min() < 0 or S.max() >= G.order:
         raise ValueError("vertex subset out of range")
+    S = np.flatnonzero(np.bincount(S, minlength=G.order))
     new_id = np.full(G.order, -1, dtype=np.int32)
     new_id[S] = np.arange(S.size)
     rows = new_id[G.perms[:, S]]

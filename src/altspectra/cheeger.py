@@ -16,7 +16,7 @@ import numpy as np
 from .cayley import Graph, block_labels
 from .errors import OrderCapError
 
-# Largest order brute_force_h enumerates by default: 2^(order-1) subsets.
+# Largest order brute_force_h enumerates; fixed, since 2^59 subsets of A_5 are out of reach.
 BRUTE_ORDER_CAP = 20
 
 
@@ -42,13 +42,12 @@ class CutReport:
 
 
 def _subset_mask(G: Graph, S) -> np.ndarray:
-    S = np.unique(np.asarray(S, dtype=np.int64))
-    if S.size == 0 or S.size == G.order:
-        raise ValueError("subset must be nonempty and proper")
-    if S[0] < 0 or S[-1] >= G.order:
+    S = np.asarray(S, dtype=np.int64)
+    if S.size and (S.min() < 0 or S.max() >= G.order):
         raise ValueError("subset contains out-of-range vertices")
-    mask = np.zeros(G.order, dtype=bool)
-    mask[S] = True
+    mask = np.bincount(S, minlength=G.order) > 0
+    if not 0 < np.count_nonzero(mask) < G.order:
+        raise ValueError("subset must be nonempty and proper")
     return mask
 
 
@@ -123,7 +122,7 @@ def corollary_bounds(family: str, n: int) -> tuple[Fraction, Fraction]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def brute_force_h(G: Graph, max_order: int = BRUTE_ORDER_CAP) -> tuple[Fraction, tuple[int, ...]]:
+def brute_force_h(G: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact isoperimetric number by exhaustion, with a minimizing subset.
 
     Enumerates every subset containing vertex 0 (each {S, complement} pair
@@ -134,10 +133,8 @@ def brute_force_h(G: Graph, max_order: int = BRUTE_ORDER_CAP) -> tuple[Fraction,
     of its pair.
     """
     order = G.order
-    if order > max_order:
-        raise OrderCapError(
-            f"order {order} above brute-force cap {max_order}; raise max_order to insist"
-        )
+    if order > BRUTE_ORDER_CAP:
+        raise OrderCapError(f"order {order} above the fixed brute-force cap {BRUTE_ORDER_CAP}")
     if order < 2:
         raise ValueError("isoperimetric number needs at least two vertices")
     degree = G.degree

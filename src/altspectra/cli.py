@@ -7,7 +7,8 @@ pass, 1 verification failure, 2 usage error, 3 computational failure
 (non-convergence or a size cap was hit).
 
 All configuration is explicit flags; no environment variables are read, so
-identical argv plus seed always reproduces identical bytes on stdout.
+identical argv plus seed reproduces identical bytes on stdout with one BLAS
+thread (the thread count changes the LAPACK round-off ``spectrum`` prints).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .cayley import (
 from .errors import ConvergenceError, OrderCapError
 from .partition import divisor_closed_form, divisor_spectrum
 from .perm import parse_generator_list
-from .spectra import DENSE_ORDER_CAP, dense_spectrum, gap_report, integrality_check
+from .spectra import dense_spectrum, gap_report, integrality_check
 from .verify import (
     VerificationReport,
     _GraphCache,
@@ -64,7 +65,10 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
         p.add_argument("--seed", type=int, default=42, help="start-vector seed")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--max-order", type=int, default=None, help="override size caps")
+        p.add_argument(
+            "--max-order", type=int, default=DEFAULT_MAX_ORDER,
+            help=f"largest graph order to build (default {DEFAULT_MAX_ORDER}, n = 9)",
+        )
         p.add_argument("--block", type=int, default=1, help="block value i for cuts and partitions")
         p.add_argument("--timings", action="store_true", help="include real timings in reports")
         if verb == "build":
@@ -93,11 +97,10 @@ def _validate(args) -> None:
 
 
 def _build(args):
-    max_order = args.max_order if args.max_order is not None else DEFAULT_MAX_ORDER
     if args.family:
-        return build_family(args.family, args.n, max_order=max_order)
+        return build_family(args.family, args.n, max_order=args.max_order)
     gens = custom_generating_set(args.n, parse_generator_list(args.gens, args.n))
-    return build_cayley(args.n, gens, max_order=max_order)
+    return build_cayley(args.n, gens, max_order=args.max_order)
 
 
 def _normalize(value):
@@ -185,8 +188,7 @@ def _run_build(args) -> tuple[dict, int]:
 
 def _run_spectrum(args) -> tuple[dict, int]:
     G = _build(args)
-    cap = args.max_order if args.max_order is not None else DENSE_ORDER_CAP
-    rep = dense_spectrum(G, tol=args.tol, order_cap=cap)
+    rep = dense_spectrum(G, tol=args.tol)
     integral, worst = integrality_check(rep, tol=max(args.tol, 1e-8))
     out = rep.to_dict()
     out["integral"] = integral
@@ -224,8 +226,7 @@ def _run_cut(args) -> tuple[dict, int]:
 
 def _run_hmin(args) -> tuple[dict, int]:
     G = _build(args)
-    cap = args.max_order if args.max_order is not None else _cheeger.BRUTE_ORDER_CAP
-    h, witness = _cheeger.brute_force_h(G, max_order=cap)
+    h, witness = _cheeger.brute_force_h(G)
     return {
         "family": args.family or "custom",
         "n": args.n,
@@ -237,7 +238,7 @@ def _run_hmin(args) -> tuple[dict, int]:
 
 
 def _run_decompose(args) -> tuple[dict, int]:
-    cache = _GraphCache()
+    cache = _GraphCache(args.max_order)
     if args.family == "AG":
         first = check_matchings(args.n, args.block, cache=cache)
     else:
@@ -248,13 +249,12 @@ def _run_decompose(args) -> tuple[dict, int]:
 
 
 def _run_verify(args) -> tuple[dict, int]:
-    dense_cap = args.max_order if args.max_order is not None else DENSE_ORDER_CAP
     report = verify_family(
         args.family,
         args.n,
         tol=args.tol,
         seed=args.seed,
-        dense_cap=dense_cap,
+        max_order=args.max_order,
         block_index=args.block,
     )
     return report.to_dict(args.timings), 0 if report.overall else 1

@@ -204,7 +204,7 @@ def alternating_images(n: int) -> np.ndarray:
     if n > MAX_ENUMERATED_POINTS:
         raise OrderCapError(
             f"A_{n} has {alternating_order(n)} elements; enumeration is capped "
-            f"at n = {MAX_ENUMERATED_POINTS}"
+            f"at n = {MAX_ENUMERATED_POINTS}, a fixed cap that max_order does not lift"
         )
     verts = np.ones((1, 1), dtype=np.uint8)
     for k in range(2, n + 1):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import cheeger as _cheeger
 from .cayley import (
+    DEFAULT_MAX_ORDER,
     FAMILIES,
     Graph,
     block_labels,
@@ -110,16 +111,17 @@ def _timed(name: str, ref: str, fn) -> CheckResult:
 
 
 class _GraphCache:
-    """Family graphs and their second eigenvalues, each computed once per battery."""
+    """Family graphs within ``max_order`` and their second eigenvalues, each made once."""
 
-    def __init__(self):
+    def __init__(self, max_order: int = DEFAULT_MAX_ORDER):
+        self.max_order = max_order
         self._graphs: dict[tuple[str, int], Graph] = {}
         self._lambda2: dict[tuple[str, int, float, int], float] = {}
 
     def get(self, family: str, n: int) -> Graph:
         key = (family, n)
         if key not in self._graphs:
-            self._graphs[key] = build_family(family, n)
+            self._graphs[key] = build_family(family, n, max_order=self.max_order)
         return self._graphs[key]
 
     def lambda2(self, family: str, n: int, tol: float, seed: int) -> float:
@@ -258,7 +260,7 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
             "mapped_edges": int(np.count_nonzero(inside)) // 2,
             "target_edges": H.edge_count,
             "edge_sets_equal": np.array_equal(mapped, H.perms[np.argsort(H.perms[:, 0])]),
-            "bijective": np.unique(image).size == image.size == H.order,
+            "bijective": np.array_equal(np.sort(image), np.arange(H.order)),
         }
         predicted_value = {
             "block_size": H.order,
@@ -314,19 +316,20 @@ def verify_family(
     n: int,
     tol: float = 1e-8,
     seed: int = 42,
-    dense_cap: int = DENSE_ORDER_CAP,
+    max_order: int = DEFAULT_MAX_ORDER,
     block_index: int = 1,
 ) -> VerificationReport:
     """Run the full check battery for one family at one n.
 
     Order: graph invariants, solver mode, equitable partition vs the closed
     form, divisor spectrum vs the closed form, second eigenvalue (iterative
-    always; exact when the order is within ``dense_cap``), spectral gap,
-    canonical cut ratio, isoperimetric bracket (order within
-    ``cheeger.BRUTE_ORDER_CAP``), then the structural checks.  A battery
-    builds each graph and solves each second eigenvalue once.  ``dense_cap``
-    caps the order of the exact check, which proves the exact spectrum on
-    the graph (:func:`~altspectra.spectra.certify_spectrum`) and gives the
+    always; exact when the order is within the fixed
+    ``spectra.DENSE_ORDER_CAP``, n <= 7), spectral gap, canonical cut ratio,
+    isoperimetric bracket (order within ``cheeger.BRUTE_ORDER_CAP``), then
+    the structural checks.  A battery builds each graph, the (n-1)-point
+    ones included, once and within ``max_order``, and solves each second
+    eigenvalue once.  The exact check proves the exact spectrum on the
+    graph (:func:`~altspectra.spectra.certify_spectrum`) and gives the
     isoperimetric bracket its gap; no dense matrix is formed.
     """
     if family not in FAMILIES:
@@ -337,7 +340,7 @@ def verify_family(
         # Every named-family spectrum is integral: a residual under 1/2 ties
         # lambda2 to a single integer, a larger one lets any value pass.
         raise ValueError(f"tol must be in (0, 0.5), got {tol}")
-    cache = _GraphCache()
+    cache = _GraphCache(max_order)
     report = VerificationReport(family=family, n=n, seed=seed, tol=tol)
     G = cache.get(family, n)
     degree, lam2_pred, gap_pred = predicted(family, n)
@@ -362,7 +365,7 @@ def verify_family(
 
     report.checks.append(_timed("graph_invariants", "regular Cayley graph structure", invariants))
 
-    exact_possible = G.order <= dense_cap
+    exact_possible = G.order <= DENSE_ORDER_CAP
 
     def solver_mode():
         mode = "exact+iterative" if exact_possible else "partial (iterative)"

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -216,16 +218,36 @@ def test_unknown_flag_exits_2(capsys):
 
 
 def test_cap_exceeded_exits_3(capsys):
-    for argv in (
-        ("spectrum", "--family", "AG", "--n", "7", "--max-order", "100"),
-        ("cut", "--family", "AG", "--n", "5", "--max-order", "0"),
+    # Each message names what lifts its cap: --max-order, or nothing.
+    for lifted_by, *argv in (
+        ("--max-order", "spectrum", "--family", "AG", "--n", "7", "--max-order", "100"),
+        ("--max-order", "cut", "--family", "AG", "--n", "5", "--max-order", "0"),
         # A raised graph cap still meets the enumeration cap above n = 10.
-        ("build", "--family", "AG", "--n", "11", "--max-order", "1000000000"),
-        ("cut", "--family", "CAG", "--n", "12", "--max-order", "1000000000"),
+        ("fixed", "build", "--family", "AG", "--n", "11", "--max-order", "1000000000"),
+        ("fixed", "cut", "--family", "CAG", "--n", "12", "--max-order", "1000000000"),
+        # --max-order caps only the graph order: the work caps are fixed, and
+        # every verb builds within it.
+        ("fixed", "hmin", "--family", "AG", "--n", "5", "--max-order", "60"),
+        ("fixed", "spectrum", "--family", "AG", "--n", "8", "--max-order", "20160"),
+        ("--max-order", "decompose", "--family", "AG", "--n", "7", "--max-order", "100"),
+        ("--max-order", "verify", "--family", "AG", "--n", "7", "--max-order", "100"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3
-        assert "cap" in err
+        assert "cap" in err and lifted_by in err
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    # A plain np.unique imports numpy.ma, about 17 ms of every CLI job.
+    script = (
+        "import contextlib, io, sys\n"
+        "from altspectra.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--family', f, '--n', '5']) for f in ('AG', 'EAG', 'CAG')]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.stdout == "[0, 0, 0] False\n", result.stderr
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from altspectra.cayley import CayleyGraph, Graph, build_cayley, custom_generating_set
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
+from altspectra import spectra
 from altspectra.perm import from_cycle
 from test_verify import _swap_arcs
 from altspectra.spectra import (
@@ -79,8 +80,9 @@ def test_dense_residuals_within_tolerance(graph):
 
 
 def test_dense_order_cap(graph):
-    with pytest.raises(OrderCapError):
-        dense_spectrum(graph("AG", 5), order_cap=10)
+    # AG_8 (order 20,160) is the smallest family graph over the fixed cap.
+    with pytest.raises(OrderCapError, match="fixed dense cap"):
+        dense_spectrum(graph("AG", 8))
 
 
 @pytest.mark.parametrize(
@@ -182,9 +184,10 @@ def test_lambda2_flags_disconnected_graph():
     assert lam2 == pytest.approx(2.0, abs=1e-7)
 
 
-def test_lambda2_iteration_cap(graph):
+def test_lambda2_iteration_cap(graph, monkeypatch):
+    monkeypatch.setattr(spectra, "ITERATION_CAP", 2)
     with pytest.raises(ConvergenceError) as exc:
-        lambda2_iterative(graph("AG", 5), tol=1e-12, max_iterations=2)
+        lambda2_iterative(graph("AG", 5), tol=1e-12)
     assert exc.value.residual is not None
 
 
@@ -251,8 +254,9 @@ def test_lambda2_matvec_budget_at_n8(graph, monkeypatch, family):
 
 def test_lambda2_respects_matvec_cap(graph, monkeypatch):
     calls = _count_matvecs(monkeypatch)
+    monkeypatch.setattr(spectra, "ITERATION_CAP", 5)
     with pytest.raises(ConvergenceError):
-        lambda2_iterative(graph("AG", 7), tol=1e-14, max_iterations=5)
+        lambda2_iterative(graph("AG", 7), tol=1e-14)
     assert len(calls) == 5
 
 
