@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Verbs: build, spectrum, gap, divisor, cut, hmin, decompose, verify.
+Verbs: build, spectrum, gap, divisor, cut, hmin, decompose, verify; one flat
+parser takes the same flags for each (``--export-edges`` is build-only).
 Reports go to standard output in text (default), JSON, or CSV; progress
 notes, if any, go to standard error.  Exit codes: 0 success / all checks
 pass, 1 verification failure, 2 usage error, 3 computational failure
@@ -52,28 +53,23 @@ class UsageError(ValueError):
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    p = argparse.ArgumentParser(
         prog="altspectra",
         description="Alternating-group Cayley graphs: build, solve, cut, verify.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in VERBS:
-        p = sub.add_parser(verb)
-        p.add_argument("--family", choices=FAMILIES, help="graph family")
-        p.add_argument("--gens", help="custom generating set in cycle notation, e.g. '(1,2,3),(1,3,2)'")
-        p.add_argument("--n", type=int, required=True, help="number of points")
-        p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-        p.add_argument("--seed", type=int, default=42, help="start-vector seed")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument(
-            "--max-order", type=int, default=DEFAULT_MAX_ORDER,
-            help=f"largest graph order to build (default {DEFAULT_MAX_ORDER}, n = 9)",
-        )
-        p.add_argument("--block", type=int, default=1, help="block value i for cuts and partitions")
-        p.add_argument("--timings", action="store_true", help="include real timings in reports")
-        if verb == "build":
-            p.add_argument("--export-edges", metavar="PATH", help="write the edge list to PATH")
-    return parser
+    p.add_argument("verb", choices=VERBS)
+    p.add_argument("--family", choices=FAMILIES, help="graph family")
+    p.add_argument("--gens", help="custom generating set in cycle notation, e.g. '(1,2,3),(1,3,2)'")
+    p.add_argument("--n", type=int, required=True, help="number of points")
+    p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
+    p.add_argument("--seed", type=int, default=42, help="Lanczos start-vector seed, non-negative")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                   help=f"largest graph order to build (default {DEFAULT_MAX_ORDER}, n = 9)")
+    p.add_argument("--block", type=int, default=1, help="block value i for cuts and partitions")
+    p.add_argument("--timings", action="store_true", help="include real timings in reports")
+    p.add_argument("--export-edges", metavar="PATH", help="build only: write the edge list to PATH")
+    return p
 
 
 def _validate(args) -> None:
@@ -81,7 +77,7 @@ def _validate(args) -> None:
         raise UsageError("--family and --gens are mutually exclusive")
     if not args.family and not args.gens:
         raise UsageError("one of --family or --gens is required")
-    if args.gens and args.verb in ("divisor", "decompose", "verify"):
+    if args.gens and args.verb in ("divisor", "cut", "decompose", "verify"):
         raise UsageError(f"{args.verb} needs a named --family, not a custom --gens set")
     if args.n < 3:
         raise UsageError(f"--n must be at least 3, got {args.n}")
@@ -91,6 +87,10 @@ def _validate(args) -> None:
         raise UsageError("--tol must be positive and finite")
     if not 1 <= args.block <= args.n:
         raise UsageError(f"--block must be in 1..{args.n}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    if args.export_edges is not None and args.verb != "build":
+        raise UsageError("--export-edges is accepted by build only")
     if args.gens:
         # Parse now so malformed notation is rejected before any build work.
         parse_generator_list(args.gens, args.n)
@@ -172,7 +172,7 @@ def emit(report: dict, fmt: str) -> str:
 
 def _run_build(args) -> tuple[dict, int]:
     G = _build(args)
-    if getattr(args, "export_edges", None):
+    if args.export_edges:
         export_edges(G, args.export_edges)
         print(f"edge list written to {args.export_edges}", file=sys.stderr)
     report = {
@@ -214,8 +214,6 @@ def _run_divisor(args) -> tuple[dict, int]:
 
 
 def _run_cut(args) -> tuple[dict, int]:
-    if not args.family:
-        raise UsageError("cut needs --family (canonical blocks are family-specific)")
     G = _build(args)
     S = _cheeger.canonical_cut(args.family, args.n, args.block)
     cr = _cheeger.cut_ratio(G, S, description=f"{args.family} canonical block {args.block}")

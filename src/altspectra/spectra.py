@@ -8,8 +8,9 @@ complement is lambda_2 whatever the sign of lambda_min (AG_4 already has
 lambda_min = -lambda_2).  Deflation is enforced by re-projecting every new
 Lanczos vector off the all-ones vector, the matrix-vector product works
 directly on the neighbor array, and no dense matrix is ever formed in this
-mode.  A result is certified by the explicit eigenpair residual of the
-returned Ritz pair.
+mode.  It starts from a SplitMix64 hash of the seed (no ``numpy.random``).
+A result is certified by the explicit eigenpair residual of the returned
+Ritz pair.
 """
 
 from __future__ import annotations
@@ -105,22 +106,33 @@ def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
     )
 
 
+def _start_vector(order: int, seed: int) -> np.ndarray:
+    """SplitMix64 (Steele et al. 2014) of seed * golden + i, top 53 bits to [-1, 1)."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    z = np.arange(order, dtype=np.uint64) + np.uint64(seed * 0x9E3779B97F4A7C15 % 2**64)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
 def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
     """Second-largest adjacency eigenvalue of a connected regular graph.
 
     Lanczos with full reorthogonalization on the complement of the all-ones
     vector, restarted from the top Ritz vector whenever the basis is full.
-    ``ITERATION_CAP`` caps the matrix-vector products over all restarts.
-    A Ritz pair is accepted only when its explicit eigenpair residual
-    ||A x - rho x|| is below tol; for a symmetric matrix that residual
-    bounds the eigenvalue error directly.  A result whose certified
-    interval (within tol) holds the degree is flagged with a warning: it
-    usually means the graph was not connected.
+    It starts from ``_start_vector(order, seed)``, centred.  ``ITERATION_CAP``
+    caps the matrix-vector products over all restarts.  A Ritz pair is
+    accepted only when its explicit eigenpair residual ||A x - rho x|| is
+    below tol; for a symmetric matrix that residual bounds the eigenvalue
+    error directly.  A result whose certified interval (within tol) holds
+    the degree is flagged with a warning: it usually means the graph was
+    not connected.
     """
     if G.order < 2:
         raise ValueError("graph must have at least two vertices")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(G.order)
+    x = _start_vector(G.order, seed)
     x -= x.mean()
     basis = np.empty((min(LANCZOS_BASIS, G.order - 1), G.order))
     matvecs = 0

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from altspectra import verify
+from altspectra import cayley, cli, verify
 from altspectra.cli import emit, main
 from altspectra.verify import CheckResult, VerificationReport
 
@@ -172,9 +172,17 @@ def test_build_export_edges(tmp_path, capsys):
         ("verify", "--family", "AG", "--n", "5", "--tol", "1e6"),  # tolerance past 1/2
         ("gap", "--family", "AG", "--n", "5", "--tol", "inf", "--format", "json"),
         ("gap", "--family", "AG", "--n", "5", "--tol", "nan"),  # not a number
+        ("gap", "--family", "AG", "--n", "5", "--seed", "-1"),  # negative seed
+        ("verify", "--family", "AG", "--n", "5", "--seed", "-3"),
+        ("verify", "--family", "AG", "--n", "5", "--export-edges", "x"),  # build only
     ],
 )
-def test_usage_errors_exit_2_before_computation(capsys, argv):
+def test_usage_errors_exit_2_before_computation(capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a usage error must be reported before any graph is built")
+
+    monkeypatch.setattr(cayley, "build_cayley", no_build)
+    monkeypatch.setattr(cli, "build_cayley", no_build)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -238,16 +246,18 @@ def test_cap_exceeded_exits_3(capsys):
 
 
 def test_verify_leaves_numpy_ma_unimported():
-    # A plain np.unique imports numpy.ma, about 17 ms of every CLI job.
+    # A plain np.unique imports numpy.ma, about 17 ms of every CLI job, and
+    # np.random.default_rng imports numpy.random with secrets, 15-22 ms more.
     script = (
         "import contextlib, io, sys\n"
         "from altspectra.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['verify', '--family', f, '--n', '5']) for f in ('AG', 'EAG', 'CAG')]\n"
-        "print(codes, 'numpy.ma' in sys.modules)\n"
+        "    codes = [main([verb, '--family', f, '--n', '5'])\n"
+        "             for verb in ('verify', 'gap') for f in ('AG', 'EAG', 'CAG')]\n"
+        "print(codes, [m for m in ('numpy.ma', 'numpy.random', 'secrets') if m in sys.modules])\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.stdout == "[0, 0, 0] False\n", result.stderr
+    assert result.stdout == "[0, 0, 0, 0, 0, 0] []\n", result.stderr
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):

@@ -200,6 +200,44 @@ def test_lambda2_deterministic_per_seed(graph):
     assert a == pytest.approx(c, abs=1e-7)
 
 
+def _splitmix64(x):
+    """Reference SplitMix64 finalizer in Python integers."""
+    x %= 2**64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB % 2**64
+    return x ^ x >> 31
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 2**63, 10**30])
+def test_start_vector_is_splitmix64_of_the_seed(seed):
+    v = spectra._start_vector(40, seed)
+    again = spectra._start_vector(40, seed)
+    assert v.tobytes() == again.tobytes()
+    assert v.min() >= -1.0 and v.max() < 1.0
+    expected = [(_splitmix64(seed * 0x9E3779B97F4A7C15 + i) >> 11) * 2.0**-52 - 1 for i in range(40)]
+    assert v.tolist() == expected
+
+
+def test_start_vectors_differ_between_seeds():
+    vectors = {spectra._start_vector(360, seed).tobytes() for seed in range(64)}
+    assert len(vectors) == 64
+
+
+def test_lambda2_rejects_a_negative_seed(graph):
+    with pytest.raises(ValueError, match="non-negative"):
+        lambda2_iterative(graph("AG", 4), seed=-1)
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_lambda2_matches_closed_form_for_every_seed(graph, family, n):
+    # A start vector with no lambda_2 component would converge, residual
+    # and all, to a lower eigenvalue; only the closed form can tell.
+    G = graph(family, n)
+    for seed in range(32):
+        assert lambda2_iterative(G, seed=seed) == pytest.approx(predicted(family, n)[1], abs=1e-8)
+
+
 def test_report_json_schema(graph):
     rep = gap_report(graph("AG", 5))
     data = json.loads(json.dumps(rep.to_dict()))
