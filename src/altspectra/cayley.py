@@ -9,6 +9,11 @@ the bijection g -> t_c*g, and the row of t_c^{-1} is its inverse.  Built
 graphs are immutable: the array is marked read-only, so a graph can be
 shared freely across threads.
 
+Every pass over the rows gathers one row at a time with ``ndarray.take``
+(:meth:`Graph.gather_sum` sums over neighbors): ``x.take(row)`` is about
+twice as fast as ``x[row]`` for an int32 row, while ``x[perms]`` fills a
+(degree, order) temporary and ``x.take(perms)`` first copies every index.
+
 A build ranks at most n-1 vertex arrays, one per star transposition (1 a),
 and assembles each generator's row from them by integer gathers: it
 writes the generator as a word of star transpositions
@@ -115,7 +120,8 @@ class Graph:
     ``perms[c, v]`` is the c-th neighbor of vertex v.  Each row is meant to
     be a bijection whose inverse is also a row (an involution is its own
     inverse); :func:`graph_invariant_violations` reports where it is not.
-    Two graphs are equal iff their arrays match entry for entry.
+    Two graphs are equal iff their arrays match entry for entry.  Passes
+    over ``perms`` go row by row, so their scratch memory is O(order).
     """
 
     perms: np.ndarray
@@ -148,17 +154,21 @@ class Graph:
         mask = nbrs > np.arange(self.order)[:, None]
         return np.column_stack([np.nonzero(mask)[0], nbrs[mask]])
 
+    def gather_sum(self, values: np.ndarray) -> np.ndarray:
+        """Neighbor sums of ``values`` on its last axis, added row by row, in its dtype."""
+        out = np.zeros((*values.shape[:-1], self.order), dtype=values.dtype)
+        for row in self.perms:
+            out += values.take(row, axis=-1)
+        return out
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ v without materializing A."""
-        v = np.asarray(v, dtype=np.float64)
-        out = np.zeros(self.order)
-        for row in self.perms:
-            out += v[row]
-        return out
+        return self.gather_sum(np.asarray(v, dtype=np.float64))
 
     def adjacency_dense(self) -> np.ndarray:
         A = np.zeros((self.order, self.order))
-        A[np.arange(self.order), self.perms] = 1.0
+        for row in self.perms:
+            A[np.arange(self.order), row] = 1.0
         return A
 
     def __eq__(self, other) -> bool:
@@ -232,7 +242,8 @@ def is_connected(G: Graph) -> bool:
     frontier = np.array([0], dtype=np.int64)
     while frontier.size:
         hit = np.zeros(order, dtype=bool)
-        hit[G.perms[:, frontier]] = True
+        for row in G.perms:
+            hit[row.take(frontier)] = True
         hit &= ~seen
         seen |= hit
         frontier = np.flatnonzero(hit)
@@ -253,7 +264,7 @@ def induced_subgraph(G: Graph, S) -> Graph:
     S = np.flatnonzero(np.bincount(S, minlength=G.order))
     new_id = np.full(G.order, -1, dtype=np.int32)
     new_id[S] = np.arange(S.size)
-    rows = new_id[G.perms[:, S]]
+    rows = np.array([new_id.take(row.take(S)) for row in G.perms], np.int32).reshape(-1, S.size)
     inside = rows >= 0
     keep = inside.all(axis=1)
     if np.any(inside.any(axis=1) & ~keep):
@@ -314,11 +325,12 @@ def graph_invariant_violations(G: Graph) -> list[str]:
     vertices = np.arange(G.order)
     if np.any(P == vertices):
         problems.append("self-loop present")
-    if np.any(np.diff(np.sort(P, axis=0), axis=0) == 0):
+    S = np.sort(P, axis=0)
+    if np.any(S[1:] == S[:-1]):
         problems.append("a vertex has a repeated neighbor")
     # Each row's reverse arcs must all lie in the row that takes row[0] back
     # to 0; with no repeated neighbors that makes the adjacency symmetric.
-    if not all(np.array_equal(P[np.argmax(P[:, row[0]] == 0)][row], vertices) for row in P):
+    if not all(np.array_equal(P[np.argmax(P[:, row[0]] == 0)].take(row), vertices) for row in P):
         problems.append("adjacency is not symmetric")
     return problems
 

@@ -141,25 +141,30 @@ def blocks_Xij(n: int, *, i: int | None = None, j: int | None = None) -> VertexP
 def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWitness:
     """Divisor matrix when P is equitable, else the first counterexample.
 
-    The counterexample is found by scanning vertices in ascending order and
-    comparing each vertex's per-block neighbor counts against the lowest
-    vertex of its own block; ties on the vertex break by the lowest target
-    block.
+    A vertex's count of neighbors in block t is one base-(degree+1) digit
+    of an int64 code summed by :meth:`Graph.gather_sum`, with more codes
+    when the blocks overflow 62 bits.  The counterexample is the lowest
+    vertex whose codes differ from the lowest vertex of its own block; ties
+    on the vertex break by the lowest target block.
     """
     block_of = P.block_of
     if block_of.size != G.order:
         raise ValueError(f"partition labels {block_of.size} vertices, graph has {G.order}")
-    nbr_blocks = block_of[G.perms]
-    counts = np.stack([(nbr_blocks == b).sum(axis=0, dtype=np.int32) for b in range(P.k)], axis=1)
+    base = G.degree + 1
+    per_code = max(b for b in range(1, 63) if base**b <= 2**62)
+    digit, power = np.divmod(np.arange(P.k, dtype=np.int64), per_code)
+    place = base**power
+    code, weight = digit.take(block_of), place.take(block_of)
+    codes = np.stack([G.gather_sum(np.where(code == q, weight, 0)) for q in range(digit[-1] + 1)])
     _, lowest = np.unique(block_of, return_index=True)
-    reference = counts[lowest]
-    diff = counts != reference[block_of]
-    bad = np.flatnonzero(diff.any(axis=1))
+    reference = (codes[:, lowest][digit] // place[:, None] % base).T
+    bad = np.flatnonzero((codes != codes[:, lowest.take(block_of)]).any(axis=0))
     if bad.size:
         v = int(bad[0])
         bi = int(block_of[v])
-        tj = int(np.argmax(diff[v]))
         u = int(lowest[bi])
+        count_v = codes[digit, v] // place % base
+        tj = int(np.argmax(reference[bi] != count_v))
         return EquitableWitness(
             block_index=bi,
             block_label=P.labels[bi],
@@ -167,10 +172,10 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
             target_label=P.labels[tj],
             vertex_a=u,
             vertex_b=v,
-            count_a=int(counts[u, tj]),
-            count_b=int(counts[v, tj]),
+            count_a=int(reference[bi, tj]),
+            count_b=int(count_v[tj]),
         )
-    return DivisorMatrix(entries=reference.astype(np.int64))
+    return DivisorMatrix(entries=reference)
 
 
 def divisor_closed_form(family: str, n: int) -> DivisorMatrix:

@@ -295,7 +295,7 @@ def certify_spectrum(G: CayleyGraph, spectrum: dict[int, int]) -> dict[str, bool
     left_invariant = True
     for cycle in ([1, 2, 3], range(2 - n % 2, n + 1)):
         right = alternating_ranks(np.array([0, *from_cycle(n, cycle).images])[verts])
-        left_invariant &= bool(np.array_equal(G.perms[:, right], right[G.perms]))
+        left_invariant &= all(np.array_equal(row.take(right), right.take(row)) for row in G.perms)
     poly = [1]  # coefficients of prod (x - theta), constant term first
     for theta in spectrum:
         poly = [a - theta * b for a, b in zip([0, *poly], [*poly, 0])]
@@ -312,7 +312,7 @@ def certify_spectrum(G: CayleyGraph, spectrum: dict[int, int]) -> dict[str, bool
         killed = (killed + u * np.array([[c % p] for p in primes])) % mods
         if k < m:
             walks.append(u[:, 0].tolist())
-            u = sum(np.take(u, row, axis=1) for row in G.perms) % mods
+            u = G.gather_sum(u) % mods
     M = prod(primes)  # Chinese remainder lift of each closed-walk count
     lift = [M // p * pow(M // p, -1, p) for p in primes]
     walks = [N * (sum(r * x for r, x in zip(w, lift)) % M) for w in walks]

@@ -143,8 +143,8 @@ def check_matchings(n: int, i: int, cache=None) -> CheckResult:
         block_of = blocks_AG(n, i).block_of
         x = np.flatnonzero(block_of == 0)
         expected_size = x.size
-        rows = G.perms[:, x].T
-        row_blocks = block_of[rows]
+        rows = np.stack([row.take(x) for row in G.perms], axis=1)
+        row_blocks = block_of.take(rows)
         problems = []
         sizes = []
         for label, other in (("Y", 1), ("Z", 2)):
@@ -199,14 +199,19 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
         G = cache.get(family, n)
         spanning = cache.get("AG" if family == "EAG" else "EAG", n)
         label = block_labels(family, n)
-        inside = label[G.perms] == label
-        arcs = np.bincount(label, weights=np.count_nonzero(inside, axis=0), minlength=n + 1)
+        inside_count = np.zeros(G.order, dtype=np.int64)
+        row_any, row_all = np.zeros((2, G.degree), dtype=bool)
+        for c, row in enumerate(G.perms):
+            inside = label.take(row) == label
+            inside_count += inside
+            row_any[c], row_all[c] = inside.any(), inside.all()
+        arcs = np.bincount(label, weights=inside_count, minlength=n + 1)
         block_edges = [int(a) // 2 for a in arcs[1:]]
         match = np.argmax(spanning.perms[:, :1] == G.perms[:, 0], axis=1)
-        equal = np.all(G.perms[match] == spanning.perms, axis=1)
+        equal = np.array([np.array_equal(G.perms[m], row) for m, row in zip(match, spanning.perms)])
         matched = np.isin(np.arange(G.degree), match[equal])
-        disjoint = not inside[matched].any()
-        union_equals_total = bool(equal.all() and np.all(matched | inside.all(axis=1)))
+        disjoint = not row_any[matched].any()
+        union_equals_total = bool(equal.all() and np.all(matched | row_all))
         observed = {
             "total_edges": G.edge_count,
             "spanning_subgraph_edges": spanning.edge_count,
@@ -251,7 +256,7 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
         block, image = phi_isomorphism(n, i, family)
         rename = np.full(G.order, -1, dtype=np.int32)
         rename[block] = image
-        rows = rename[G.perms[:, block]]
+        rows = np.stack([rename.take(row.take(block)) for row in G.perms])
         inside = rows >= 0
         mapped = rows[inside.any(axis=1)][:, np.argsort(image)]
         mapped = mapped[np.argsort(mapped[:, 0])]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from altspectra.cayley import (
     is_connected,
     phi_isomorphism,
 )
-from altspectra.cheeger import canonical_cut
+from altspectra.cheeger import boundary_size, canonical_cut
 from altspectra.errors import OrderCapError
-from altspectra.partition import blocks_AG, blocks_Xij
+from altspectra.partition import blocks_AG, blocks_Xij, check_equitable
 from altspectra.perm import (
     alternating_images,
     alternating_order,
@@ -32,6 +33,8 @@ from altspectra.perm import (
     rank,
     unrank,
 )
+from altspectra.spectra import certify_spectrum, exact_spectrum
+from altspectra.verify import _GraphCache, check_edge_decomposition
 
 
 def reference_rows(n, gens):
@@ -329,3 +332,42 @@ def test_graph_equality_is_canonical(graph):
     a = build_family("AG", 4)
     assert a == graph("AG", 4)
     assert a != graph("EAG", 4)
+
+
+# Scratch-memory budget of each pass over CAG_7 (degree 70, order 2,520), as
+# a fraction of its rows' own size, degree * order * 4 bytes.  Gathering one
+# row at a time keeps the passes far below it; a whole-array gather of the
+# rows, or an intp copy of them, does not fit.
+ROW_PASS_BUDGETS = {
+    "matvec": 0.5,
+    "is_connected": 0.5,
+    "boundary_size": 0.5,
+    "check_edge_decomposition": 0.5,
+    "check_equitable": 1.0,
+    "certify_spectrum": 1.0,
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_PASS_BUDGETS))
+def test_row_passes_stay_below_the_rows_size(name):
+    cache = _GraphCache()  # the edge decomposition reads CAG_7 and EAG_7 from it
+    G = cache.get("CAG", 7)
+    cache.get("EAG", 7)
+    v, S, P = np.ones(G.order), canonical_cut("CAG", 7), blocks_Xij(7, i=1)
+    spectrum = exact_spectrum("CAG", 7)
+    run = {
+        "matvec": lambda: G.matvec(v),
+        "is_connected": lambda: is_connected(G),
+        "boundary_size": lambda: boundary_size(G, S),
+        "check_edge_decomposition": lambda: check_edge_decomposition("CAG", 7, cache),
+        "check_equitable": lambda: check_equitable(G, P),
+        "certify_spectrum": lambda: certify_spectrum(G, spectrum),
+    }[name]
+    run()  # warm the enumeration cache, which is not part of the pass
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ROW_PASS_BUDGETS[name] * G.degree * G.order * 4

@@ -15,7 +15,7 @@ from altspectra.partition import (
     divisor_spectrum,
 )
 from altspectra.cayley import block_labels
-from altspectra.perm import identity, rank, unrank
+from altspectra.perm import alternating_images, identity, rank, unrank
 from altspectra.spectra import dense_spectrum
 
 
@@ -118,6 +118,99 @@ def test_equitable_equals_closed_form_for_every_block_value(graph, family, n):
         B = check_equitable(G, P)
         assert isinstance(B, DivisorMatrix)
         assert np.array_equal(B.entries, expected)
+
+
+def reference_equitable(G, P):
+    """Divisor matrix or witness from plain per-block neighbor counts."""
+    nbr_blocks = P.block_of[G.perms]
+    counts = np.stack([(nbr_blocks == b).sum(axis=0) for b in range(P.k)], axis=1)
+    _, lowest = np.unique(P.block_of, return_index=True)
+    diff = counts != counts[lowest][P.block_of]
+    bad = np.flatnonzero(diff.any(axis=1))
+    if not bad.size:
+        return DivisorMatrix(entries=counts[lowest].astype(np.int64))
+    v = int(bad[0])
+    bi = int(P.block_of[v])
+    tj = int(np.argmax(diff[v]))
+    u = int(lowest[bi])
+    return EquitableWitness(
+        block_index=bi,
+        block_label=P.labels[bi],
+        target_index=tj,
+        target_label=P.labels[tj],
+        vertex_a=u,
+        vertex_b=v,
+        count_a=int(counts[u, tj]),
+        count_b=int(counts[v, tj]),
+    )
+
+
+def assert_same_result(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, DivisorMatrix):
+        assert got.entries.dtype == np.int64
+        assert np.array_equal(got.entries, want.entries)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_check_equitable_matches_per_block_counts(graph, family, n):
+    G = graph(family, n)
+    partitions = [blocks_AG(n, i) for i in (1, 2, n)]
+    partitions += [blocks_Xij(n, i=i) for i in (1, 2, n)]
+    partitions += [blocks_Xij(n, j=j) for j in (1, 2, n)]
+    witnesses = 0
+    for P in partitions:
+        got, want = check_equitable(G, P), reference_equitable(G, P)
+        assert_same_result(got, want)
+        witnesses += isinstance(want, EquitableWitness)
+    # CAG's generating set is closed under conjugation, so all nine are
+    # equitable; AG and EAG each have a position partition that is not.
+    assert bool(witnesses) == (family != "CAG")
+
+
+def first_two_values_partition(n):
+    """Blocks by the pair (g_1, g_2): n(n-1) blocks, numbered without gaps."""
+    images = alternating_images(n).astype(np.int64) - 1
+    first, second = images[:, 0], images[:, 1]
+    block_of = first * (n - 1) + second - (second > first)
+    labels = tuple(f"({a},{b})" for a in range(1, n + 1) for b in range(1, n + 1) if a != b)
+    return VertexPartition(block_of=block_of, labels=labels)
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_check_equitable_with_several_codes(graph, family):
+    G = graph(family, 7)
+    P = first_two_values_partition(7)
+    assert P.k == 42
+    got, want = check_equitable(G, P), reference_equitable(G, P)
+    assert_same_result(got, want)
+    if family == "CAG":  # base 71 packs 10 blocks per 62-bit code: 42 blocks take 5
+        assert isinstance(got, DivisorMatrix)
+
+
+def test_check_equitable_witness_in_a_later_code(graph):
+    G = graph("CAG", 7)
+    block_of = first_two_values_partition(7).block_of.copy()
+    # Move one vertex of block 41 (g_1, g_2 = 7, 6) into block 40: counts
+    # toward blocks 40 and 41, both in the fifth code, change.
+    v = int(np.flatnonzero(block_of == 41)[1])
+    block_of[v] = 40
+    P = VertexPartition(block_of=block_of, labels=first_two_values_partition(7).labels)
+    got = check_equitable(G, P)
+    assert isinstance(got, EquitableWitness) and got.target_index in (40, 41)
+    assert_same_result(got, reference_equitable(G, P))
+
+
+@pytest.mark.parametrize("family", ["EAG", "CAG"])
+def test_check_equitable_powers_do_not_wrap_at_n8(graph, family):
+    # Base 43 (EAG_8) and 113 (CAG_8) put the top digit of 8 blocks past
+    # 2^31, so the place values must be int64.
+    B = check_equitable(graph(family, 8), blocks_Xij(8, i=1))
+    assert isinstance(B, DivisorMatrix)
+    assert np.array_equal(B.entries, divisor_closed_form(family, 8).entries)
 
 
 def test_unbalanced_split_yields_witness(graph):
