@@ -322,11 +322,11 @@ def graph_invariant_violations(G: Graph) -> list[str]:
     if P.size and (P.min() < 0 or P.max() >= G.order):
         problems.append("neighbor index out of range")
         return problems
-    vertices = np.arange(G.order)
-    if np.any(P == vertices):
+    vertices = np.arange(G.order, dtype=P.dtype)
+    if any((row == vertices).any() for row in P):
         problems.append("self-loop present")
     S = np.sort(P, axis=0)
-    if np.any(S[1:] == S[:-1]):
+    if any((above == below).any() for above, below in zip(S[1:], S)):
         problems.append("a vertex has a repeated neighbor")
     # Each row's reverse arcs must all lie in the row that takes row[0] back
     # to 0; with no repeated neighbors that makes the adjacency symmetric.

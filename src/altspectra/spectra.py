@@ -1,5 +1,5 @@
-"""Adjacency spectra: closed forms and exact spectra of the families with an
-integer certificate, dense solves, and iterative second eigenvalues.
+"""Adjacency spectra: closed forms, exact spectra certified on an equitable
+quotient in Python ints, dense solves and iterative second eigenvalues.
 
 The iterative solver is Lanczos with full reorthogonalization on the
 complement of the all-ones vector.  For a connected regular graph the
@@ -18,12 +18,13 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
 from .cayley import FAMILIES, CayleyGraph, Graph, is_connected
 from .errors import ConvergenceError, OrderCapError
+from .partition import DivisorMatrix, VertexPartition, check_equitable
 from .perm import alternating_images, alternating_ranks, from_cycle
 
 # Fixed work caps: A_n orders jump 2,520 -> 20,160 (3.25 GB as a dense matrix).
@@ -287,38 +288,37 @@ def certify_spectrum(G: CayleyGraph, spectrum: dict[int, int]) -> dict[str, bool
     ``left_invariant``: each row commutes with right translation by (1 2 3)
     and (1 2 ... n) (odd n) or (2 3 ... n) (even n), generators of A_n, so
     p(A) e_0 = 0 gives p(A) = 0.  ``annihilated``: prod (A - theta) e_0 = 0.
-    ``moments_match``: N (A^k)_00 = sum m theta^k for k < m.  A^k e_0 runs
-    in int64 modulo primes whose product exceeds twice every bound.
+    ``moments_match``: N (A^k)_00 = sum m theta^k for k < m.  Colour
+    refinement of {{0}, rest}, keyed by hashed block weights, finds an
+    equitable partition; :func:`check_equitable` certifies it and gives
+    its divisor matrix B, and {0} must be a block.  Then A C = C B (C the
+    characteristic matrix), so A^k e_0 = C B^k e_[0], run in Python ints.
     """
-    N, d, m, n = G.order, G.degree, len(spectrum), G.n
+    N, n = G.order, G.n
     verts = alternating_images(n)
     left_invariant = True
     for cycle in ([1, 2, 3], range(2 - n % 2, n + 1)):
         right = alternating_ranks(np.array([0, *from_cycle(n, cycle).images])[verts])
         left_invariant &= all(np.array_equal(row.take(right), right.take(row)) for row in G.perms)
-    poly = [1]  # coefficients of prod (x - theta), constant term first
-    for theta in spectrum:
-        poly = [a - theta * b for a, b in zip([0, *poly], [*poly, 0])]
-    bound = 2 * max(prod(d + abs(theta) for theta in spectrum), N * d ** (m - 1))
-    odd, primes = np.arange(3, isqrt(2**31) + 1, 2), [2**31 - 1]
-    while prod(primes) <= bound:
-        primes.append(next(p for p in range(primes[-1] - 2, 0, -2) if np.all(p % odd)))
-    assert max(d, primes[0]) * primes[0] < 2**63  # row sums and products of residues
-    mods = np.array(primes)[:, None]
-    u = np.zeros((len(primes), N), dtype=np.int64)
-    u[:, 0] = 1
-    killed, walks = np.zeros_like(u), []
-    for k, c in enumerate(poly):
-        killed = (killed + u * np.array([[c % p] for p in primes])) % mods
-        if k < m:
-            walks.append(u[:, 0].tolist())
-            u = G.gather_sum(u) % mods
-    M = prod(primes)  # Chinese remainder lift of each closed-walk count
-    lift = [M // p * pow(M // p, -1, p) for p in primes]
-    walks = [N * (sum(r * x for r, x in zip(w, lift)) % M) for w in walks]
-    moments = [sum(x * theta**k for theta, x in spectrum.items()) for k in range(m)]
+    block_of, k = np.minimum(np.arange(N), 1), 2
+    while True:  # own-block and neighbour weights are drawn apart, so the two cannot trade
+        weight = (_start_vector(2 * k, k) * 2**51).astype(np.int64)
+        key = weight[k:].take(block_of) + G.gather_sum(weight[:k].take(block_of))
+        keys, block_of = np.unique(key, return_inverse=True)
+        if keys.size <= k:
+            break
+        k = keys.size
+    B = check_equitable(G, VertexPartition(block_of, tuple(map(str, range(keys.size)))))
+    if not isinstance(B, DivisorMatrix) or np.count_nonzero(block_of == block_of[0]) > 1:
+        return {"left_invariant": left_invariant, "annihilated": False, "moments_match": False}
+    B, e = B.entries.astype(object), block_of[0]
+    killed = walk = np.eye(len(B), dtype=object)[e]
+    moments_match = True
+    for power, theta in enumerate(spectrum):
+        moments_match &= N * walk[e] == sum(x * t**power for t, x in spectrum.items())
+        killed, walk = B @ killed - theta * killed, B @ walk
     return {"left_invariant": left_invariant, "annihilated": not killed.any(),
-            "moments_match": walks == moments}
+            "moments_match": moments_match}
 
 
 def integrality_check(report: SpectrumReport, tol: float = 1e-8) -> tuple[bool, float]:

@@ -337,7 +337,8 @@ def test_graph_equality_is_canonical(graph):
 # Scratch-memory budget of each pass over CAG_7 (degree 70, order 2,520), as
 # a fraction of its rows' own size, degree * order * 4 bytes.  Gathering one
 # row at a time keeps the passes far below it; a whole-array gather of the
-# rows, or an intp copy of them, does not fit.
+# rows, or an intp copy of them, does not fit.  The invariant check keeps
+# one sorted copy of the rows and compares them row by row.
 ROW_PASS_BUDGETS = {
     "matvec": 0.5,
     "is_connected": 0.5,
@@ -345,6 +346,7 @@ ROW_PASS_BUDGETS = {
     "check_edge_decomposition": 0.5,
     "check_equitable": 1.0,
     "certify_spectrum": 1.0,
+    "graph_invariant_violations": 1.2,
 }
 
 
@@ -362,6 +364,7 @@ def test_row_passes_stay_below_the_rows_size(name):
         "check_edge_decomposition": lambda: check_edge_decomposition("CAG", 7, cache),
         "check_equitable": lambda: check_equitable(G, P),
         "certify_spectrum": lambda: certify_spectrum(G, spectrum),
+        "graph_invariant_violations": lambda: graph_invariant_violations(G),
     }[name]
     run()  # warm the enumeration cache, which is not part of the pass
     tracemalloc.start()

@@ -6,9 +6,10 @@ from math import factorial, lcm, prod
 import numpy as np
 import pytest
 
-from altspectra.cayley import CayleyGraph, Graph, build_cayley, custom_generating_set
+from altspectra.cayley import CayleyGraph, Graph, build_cayley, build_family, custom_generating_set
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
+from altspectra.partition import EquitableWitness
 from altspectra import spectra
 from altspectra.perm import from_cycle
 from test_verify import _swap_arcs
@@ -331,6 +332,15 @@ def test_certify_spectrum_passes(graph, family, n):
     assert certificate == {"left_invariant": True, "annihilated": True, "moments_match": True}
 
 
+def test_certify_spectrum_passes_beyond_int64():
+    # AG_9's highest compared moment needs 68 bits: int64 walk counts would
+    # wrap there, while every moment up to n = 8 fits in 62 bits.
+    spectrum = exact_spectrum("AG", 9)
+    assert sum(m * theta ** (len(spectrum) - 1) for theta, m in spectrum.items()) > 2**63
+    certificate = certify_spectrum(build_family("AG", 9), spectrum)
+    assert certificate == {"left_invariant": True, "annihilated": True, "moments_match": True}
+
+
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
 def test_certify_spectrum_fails_without_one_eigenvalue(graph, family):
     spectrum = exact_spectrum(family, 5)
@@ -362,6 +372,23 @@ def test_certify_spectrum_checks_the_top_moment(graph, family):
     moved = {t: spectrum[t] + int(w * scale) for t, w in zip(thetas, weights)}
     certificate = certify_spectrum(graph(family, 5), moved)
     assert certificate == {"left_invariant": True, "annihilated": True, "moments_match": False}
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_certify_spectrum_fails_when_the_weights_cannot_split(graph, family, monkeypatch):
+    # Equal weights merge every vertex into one block: that partition is
+    # equitable, but without {0} as a block it proves nothing about e_0.
+    monkeypatch.setattr(spectra, "_start_vector", lambda order, seed: np.zeros(order))
+    certificate = certify_spectrum(graph(family, 5), exact_spectrum(family, 5))
+    assert certificate == {"left_invariant": True, "annihilated": False, "moments_match": False}
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_certify_spectrum_fails_on_an_unequitable_partition(graph, family, monkeypatch):
+    witness = EquitableWitness(0, "0", 0, "0", 0, 1, 0, 1)
+    monkeypatch.setattr(spectra, "check_equitable", lambda G, P: witness)
+    certificate = certify_spectrum(graph(family, 5), exact_spectrum(family, 5))
+    assert certificate == {"left_invariant": True, "annihilated": False, "moments_match": False}
 
 
 def test_certify_spectrum_fails_on_swapped_arcs(graph):
