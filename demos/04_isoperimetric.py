@@ -4,7 +4,7 @@
 Cutting along a defining block gives ratios 2, 2n-4 and n^2-3n+2 for the
 three families, which are the upper bounds; the algebraic connectivity
 halved is the lower bound.  On orders small enough to enumerate, the exact
-minimum is computed by Gray-code exhaustion over all proper subsets.
+minimum is computed by exhaustion over all proper subsets.
 """
 
 from altspectra import (

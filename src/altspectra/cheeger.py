@@ -51,20 +51,23 @@ def _subset_mask(G: Graph, S) -> np.ndarray:
     return mask
 
 
-def _mask_boundary(G: Graph, mask: np.ndarray) -> int:
-    """Arcs out of the masked vertices: their degrees minus their neighbors inside."""
-    return int(G.degree * np.count_nonzero(mask) - G.gather_sum(mask.astype(np.int32))[mask].sum())
+def _mask_boundary(G: Graph, masks: np.ndarray) -> np.ndarray:
+    """Arcs out of each 0/1 mask on the last axis: its degrees minus its
+    neighbors inside, counted in the smallest signed type that holds the
+    degree."""
+    masks = masks.astype(np.min_scalar_type(-1 - G.degree), copy=False)
+    return G.degree * masks.sum(-1) - (G.gather_sum(masks) * masks).sum(-1)
 
 
 def boundary_size(G: Graph, S) -> int:
     """Number of edges with exactly one endpoint in S."""
-    return _mask_boundary(G, _subset_mask(G, S))
+    return int(_mask_boundary(G, _subset_mask(G, S)))
 
 
 def cut_ratio(G: Graph, S, description: str = "subset") -> CutReport:
     mask = _subset_mask(G, S)
     size = int(mask.sum())
-    boundary = _mask_boundary(G, mask)
+    boundary = int(_mask_boundary(G, mask))
     return CutReport(
         subset_size=size,
         boundary=boundary,
@@ -126,66 +129,27 @@ def corollary_bounds(family: str, n: int) -> tuple[Fraction, Fraction]:
 def brute_force_h(G: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact isoperimetric number by exhaustion, with a minimizing subset.
 
-    Enumerates every subset containing vertex 0 (each {S, complement} pair
-    has exactly one such representative) in Gray-code order so each step
-    updates the boundary in O(degree).  Ties break toward the subset whose
-    sorted index tuple is lexicographically least; that subset always
-    contains vertex 0, so the representative is also the lex-least member
-    of its pair.
+    Evaluates the boundary of every proper subset containing vertex 0 (each
+    {S, complement} pair has exactly one such representative) in one batched
+    pass.  Ties break toward the subset whose sorted index tuple is
+    lexicographically least; that subset always contains vertex 0, so the
+    representative is also the lex-least member of its pair.
     """
     order = G.order
     if order > BRUTE_ORDER_CAP:
         raise OrderCapError(f"order {order} above the fixed brute-force cap {BRUTE_ORDER_CAP}")
     if order < 2:
         raise ValueError("isoperimetric number needs at least two vertices")
-    degree = G.degree
-    nbr_mask = [0] * order
-    for v in range(order):
-        m = 0
-        for u in G.perms[:, v]:
-            m |= 1 << int(u)
-        nbr_mask[v] = m
-
-    smask = 1  # vertex 0 always in
-    boundary = degree
-    best: Fraction | None = None
-    best_witness: tuple[int, ...] = ()
-
-    def consider(mask: int, bnd: int):
-        nonlocal best, best_witness
-        size = mask.bit_count()
-        ratio = Fraction(bnd, min(size, order - size))
-        if best is None or ratio < best:
-            best = ratio
-            best_witness = _mask_to_tuple(mask)
-        elif ratio == best:
-            w = _mask_to_tuple(mask)
-            if w < best_witness:
-                best_witness = w
-
-    consider(smask, boundary)
-    for m in range(1, 1 << (order - 1)):
-        v = (m & -m).bit_length()  # flip vertex = trailing-zero count + 1
-        bit = 1 << v
-        if smask & bit:
-            smask ^= bit
-            boundary -= degree - 2 * (nbr_mask[v] & smask).bit_count()
-        else:
-            boundary += degree - 2 * (nbr_mask[v] & smask).bit_count()
-            smask ^= bit
-        if smask.bit_count() == order:
-            continue
-        consider(smask, boundary)
-    assert best is not None
-    return best, best_witness
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    # Row r holds vertex 0 and the binary digits of r on vertices 1.., the
+    # last row (every vertex) dropped; int8 keeps the rows at order bytes each.
+    masks = np.ones((2 ** (order - 1) - 1, order), dtype=np.int8)
+    masks[:, 1:] = np.indices((2,) * (order - 1), dtype=np.int8).reshape(order - 1, -1).T[:-1]
+    boundary = _mask_boundary(G, masks)
+    size = masks.sum(-1)
+    side = np.minimum(size, order - size)
+    h = min(Fraction(int(boundary[side == d].min()), d) for d in range(1, order // 2 + 1))
+    ties = masks[boundary * h.denominator == h.numerator * side] == 1
+    members = np.sort(np.where(ties, np.arange(order), order), axis=-1)
+    members[members == order] = -1  # a tuple's proper prefix sorts before it
+    witness = members[np.lexsort(members.T[::-1])[0]]
+    return h, tuple(witness[witness >= 0].tolist())

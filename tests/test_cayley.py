@@ -334,6 +334,16 @@ def test_graph_equality_is_canonical(graph):
     assert a != graph("EAG", 4)
 
 
+@pytest.mark.parametrize("family", ["AG", "CAG"])
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_gather_sum_on_a_batch_matches_row_by_row(graph, family, dtype):
+    G = graph(family, 5)
+    X = np.random.default_rng(3).integers(0, 2, size=(7, G.order)).astype(dtype)
+    out = G.gather_sum(X)
+    assert out.dtype == dtype
+    assert np.array_equal(out, np.stack([G.gather_sum(x) for x in X]))
+
+
 # Scratch-memory budget of each pass over CAG_7 (degree 70, order 2,520), as
 # a fraction of its rows' own size, degree * order * 4 bytes.  Gathering one
 # row at a time keeps the passes far below it; a whole-array gather of the

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from altspectra.cayley import block_labels
+from altspectra.cayley import Graph, block_labels
 from altspectra.cheeger import (
     boundary_size,
     brute_force_h,
@@ -17,6 +18,11 @@ from altspectra.cheeger import (
 )
 from altspectra.errors import OrderCapError
 from altspectra.spectra import dense_spectrum
+
+
+def _circulant(order, *steps):
+    v = np.arange(order)
+    return Graph(perms=np.array([(v + s) % order for t in steps for s in (t, -t)], dtype=np.int32))
 
 
 def _boundary_via_edge_filter(G, S):
@@ -126,18 +132,39 @@ def test_brute_force_AG4_frozen_value(graph):
     assert Fraction(1) <= h <= Fraction(2)
 
 
-def test_brute_force_matches_plain_enumeration(graph):
-    G = graph("AG", 4)
+HAND_MADE = {
+    "C10(1,3)": _circulant(10, 1, 3),
+    "C13(1,5)": _circulant(13, 1, 5),
+    # A 4-cycle whose edges 0-1 and 2-3 are doubled.
+    "C4 doubled": Graph(perms=np.array([[1, 2, 3, 0], [3, 0, 1, 2], [1, 0, 3, 2]], dtype=np.int32)),
+    # Degree 128: a neighbor count of 128 leaves int8.
+    "matching x128": Graph(perms=np.tile(np.array([1, 0, 3, 2], dtype=np.int32), (128, 1))),
+}
+
+
+def _graph(graph, name):
+    if name in HAND_MADE:
+        return HAND_MADE[name]
+    family, n = name.split("_")
+    return graph(family, int(n))
+
+
+@pytest.mark.parametrize("name", ["AG_4", "EAG_4", "CAG_4", "C10(1,3)", "C13(1,5)"])
+def test_brute_force_matches_plain_enumeration(graph, name):
+    """Every subset holding vertex 0, one per {S, complement} pair; ties go
+    to the lexicographically least sorted tuple."""
+    G = _graph(graph, name)
     edges = [tuple(map(int, e)) for e in G.edges_array()]
     best = None
-    for size in range(1, G.order // 2 + 1):
-        for S in combinations(range(G.order), size):
+    for size in range(1, G.order):
+        for rest in combinations(range(1, G.order), size - 1):
+            S = (0, *rest)
             inside = set(S)
             bnd = sum(1 for u, v in edges if (u in inside) != (v in inside))
-            r = Fraction(bnd, min(size, G.order - size))
-            if best is None or r < best:
-                best = r
-    assert brute_force_h(G)[0] == best
+            candidate = (Fraction(bnd, min(size, G.order - size)), S)
+            if best is None or candidate < best:
+                best = candidate
+    assert brute_force_h(G) == best
 
 
 def test_brute_force_cap(graph):
@@ -145,11 +172,32 @@ def test_brute_force_cap(graph):
         brute_force_h(graph("AG", 5))
 
 
-def test_brute_force_witness_boundary_consistent(graph):
-    G = graph("EAG", 4)
+def test_brute_force_memory_at_the_cap():
+    G = _circulant(20, 1, 9)
+    tracemalloc.start()
+    try:
+        brute_force_h(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6  # one (2^19, 20) int64 temporary alone is 84 MB
+
+
+WITNESSES = {
+    "EAG_4": (Fraction(8, 3), (0, 1, 3, 4, 6, 9)),
+    "C4 doubled": (Fraction(1), (0, 1)),
+    "matching x128": (Fraction(0), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESSES))
+def test_brute_force_witness_boundary_consistent(graph, name):
+    G = _graph(graph, name)
     h, witness = brute_force_h(G)
     size = len(witness)
     assert Fraction(boundary_size(G, list(witness)), min(size, G.order - size)) == h
+    assert cut_ratio(G, list(witness)).ratio == h
+    assert (h, witness) == WITNESSES[name]
 
 
 @pytest.mark.parametrize(
