@@ -19,11 +19,12 @@ and assembles each generator's row from them by integer gathers: it
 writes the generator as a word of star transpositions
 (:func:`altspectra.perm.star_word`) and follows the word's rows.
 
-Three generating families are provided:
+Three generating families are provided, each the 3-cycles that move
+every point the family pins (:data:`PINNED_POINTS`):
 
-- T1: the 3-cycles (1,2,i) and (1,i,2) for 3 <= i <= n,
-- T2: the 3-cycles through the point 1,
-- T3: all 3-cycles.
+- T1 pins 1 and 2: the 3-cycles (1,2,i) and (1,i,2) for 3 <= i <= n,
+- T2 pins 1: the 3-cycles through the point 1,
+- T3 pins nothing: all 3-cycles.
 
 The resulting graphs are called AG_n, EAG_n and CAG_n respectively.
 """
@@ -31,6 +32,7 @@ The resulting graphs are called AG_n, EAG_n and CAG_n respectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -50,6 +52,8 @@ from .perm import (
 FAMILIES = ("AG", "EAG", "CAG")
 FAMILY_TO_TAG = {"AG": "T1", "EAG": "T2", "CAG": "T3"}
 TAG_TO_FAMILY = {v: k for k, v in FAMILY_TO_TAG.items()}
+# The points every 3-cycle of a generating family moves.
+PINNED_POINTS = {"T1": (1, 2), "T2": (1,), "T3": ()}
 
 # 9!/2: the largest graph order built unless max_order (--max-order) is raised.
 DEFAULT_MAX_ORDER = 181_440
@@ -85,27 +89,20 @@ class GeneratingSet:
 
 
 def generating_set(family: str, n: int) -> GeneratingSet:
-    """The T1 / T2 / T3 generating set on {1..n}."""
+    """The T1 / T2 / T3 generating set on {1..n}: each 3-cycle (*p, *rest)
+    and then its inverse, for p the pinned points (a prefix of 1..n) and
+    ``rest`` running over the combinations of the later points."""
     if n < 3:
         raise ValueError(f"generating sets need n >= 3, got {n}")
-    elements: list[Permutation] = []
-    if family == "T1":
-        for i in range(3, n + 1):
-            elements.append(from_cycle(n, [1, 2, i]))
-            elements.append(from_cycle(n, [1, i, 2]))
-    elif family == "T2":
-        for i in range(2, n + 1):
-            for j in range(i + 1, n + 1):
-                elements.append(from_cycle(n, [1, i, j]))
-                elements.append(from_cycle(n, [1, j, i]))
-    elif family == "T3":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    elements.append(from_cycle(n, [i, j, k]))
-                    elements.append(from_cycle(n, [i, k, j]))
-    else:
+    if family not in PINNED_POINTS:
         raise ValueError(f"unknown generating family {family!r} (expected T1, T2 or T3)")
+    p = PINNED_POINTS[family]
+    elements = [
+        from_cycle(n, cycle)
+        for rest in combinations(range(len(p) + 1, n + 1), 3 - len(p))
+        for a, b, c in [(*p, *rest)]
+        for cycle in ((a, b, c), (a, c, b))
+    ]
     return GeneratingSet(n=n, elements=tuple(elements), family_tag=family)
 
 
@@ -335,14 +332,14 @@ def graph_invariant_violations(G: Graph) -> list[str]:
     return problems
 
 
-def export_edges(G: Graph, path, family: str = "custom", n: int | None = None) -> None:
+def export_edges(G: Graph, path) -> None:
     """Write the edge list: header comment, then one ``u v`` pair per line.
 
-    Vertices are 0-based ranks, u < v, LF line endings.
+    Vertices are 0-based ranks, u < v, LF line endings.  A graph that is not
+    a :class:`CayleyGraph` gets ``family=custom n=None``.
     """
-    if isinstance(G, CayleyGraph):
-        family = G.family_tag
-        n = G.n
+    family = getattr(G, "family_tag", "custom")
+    n = getattr(G, "n", None)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# family={family} n={n} order={G.order} degree={G.degree}\n")
         for u, v in G.edges_array():

@@ -4,8 +4,8 @@ Verbs: build, spectrum, gap, divisor, cut, hmin, decompose, verify; one flat
 parser takes the same flags for each (``--export-edges`` is build-only).
 Reports go to standard output in text (default), JSON, or CSV; progress
 notes, if any, go to standard error.  Exit codes: 0 success / all checks
-pass, 1 verification failure, 2 usage error, 3 computational failure
-(non-convergence or a size cap was hit).
+pass, 1 verification failure, 2 usage error or unwritable edge file, 3
+computational failure (non-convergence or a size cap was hit).
 
 All configuration is explicit flags; no environment variables are read, so
 identical argv plus seed reproduces identical bytes on stdout with one BLAS
@@ -34,7 +34,7 @@ from .cayley import (
 )
 from .errors import ConvergenceError, OrderCapError
 from .partition import divisor_closed_form, divisor_spectrum
-from .perm import parse_generator_list
+from .perm import MAX_POINTS, parse_generator_list
 from .spectra import dense_spectrum, gap_report, integrality_check
 from .verify import (
     VerificationReport,
@@ -81,8 +81,8 @@ def _validate(args) -> None:
         raise UsageError(f"{args.verb} needs a named --family, not a custom --gens set")
     if args.n < 3:
         raise UsageError(f"--n must be at least 3, got {args.n}")
-    if args.n > 12:
-        raise UsageError(f"--n must be at most 12, got {args.n}")
+    if args.n > MAX_POINTS:
+        raise UsageError(f"--n must be at most {MAX_POINTS}, got {args.n}")
     if not 0 < args.tol < float("inf"):
         raise UsageError("--tol must be positive and finite")
     if not 1 <= args.block <= args.n:
@@ -109,14 +109,8 @@ def _normalize(value):
         return value
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(f"{float(value):.12g}")
-    if isinstance(value, np.ndarray):
-        return [_normalize(x) for x in value.tolist()]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return _normalize(value.tolist())
     if isinstance(value, dict):
         return {k: _normalize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -279,7 +273,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         report, code = _HANDLERS[args.verb](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OrderCapError, ConvergenceError) as exc:

@@ -19,6 +19,11 @@ Conventions, fixed once for the whole package:
   odd permutations of k-1 points in lexicographic order.
 - Every permutation is a product of star transpositions (1 a);
   :func:`star_word` writes one such product, which the graph build uses.
+- Cycle notation has one regular grammar, whitespace ignored: a cycle is
+  ``(`` comma-separated ASCII-digit points ``)``, a product is cycles side
+  by side, and a generator list is products separated by runs of ``,``
+  and ``;``.  :func:`parse_cycles` reads a product and
+  :func:`parse_generator_list` a list.
 
 Everything here is a pure value; no function mutates its arguments, so all
 operations are safe to call concurrently.
@@ -264,7 +269,14 @@ def star_word(p: Permutation) -> tuple[int, ...]:
     return word
 
 
-_CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
+# The grammar of the module docstring.  [0-9], not \d: \d also matches
+# non-ASCII digits, which int() would accept.  The list is written over
+# cycles: "(?:PRODUCT[,;]*)*" is the same language, but it can split k
+# adjacent cycles into products 2^(k-1) ways, and backtracks through them
+# all before rejecting a bad tail.
+_CYCLE = r"\((?:[0-9]+(?:,[0-9]+)*)?\)"
+_PRODUCT = rf"(?:{_CYCLE})+"
+_GENERATOR_LIST = rf"[,;]*(?:{_CYCLE}[,;]*)*"
 
 
 def parse_cycles(text: str, n: int) -> Permutation:
@@ -274,49 +286,22 @@ def parse_cycles(text: str, n: int) -> Permutation:
     to right.  ``"()"`` parses to the identity.
     """
     s = re.sub(r"\s+", "", text)
-    if not s:
-        raise ValueError("empty cycle expression")
-    cycles = []
-    pos = 0
-    for m in _CYCLE_RE.finditer(s):
-        if m.start() != pos:
-            raise ValueError(f"malformed cycle notation: {text!r}")
-        body = m.group(1)
-        if body:
-            try:
-                cycles.append([int(x) for x in body.split(",")])
-            except ValueError:
-                raise ValueError(f"malformed cycle notation: {text!r}") from None
-        pos = m.end()
-    if pos != len(s):
+    if not re.fullmatch(_PRODUCT, s):
         raise ValueError(f"malformed cycle notation: {text!r}")
-    return from_cycles(n, cycles)
+    bodies = re.findall(r"\(([0-9,]+)\)", s)
+    return from_cycles(n, [[int(x) for x in body.split(",")] for body in bodies])
 
 
 def parse_generator_list(text: str, n: int) -> list[Permutation]:
-    """Parse a list of cycle products separated by ``;`` or top-level ``,``.
+    """Parse cycle products separated by runs of ``;`` and ``,``.
 
-    Example: ``"(1,2,3),(1,3,2)"`` or ``"(1,2,3)(4,5,6); (1,3,2)"``.
+    Example: ``"(1,2,3),(1,3,2)"`` or ``";(1,2,3)(4,5,6); (1,3,2),"``;
+    whitespace is ignored, so ``"(1,2,3) (1,3,2)"`` is one product.
     """
-    items = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        if ch in ",;" and depth == 0:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    items.append("".join(current))
-    items = [item for item in items if item.strip()]
+    s = re.sub(r"\s+", "", text)
+    if not re.fullmatch(_GENERATOR_LIST, s):
+        raise ValueError(f"malformed generator list: {text!r}")
+    items = re.findall(_PRODUCT, s)
     if not items:
         raise ValueError("empty generator list")
     return [parse_cycles(item, n) for item in items]

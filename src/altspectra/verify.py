@@ -437,8 +437,7 @@ def verify_family(
 
     report.checks.append(_timed("spectral_gap", "closed-form adjacency spectral gap", gap))
 
-    cut_applies = n >= 4 or family in ("EAG", "CAG")
-    if cut_applies:
+    if partition_applies:
 
         def cut():
             S = _cheeger.canonical_cut(family, n, block_index)
@@ -458,8 +457,7 @@ def verify_family(
 
         def bracket():
             h, witness = _cheeger.brute_force_h(G)
-            lam2 = cache.lambda2(family, n, tol, seed) if exact_lambda2 is None else exact_lambda2
-            mu = degree - lam2
+            mu = degree - exact_lambda2
             lower = mu / 2
             ok = float(h) >= lower - 1e-9
             observed = {"h": str(h), "witness": list(witness), "lower": lower}

@@ -58,6 +58,34 @@ def test_generating_set_T1_n4_exact():
     assert got == want
 
 
+def reference_generators(tag, n):
+    """The three generating sets as one loop nest each, in their original order."""
+    elements = []
+    if tag == "T1":
+        for i in range(3, n + 1):
+            elements.append(from_cycle(n, [1, 2, i]))
+            elements.append(from_cycle(n, [1, i, 2]))
+    elif tag == "T2":
+        for i in range(2, n + 1):
+            for j in range(i + 1, n + 1):
+                elements.append(from_cycle(n, [1, i, j]))
+                elements.append(from_cycle(n, [1, j, i]))
+    else:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for k in range(j + 1, n + 1):
+                    elements.append(from_cycle(n, [i, j, k]))
+                    elements.append(from_cycle(n, [i, k, j]))
+    return tuple(elements)
+
+
+@pytest.mark.parametrize("tag", ["T1", "T2", "T3"])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_generating_set_order_is_the_loop_nest_order(tag, n):
+    # Row order decides Graph equality and the order in which matvec sums.
+    assert generating_set(tag, n).elements == reference_generators(tag, n)
+
+
 @pytest.mark.parametrize(
     "tag,n,size",
     [("T1", 4, 4), ("T1", 6, 8), ("T2", 5, 12), ("T2", 7, 30), ("T3", 5, 20), ("T3", 4, 8)],
@@ -79,6 +107,10 @@ def test_generating_set_validation():
         custom_generating_set(4, [from_cycle(4, [1, 2, 3])])
     with pytest.raises(ValueError):
         generating_set("T1", 2)
+    with pytest.raises(ValueError, match="unknown generating family"):
+        generating_set("T4", 5)
+    with pytest.raises(ValueError, match="n >= 3"):
+        generating_set("T4", 2)
 
 
 def test_ag3_is_triangle(graph):

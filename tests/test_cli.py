@@ -157,6 +157,15 @@ def test_build_export_edges(tmp_path, capsys):
     assert json.loads(out)["edges"] == len(lines) - 1
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_build_export_edges_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
+    path = tmp_path / "no" / "such" / "edges.txt" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "build", "--family", "AG", "--n", "4", "--export-edges", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -281,3 +283,128 @@ def test_parse_generator_list():
         parse_generator_list("", 5)
     with pytest.raises(ValueError):
         parse_generator_list("(1,2,3", 5)
+
+
+# The two parsers as they were before the one-grammar rewrite: a character
+# loop that splits the list at top-level separators, then a cycle-by-cycle
+# walk.  The library must accept and reject exactly what they did.
+_ORACLE_CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
+
+
+def oracle_parse_cycles(text, n):
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ValueError("empty cycle expression")
+    cycles = []
+    pos = 0
+    for m in _ORACLE_CYCLE_RE.finditer(s):
+        if m.start() != pos:
+            raise ValueError(f"malformed cycle notation: {text!r}")
+        body = m.group(1)
+        if body:
+            try:
+                cycles.append([int(x) for x in body.split(",")])
+            except ValueError:
+                raise ValueError(f"malformed cycle notation: {text!r}") from None
+        pos = m.end()
+    if pos != len(s):
+        raise ValueError(f"malformed cycle notation: {text!r}")
+    return from_cycles(n, cycles)
+
+
+def oracle_parse_generator_list(text, n):
+    items = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+        if ch in ",;" and depth == 0:
+            items.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    items.append("".join(current))
+    items = [item for item in items if item.strip()]
+    if not items:
+        raise ValueError("empty generator list")
+    return [oracle_parse_cycles(item, n) for item in items]
+
+
+def outcome(parse, text, n=6):
+    """The parse result, or ``ValueError`` if the text is rejected."""
+    try:
+        return parse(text, n)
+    except ValueError:
+        return ValueError
+
+
+def assert_parsers_match_oracle(text):
+    assert outcome(parse_cycles, text) == outcome(oracle_parse_cycles, text)
+    assert outcome(parse_generator_list, text) == outcome(oracle_parse_generator_list, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(\u0661,\u0662,\u0663)",  # Arabic-Indic digits, which int() accepts
+        "((1,2,3))",
+        "(1,2,3,)",
+        "(1;2,3)",
+        ")(",
+        ";;",
+        ";(1,2,3),(1,3,2)",
+        "(1,2,3),(1,3,2);",
+        ",;(1,2,3);;,(1,3,2),;",
+        "(1,2,3) (1,3,2)",
+        "()",
+        "(),(1,2,3)",
+        "(01,2,3)",
+        "(1 2,3)",
+        "(1,2,3\u00a0)",
+        "",
+        " \t ",
+        "(1,2,3)(4,5,6);(1,3,2)",
+        "(1,2,3",
+        "(1,2,3))",
+        "(1,,2)",
+        "(1,2,9)",
+        "(1,1,2)",
+    ],
+)
+def test_parsers_match_the_oracle_on_a_table(text):
+    assert_parsers_match_oracle(text)
+
+
+def test_parsers_match_the_oracle_on_random_strings():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    separators = st.sampled_from(["", ",", ";", " ", ";;", ", ", "\t;"])
+    cycle = st.lists(st.integers(0, 7), max_size=4).map(lambda c: "(" + ",".join(map(str, c)) + ")")
+    product = st.lists(cycle, min_size=1, max_size=3).map("".join)
+    rendered = st.lists(st.tuples(separators, product), max_size=4).flatmap(
+        lambda items: separators.map(lambda end: "".join(a + b for a, b in items) + end)
+    )
+    raw = st.text(alphabet="()0123456789,; \t\u0663", max_size=20)
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(raw, rendered))
+    def check(text):
+        assert_parsers_match_oracle(text)
+
+    check()
+
+
+def test_generator_list_rejects_a_bad_tail_in_linear_time():
+    # 26 adjacent cycles split into products 2^25 ways; a grammar that tried
+    # every split before rejecting the tail would take minutes here.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_generator_list("()" * 26 + "x", 5)
+    assert time.perf_counter() - t0 < 1.0
