@@ -14,10 +14,11 @@ Every pass over the rows gathers one row at a time with ``ndarray.take``
 twice as fast as ``x[row]`` for an int32 row, while ``x[perms]`` fills a
 (degree, order) temporary and ``x.take(perms)`` first copies every index.
 
-A build ranks at most n-1 vertex arrays, one per star transposition (1 a),
-and assembles each generator's row from them by integer gathers: it
-writes the generator as a word of star transpositions
-(:func:`altspectra.perm.star_word`) and follows the word's rows.
+A build writes each generator as a word of star transpositions (1 a)
+(:func:`altspectra.perm.star_word`) and gathers its row from the longest
+pieces of the word whose rows it holds: the star rows, ranked once per n
+and kept for the last n, and earlier generators' rows, so a 3-cycle that
+avoids 1 is one gather of two 3-cycles through 1.
 
 Three generating families are provided, each the 3-cycles that move
 every point the family pins (:data:`PINNED_POINTS`):
@@ -32,6 +33,7 @@ The resulting graphs are called AG_n, EAG_n and CAG_n respectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -178,6 +180,12 @@ class CayleyGraph(Graph):
     family_tag: str = "custom"
 
 
+@lru_cache(maxsize=1)
+def _star_rows(n: int) -> dict[int, np.ndarray]:
+    """The star rows of A_n ranked so far, by point a; one n is kept."""
+    return {}
+
+
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
     """Cayley graph of A_n with respect to ``gens``.
 
@@ -187,8 +195,8 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
     rank((1 a)*g_v*s) at v.  Right multiplication commutes with left
     multiplication and s*s = 1, so following the star row of b and then
     that of a gives rank((1 a)(1 b)*g_v); each generator is an even star
-    word, so its row is the word's star rows chained by gathers.  Only the
-    star rows the words use are ranked.
+    word, so its row is the rows of the word's pieces chained by gathers.
+    Only the star rows the words use are ranked, and only once per n.
     """
     if gens.n != n:
         raise ValueError(f"generating set is on {gens.n} points, graph wants {n}")
@@ -201,20 +209,25 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
         )
     verts = alternating_images(n)
     words = [star_word(t) for t in gens.elements]
-    # g*s for every vertex g: xor with 3 swaps the values 1 and 2.
-    twisted = verts ^ (verts < 3) * np.uint8(3)
-    star = {}
-    for a in sorted({a for word in words for a in word}):
-        # (1 a)*h sends point i to h[(1 a)_i]: positions 1 and a swap.
-        idx = np.arange(n)
-        idx[[0, a - 1]] = a - 1, 0
-        star[a] = alternating_ranks(twisted[:, idx]).astype(np.int32)
+    star = _star_rows(n)
+    # (1 a)*g sends point i to g[(1 a)_i]: positions 1 and a swap; then xor
+    # with 3 swaps the values 1 and 2, which is h -> h*s.
+    star.update(
+        (a, alternating_ranks(h ^ (h < 3) * np.uint8(3)).astype(np.int32))
+        for a in sorted({a for word in words for a in word} - star.keys())
+        for h in [verts[:, np.r_[a - 1, 1 : a - 1, 0, a:n]]]
+    )
+    rows = {(a,): row for a, row in star.items()}
     perms = np.empty((gens.size, order), dtype=np.int32)
     for c, word in enumerate(words):
-        row = star[word[-1]]
-        for a in reversed(word[:-1]):
-            row = star[a].take(row)
+        # Cut the word from the right into the longest pieces already built.
+        row, j = None, len(word)
+        while j:
+            i = min(i for i in range(j) if word[i:j] in rows)
+            row = rows[word[i:j]] if row is None else rows[word[i:j]].take(row)
+            j = i
         perms[c] = row
+        rows[word] = perms[c]
     return CayleyGraph(
         perms=perms,
         n=n,
@@ -230,21 +243,25 @@ def build_family(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> Cay
 
 
 def is_connected(G: Graph) -> bool:
-    """True iff a breadth-first search from vertex 0 reaches every vertex."""
+    """True iff closing {0} under the rows reaches every vertex.  It closes
+    under the first 2, 4, 8, ... rows, then all of them, each stage resuming
+    from every vertex seen, and stops at the first prefix that reaches all."""
     order = G.order
     if order == 0:
         return False
-    seen = np.zeros(order, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        hit = np.zeros(order, dtype=bool)
-        for row in G.perms:
-            hit[row.take(frontier)] = True
-        hit &= ~seen
-        seen |= hit
-        frontier = np.flatnonzero(hit)
-    return bool(seen.all())
+    seen, width = np.arange(order) == 0, 2
+    while True:
+        frontier = np.flatnonzero(seen)
+        while frontier.size:
+            hit = np.zeros(order, dtype=bool)
+            for row in G.perms[:width]:
+                hit[row.take(frontier)] = True
+            hit &= ~seen
+            seen |= hit
+            frontier = np.flatnonzero(hit)
+        if seen.all() or width >= G.degree:
+            return bool(seen.all())
+        width *= 2
 
 
 def induced_subgraph(G: Graph, S) -> Graph:

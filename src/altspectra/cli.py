@@ -91,12 +91,10 @@ def _validate(args) -> None:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.export_edges is not None and args.verb != "build":
         raise UsageError("--export-edges is accepted by build only")
-    if args.gens:
-        # Parse now so malformed notation is rejected before any build work.
-        parse_generator_list(args.gens, args.n)
 
 
 def _build(args):
+    """The graph of --family or --gens; --gens is parsed here, before any build work."""
     if args.family:
         return build_family(args.family, args.n, max_order=args.max_order)
     gens = custom_generating_set(args.n, parse_generator_list(args.gens, args.n))

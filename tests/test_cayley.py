@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from altspectra import cayley
 from altspectra.cayley import (
     FAMILY_TO_TAG,
     GeneratingSet,
@@ -31,6 +32,7 @@ from altspectra.perm import (
     identity,
     parse_generator_list,
     rank,
+    star_word,
     unrank,
 )
 from altspectra.spectra import certify_spectrum, exact_spectrum
@@ -212,12 +214,93 @@ def test_star_rows_match_per_generator_ranks(graph, family, n):
         "(1,2)(3,4),(1,3)(2,4),(1,4)(2,3)",
         "(1,2,3,4,5),(1,5,4,3,2),(2,4,3),(2,3,4)",
         "(2,3,4,5,6),(2,6,5,4,3),(1,2)(5,6)",
+        # (2,3,4) is one gather of the rows of (1,3,4) and (1,2,3), built first
+        "(1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3),(1,5,6),(1,6,5)",
+        # listed first, (2,3,4) and (2,4,3) are chains of four star rows
+        "(2,3,4),(2,4,3),(1,2,3),(1,3,2),(1,3,4),(1,4,3),(1,5,6),(1,6,5)",
+        # the involutions are cut into star rows and the rows of (1,4,5), (1,2,3)
+        "(1,3,2),(1,2,3),(1,4,5),(1,5,4),(2,3)(4,5),(1,2)(4,5)",
     ],
 )
 @pytest.mark.parametrize("n", [6, 7])
 def test_star_rows_match_per_generator_ranks_custom(gens, n):
     gset = custom_generating_set(n, parse_generator_list(gens, n))
     assert np.array_equal(build_cayley(n, gset).perms, reference_rows(n, gset))
+
+
+def test_a_3_cycle_avoiding_1_splits_into_two_through_1():
+    word = {c: star_word(from_cycle(6, c)) for c in [(1, 2, 3), (1, 3, 4), (2, 3, 4)]}
+    assert word[(2, 3, 4)] == word[(1, 3, 4)] + word[(1, 2, 3)]
+
+
+def test_star_rows_are_ranked_once_per_n(monkeypatch):
+    ranked = []
+
+    def counted(images):
+        ranked.append((images.shape[1], images.shape[0]))
+        return alternating_ranks(images)
+
+    monkeypatch.setattr(cayley, "alternating_ranks", counted)
+    cayley._star_rows.cache_clear()
+    build_family("EAG", 6)
+    assert ranked == [(6, alternating_order(6))] * 5
+    ranked.clear()
+    build_family("CAG", 6)
+    build_family("AG", 6)
+    assert ranked == []
+    for n in (5, 6):
+        build_family("AG", n)
+        assert cayley._star_rows.cache_info().currsize == 1
+        held = cayley._star_rows(n)
+        assert sorted(held) == list(range(2, n + 1))
+        assert {row.size for row in held.values()} == {alternating_order(n)}
+    assert ranked == [(5, 60)] * 4 + [(6, 360)] * 5
+
+
+def all_rows_bfs(G):
+    """Breadth-first search from vertex 0 over every row at each level."""
+    if G.order == 0:
+        return False
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0], dtype=np.int64)
+    while frontier.size:
+        hit = np.zeros(G.order, dtype=bool)
+        for row in G.perms:
+            hit[row.take(frontier)] = True
+        hit &= ~seen
+        seen |= hit
+        frontier = np.flatnonzero(hit)
+    return bool(seen.all())
+
+
+def connectivity_cases():
+    for family in ("AG", "EAG", "CAG"):
+        for n in range(3, 8):
+            yield pytest.param(lambda family=family, n=n: build_family(family, n), id=f"{family}_{n}")
+    for name, n, gens in [
+        ("only the last pair moves 5", 5, "(1,2,3),(1,3,2),(1,2,4),(1,4,2),(1,2,5),(1,5,2)"),
+        ("40 rows fixing 7", 7, ",".join(str(t) for t in generating_set("T3", 6).elements)),
+        ("8 rows on 1..4", 7, ",".join(str(t) for t in generating_set("T3", 4).elements)),
+        ("6 rows keeping {5,6}", 6, "(1,2)(3,4),(1,3)(2,4),(1,4)(2,3),(2,3,4),(2,4,3),(1,2)(5,6)"),
+        ("degree 0", 4, ""),
+    ]:
+        elements = parse_generator_list(gens, n) if gens else []
+        build = lambda n=n, elements=elements: build_cayley(n, custom_generating_set(n, elements))
+        yield pytest.param(build, id=name)
+    one = np.zeros((0, 1), dtype=np.int32)
+    yield pytest.param(lambda: Graph(perms=one), id="one vertex, degree 0")
+    # Rows that are not closed under inverses: a search along them is one-way.
+    shift = np.roll(np.arange(12, dtype=np.int32), 1)
+    loops = np.arange(12, dtype=np.int32)
+    yield pytest.param(lambda: Graph(perms=np.stack([shift] * 3)), id="one-way cycle")
+    yield pytest.param(lambda: Graph(perms=np.stack([loops] * 5 + [shift])), id="one-way last row")
+
+
+@pytest.mark.parametrize("make", connectivity_cases())
+def test_is_connected_matches_an_all_rows_search(make):
+    G = make()
+    assert is_connected(G) == all_rows_bfs(G)
 
 
 def test_empty_generating_set_gives_disconnected_graph():
@@ -380,8 +463,11 @@ def test_gather_sum_on_a_batch_matches_row_by_row(graph, family, dtype):
 # a fraction of its rows' own size, degree * order * 4 bytes.  Gathering one
 # row at a time keeps the passes far below it; a whole-array gather of the
 # rows, or an intp copy of them, does not fit.  The invariant check keeps
-# one sorted copy of the rows and compares them row by row.
+# one sorted copy of the rows and compares them row by row.  The build
+# writes the rows themselves and, from a cleared star-row cache, ranks six
+# star rows of its own.
 ROW_PASS_BUDGETS = {
+    "build_family": 1.2,
     "matvec": 0.5,
     "is_connected": 0.5,
     "boundary_size": 0.5,
@@ -400,6 +486,7 @@ def test_row_passes_stay_below_the_rows_size(name):
     v, S, P = np.ones(G.order), canonical_cut("CAG", 7), blocks_Xij(7, i=1)
     spectrum = exact_spectrum("CAG", 7)
     run = {
+        "build_family": lambda: (cayley._star_rows.cache_clear(), build_family("CAG", 7)),
         "matvec": lambda: G.matvec(v),
         "is_connected": lambda: is_connected(G),
         "boundary_size": lambda: boundary_size(G, S),

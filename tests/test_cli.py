@@ -145,6 +145,21 @@ def test_build_with_custom_generators(capsys):
     assert data["connected"] is False
 
 
+def test_gens_are_parsed_once_per_job(capsys, monkeypatch):
+    calls = []
+    parse = cli.parse_generator_list
+
+    def counted(text, n):
+        calls.append((text, n))
+        return parse(text, n)
+
+    monkeypatch.setattr(cli, "parse_generator_list", counted)
+    gens = "(1,2,3),(1,3,2),(1,2,4),(1,4,2),(1,2,5),(1,5,2),(1,2,6),(1,6,2)"
+    code, out, _ = run(capsys, "gap", "--gens", gens, "--n", "6")
+    assert code == 0 and out.strip()
+    assert calls == [(gens, 6)]
+
+
 def test_build_export_edges(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     code, out, err = run(
