@@ -182,7 +182,8 @@ class CayleyGraph(Graph):
 
 @lru_cache(maxsize=1)
 def _star_rows(n: int) -> dict[int, np.ndarray]:
-    """The star rows of A_n ranked so far, by point a; one n is kept."""
+    """The star rows of A_n ranked so far, by point a; one n is kept.  Two
+    builds at once may both rank a row, and they store equal values."""
     return {}
 
 
@@ -217,7 +218,7 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
         for a in sorted({a for word in words for a in word} - star.keys())
         for h in [verts[:, np.r_[a - 1, 1 : a - 1, 0, a:n]]]
     )
-    rows = {(a,): row for a, row in star.items()}
+    rows = {(a,): star[a] for word in words for a in word}
     perms = np.empty((gens.size, order), dtype=np.int32)
     for c, word in enumerate(words):
         # Cut the word from the right into the longest pieces already built.
@@ -246,14 +247,13 @@ def is_connected(G: Graph) -> bool:
     """True iff closing {0} under the rows reaches every vertex.  It closes
     under the first 2, 4, 8, ... rows, then all of them, each stage resuming
     from every vertex seen, and stops at the first prefix that reaches all."""
-    order = G.order
-    if order == 0:
+    if G.order == 0:
         return False
-    seen, width = np.arange(order) == 0, 2
+    seen, width = np.arange(G.order) == 0, 2
     while True:
         frontier = np.flatnonzero(seen)
         while frontier.size:
-            hit = np.zeros(order, dtype=bool)
+            hit = np.zeros(G.order, dtype=bool)
             for row in G.perms[:width]:
                 hit[row.take(frontier)] = True
             hit &= ~seen

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -255,6 +257,41 @@ def test_star_rows_are_ranked_once_per_n(monkeypatch):
         assert sorted(held) == list(range(2, n + 1))
         assert {row.size for row in held.values()} == {alternating_order(n)}
     assert ranked == [(5, 60)] * 4 + [(6, 360)] * 5
+
+
+def test_concurrent_builds_share_the_star_rows():
+    # Every round clears the cache and starts four builds at once, so they
+    # fill one fresh dict of star rows together; the small sets need only
+    # two of the rows that CAG_6 adds.
+    sets = [generating_set("T3", 6)] + [
+        custom_generating_set(6, parse_generator_list(gens, 6))
+        for gens in ["(1,2,3),(1,3,2)", "(1,5,6),(1,6,5)", "(2,4,3),(2,3,4)"]
+    ]
+    want = [reference_rows(6, gens) for gens in sets]
+    results, errors = [], []
+    start = threading.Barrier(4, action=cayley._star_rows.cache_clear, timeout=60)
+
+    def work(k):
+        try:
+            for r in range(40):
+                start.wait()
+                c = (k + r) % 4
+                results.append(np.array_equal(build_cayley(6, sets[c]).perms, want[c]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and results == [True] * 160
 
 
 def all_rows_bfs(G):
