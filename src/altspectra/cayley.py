@@ -18,7 +18,8 @@ A build writes each generator as a word of star transpositions (1 a)
 (:func:`altspectra.perm.star_word`) and gathers its row from the longest
 pieces of the word whose rows it holds: the star rows, ranked once per n
 and kept for the last n, and earlier generators' rows, so a 3-cycle that
-avoids 1 is one gather of two 3-cycles through 1.
+avoids 1 is one gather of two 3-cycles through 1.  The star rows a build
+is missing are ranked from one value-swapped copy of the columns of A_n.
 
 Three generating families are provided, each the 3-cycles that move
 every point the family pins (:data:`PINNED_POINTS`):
@@ -197,7 +198,9 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
     multiplication and s*s = 1, so following the star row of b and then
     that of a gives rank((1 a)(1 b)*g_v); each generator is an even star
     word, so its row is the rows of the word's pieces chained by gathers.
-    Only the star rows the words use are ranked, and only once per n.
+    Only the star rows the words use are ranked, once per n, from one
+    value-swapped copy of the columns of A_n, freed before the rows are
+    allocated; membership tests find them, never iterating the shared dict.
     """
     if gens.n != n:
         raise ValueError(f"generating set is on {gens.n} points, graph wants {n}")
@@ -211,13 +214,15 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
     verts = alternating_images(n)
     words = [star_word(t) for t in gens.elements]
     star = _star_rows(n)
-    # (1 a)*g sends point i to g[(1 a)_i]: positions 1 and a swap; then xor
-    # with 3 swaps the values 1 and 2, which is h -> h*s.
-    star.update(
-        (a, alternating_ranks(h ^ (h < 3) * np.uint8(3)).astype(np.int32))
-        for a in sorted({a for word in words for a in word} - star.keys())
-        for h in [verts[:, np.r_[a - 1, 1 : a - 1, 0, a:n]]]
-    )
+    missing = sorted({a for word in words for a in word if a not in star})
+    if missing:
+        # The columns of verts with the values 1 and 2 swapped (h -> h*s);
+        # (1 a)*g sends point i to g[(1 a)_i]: swap the first and a-th.
+        cols = verts.T.copy()
+        cols ^= (cols < 3) * np.uint8(3)
+        for a in missing:
+            star[a] = alternating_ranks(cols[np.r_[a - 1, 1 : a - 1, 0, a:n]].T)
+        del cols
     rows = {(a,): star[a] for word in words for a in word}
     perms = np.empty((gens.size, order), dtype=np.int32)
     for c, word in enumerate(words):

@@ -11,7 +11,8 @@ Conventions, fixed once for the whole package:
   tuples.  In the lexicographic list of all n! permutations, consecutive
   pairs share the first n-2 entries and differ by a swap of the last two,
   so exactly one member of each pair is even and the even rank is the full
-  Lehmer rank halved.
+  Lehmer rank halved.  :func:`alternating_ranks` ranks many rows at once
+  from whole columns of the image array, in int32.
 - A_n is enumerated without listing S_n: the rows of A_k that start with
   the value f are the rows of A_{k-1} relabelled to skip f.  A leading f
   adds f-1 inversions, so for even f the relabelled rows must be odd; by
@@ -229,15 +230,21 @@ def alternating_images(n: int) -> np.ndarray:
 
 
 def alternating_ranks(images: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rank` over rows of an array of even image tuples."""
+    """Vectorized :func:`rank` over the rows of an (m, n) array of even image
+    tuples, as int32: every Lehmer rank is below 12! < 2**31.  Position a's
+    digit is a uint8 count of later columns below column a, added in by
+    Horner's rule; a column-major input is read in place, any other copied once."""
     m, n = images.shape
-    ranks = np.zeros(m, dtype=np.int64)
+    cols = np.asfortranarray(images).T
+    ranks = np.zeros(m, dtype=np.int32)
+    digit, less = np.empty((2, m), dtype=np.uint8)
     for a in range(n - 1):
-        smaller_later = (images[:, a + 1 :] < images[:, a : a + 1]).sum(
-            axis=1, dtype=np.int64
-        )
-        ranks += smaller_later * factorial(n - 1 - a)
-    return ranks // 2
+        np.less(cols[a + 1], cols[a], out=digit)
+        for b in range(a + 2, n):
+            digit += np.less(cols[b], cols[a], out=less)
+        ranks *= n - a
+        ranks += digit
+    return np.right_shift(ranks, 1, out=ranks)
 
 
 def star_word(p: Permutation) -> tuple[int, ...]:
@@ -261,10 +268,11 @@ def star_word(p: Permutation) -> tuple[int, ...]:
         images[at], images[k] = a, 1
         undo.append(a)
     word = tuple(reversed(undo))
-    product = identity(p.n)
+    product = tuple(range(1, p.n + 1))
     for a in word:
-        product = compose(product, from_cycle(p.n, [1, a]))
-    if product != p:
+        swap = (a, *range(2, a), 1, *range(a + 1, p.n + 1))
+        product = tuple(swap[s - 1] for s in product)
+    if product != p.images:
         raise AssertionError(f"star word {word} does not multiply to {p}")
     return word
 

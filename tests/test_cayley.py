@@ -294,6 +294,23 @@ def test_concurrent_builds_share_the_star_rows():
     assert errors == [] and results == [True] * 160
 
 
+def test_a_build_never_iterates_the_shared_star_rows(monkeypatch):
+    # Concurrent builds may add rows to the dict at any time, so a build
+    # reads it by letter only.
+    class LetterReadsOnly(dict):
+        def __iter__(self):
+            raise AssertionError("the shared star rows were iterated")
+
+        keys = values = items = __iter__
+
+    held = LetterReadsOnly()
+    monkeypatch.setattr(cayley, "_star_rows", lambda n: held)
+    for family in ("AG", "EAG", "CAG"):
+        G = build_family(family, 5)
+        assert np.array_equal(G.perms, reference_rows(5, generating_set(FAMILY_TO_TAG[family], 5)))
+    assert sorted(dict.keys(held)) == [2, 3, 4, 5]
+
+
 def all_rows_bfs(G):
     """Breadth-first search from vertex 0 over every row at each level."""
     if G.order == 0:

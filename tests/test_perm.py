@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from altspectra.cayley import block_labels, phi_isomorphism
+from altspectra.cayley import block_labels, generating_set, phi_isomorphism
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import OrderCapError
 from altspectra.partition import blocks_AG, blocks_Xij
@@ -15,6 +15,7 @@ from altspectra.perm import (
     Permutation,
     alternating_images,
     alternating_order,
+    alternating_ranks,
     compose,
     from_cycle,
     from_cycles,
@@ -27,6 +28,7 @@ from altspectra.perm import (
     star_word,
     unrank,
 )
+from test_golden import GOLDEN
 
 
 def enumerate_alternating(n):
@@ -236,6 +238,107 @@ def test_vertex_entry_points_hit_the_enumeration_cap(entry, n):
         entry(n)
 
 
+def assert_ranks_match_rank(images):
+    """alternating_ranks against perm.rank, one row at a time."""
+    got = alternating_ranks(images)
+    assert got.dtype == np.int32 and got.shape == (len(images),)
+    want = [rank(Permutation(tuple(int(x) for x in row))) for row in images]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_alternating_ranks_match_rank_on_all_of_A_n(n):
+    images = alternating_images(n)
+    before = images.copy()
+    assert_ranks_match_rank(images)
+    assert not images.flags.writeable and np.array_equal(images, before)
+    assert alternating_ranks(images).tolist() == list(range(alternating_order(n)))
+
+
+def _every_other_column(v):
+    wide = np.zeros((len(v), 2 * v.shape[1]), dtype=v.dtype)
+    wide[:, ::2] = v
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda v: np.ascontiguousarray(v),
+        np.asfortranarray,
+        lambda v: v[::3],
+        # reversing n columns is even for n = 5 and 8, so the rows stay even
+        lambda v: v[:, ::-1],
+        _every_other_column,
+        lambda v: v.astype(np.int64),
+    ],
+    ids=["C", "F", "rows[::3]", "columns[::-1]", "column-strided", "int64"],
+)
+def test_alternating_ranks_read_any_layout(layout, n):
+    images = layout(alternating_images(n)[::7])
+    assert_ranks_match_rank(images)
+
+
+def test_alternating_ranks_of_no_rows():
+    for n in (1, 5, 12):
+        got = alternating_ranks(np.empty((0, n), dtype=np.uint8))
+        assert got.dtype == np.int32 and got.shape == (0,)
+
+
+def test_alternating_ranks_on_12_points_fit_int32():
+    # 12!/2 - 1 is far above 2**16: a 16-bit accumulator would wrap.
+    rng = np.random.default_rng(12)
+    images = np.argsort(rng.random((2000, 12)), axis=1).astype(np.uint8) + 1
+    odd = inversion_counts(images) % 2 == 1
+    images[odd, :2] = images[odd, 1::-1]
+    assert_ranks_match_rank(images)
+    assert alternating_ranks(images).max() >= 1 << 27
+
+
+def star_product(word, n):
+    """The star transpositions of ``word`` multiplied with perm.compose."""
+    product = identity(n)
+    for a in word:
+        product = compose(product, from_cycle(n, [1, a]))
+    return product
+
+
+GOLDEN_GENS = sorted(
+    {(cmd.split()[2], int(cmd.split()[4])) for cmd in GOLDEN if cmd.split()[1] == "--gens"}
+)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("tag", ["T1", "T2", "T3"])
+def test_star_words_of_the_families_multiply_back(tag, n):
+    for t in generating_set(tag, n).elements:
+        assert star_product(star_word(t), n) == t
+
+
+@pytest.mark.parametrize("gens,n", GOLDEN_GENS)
+def test_star_words_of_the_golden_gens_multiply_back(gens, n):
+    for t in parse_generator_list(gens, n):
+        assert star_product(star_word(t), n) == t
+
+
+def test_star_word_check_raises_on_a_wrong_word():
+    class Shifting:
+        """Reads as (1,2,3) while the word is built and as (1,3,2) when checked."""
+
+        n = 3
+
+        def __init__(self):
+            self.reads = iter([(2, 3, 1), (3, 1, 2)])
+
+        @property
+        def images(self):
+            return next(self.reads)
+
+    with pytest.raises(AssertionError, match="does not multiply"):
+        star_word(Shifting())
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_star_word_multiplies_back(n):
     rng = random.Random(n)
@@ -245,10 +348,7 @@ def test_star_word_multiplies_back(n):
             p = compose(p, from_cycle(n, [1, 2]))
         word = star_word(p)
         assert len(word) % 2 == 0 and all(2 <= a <= n for a in word)
-        product = identity(n)
-        for a in word:
-            product = compose(product, from_cycle(n, [1, a]))
-        assert product == p
+        assert star_product(word, n) == p
 
 
 def test_star_word_examples():
