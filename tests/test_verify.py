@@ -6,7 +6,7 @@ import pytest
 from altspectra.cayley import Graph, block_labels, induced_subgraph
 from altspectra.cheeger import canonical_cut
 from altspectra.partition import blocks_AG
-from altspectra import spectra, verify
+from altspectra import cayley, spectra, verify
 from altspectra.spectra import predicted
 from altspectra.verify import (
     CheckResult,
@@ -370,6 +370,27 @@ def test_verify_solves_each_lambda2_once(monkeypatch, family, solved):
     monkeypatch.setattr(verify, "lambda2_iterative", counted)
     assert verify_family(family, 6).overall
     assert calls == solved
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n,calls,rows", [(6, 12, 2_820), (7, 14, 22_320)])
+def test_a_battery_ranks_each_row_once(monkeypatch, family, n, calls, rows):
+    # From a cleared star-row cache: the n - 1 star rows at n and the n - 2
+    # at n - 1 (the n-point rows are not ranked again after the (n-1)-point
+    # build evicts them), two right translations in the exact check and one
+    # block of (n-1)!/2 rows in the subgraph isomorphism.
+    ranked = []
+    rank = cayley.alternating_ranks
+
+    def counted(images):
+        ranked.append(images.shape[0])
+        return rank(images)
+
+    monkeypatch.setattr(cayley, "alternating_ranks", counted)
+    monkeypatch.setattr(spectra, "alternating_ranks", counted)
+    cayley._star_rows.cache_clear()
+    assert verify_family(family, n).overall
+    assert (len(ranked), sum(ranked)) == (calls, rows)
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
