@@ -16,10 +16,9 @@ twice as fast as ``x[row]`` for an int32 row, while ``x[perms]`` fills a
 
 A build writes each generator as a word of star transpositions (1 a)
 (:func:`altspectra.perm.star_word`) and gathers its row from the longest
-pieces of the word whose rows it holds: the star rows, ranked once per n
-and kept for the last n, and earlier generators' rows, so a 3-cycle that
-avoids 1 is one gather of two 3-cycles through 1.  The star rows a build
-is missing are ranked from one value-swapped copy of the columns of A_n.
+pieces of the word whose rows it holds: the n-1 star rows (one read-only
+array, ranked once per n and kept for the last n) and earlier generators'
+rows, so a 3-cycle that avoids 1 is one gather of two 3-cycles through 1.
 
 Three generating families are provided, each the 3-cycles that move
 every point the family pins (:data:`PINNED_POINTS`):
@@ -182,10 +181,18 @@ class CayleyGraph(Graph):
 
 
 @lru_cache(maxsize=1)
-def _star_rows(n: int) -> dict[int, np.ndarray]:
-    """The star rows of A_n ranked so far, by point a; one n is kept.  Two
-    builds at once may both rank a row, and they store equal values."""
-    return {}
+def _star_rows(n: int) -> np.ndarray:
+    """Read-only (n-1, order) star rows of A_n; one n is kept.  Row a-2 holds
+    rank((1 a)*g_v*s) at v, with s the swap of the values 1 and 2 applied last."""
+    # The columns of A_n with the values 1 and 2 swapped (h -> h*s), freed
+    # on return; (1 a)*g sends point i to g[(1 a)_i]: swap the first and a-th.
+    cols = alternating_images(n).T.copy()
+    cols ^= (cols < 3) * np.uint8(3)
+    star = np.empty((n - 1, cols.shape[1]), dtype=np.int32)
+    for a in range(2, n + 1):
+        star[a - 2] = alternating_ranks(cols[np.r_[a - 1, 1 : a - 1, 0, a:n]].T)
+    star.setflags(write=False)
+    return star
 
 
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
@@ -198,9 +205,7 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
     multiplication and s*s = 1, so following the star row of b and then
     that of a gives rank((1 a)(1 b)*g_v); each generator is an even star
     word, so its row is the rows of the word's pieces chained by gathers.
-    Only the star rows the words use are ranked, once per n, from one
-    value-swapped copy of the columns of A_n, freed before the rows are
-    allocated; membership tests find them, never iterating the shared dict.
+    The n-1 star rows are ranked once per n, by :func:`_star_rows`.
     """
     if gens.n != n:
         raise ValueError(f"generating set is on {gens.n} points, graph wants {n}")
@@ -211,21 +216,9 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
         raise OrderCapError(
             f"order {order} exceeds cap {max_order}; raise max_order (--max-order) to build it"
         )
-    verts = alternating_images(n)
-    words = [star_word(t) for t in gens.elements]
-    star = _star_rows(n)
-    missing = sorted({a for word in words for a in word if a not in star})
-    if missing:
-        # The columns of verts with the values 1 and 2 swapped (h -> h*s);
-        # (1 a)*g sends point i to g[(1 a)_i]: swap the first and a-th.
-        cols = verts.T.copy()
-        cols ^= (cols < 3) * np.uint8(3)
-        for a in missing:
-            star[a] = alternating_ranks(cols[np.r_[a - 1, 1 : a - 1, 0, a:n]].T)
-        del cols
-    rows = {(a,): star[a] for word in words for a in word}
+    rows = {(a,): row for a, row in enumerate(_star_rows(n), 2)}
     perms = np.empty((gens.size, order), dtype=np.int32)
-    for c, word in enumerate(words):
+    for c, word in enumerate(map(star_word, gens.elements)):
         # Cut the word from the right into the longest pieces already built.
         row, j = None, len(word)
         while j:

@@ -14,7 +14,7 @@ ranked vertices of A_n:
 - ``blocks_AG(n, i)``: the four blocks {g_n = i}, {g_1 = i}, {g_2 = i} and
   the rest, labelled X(i), Y(i), Z(i), W(i).
 - ``blocks_Xij(n, i=...)``: the n blocks {g : g_1 = i}, ..., {g : g_n = i}
-  that pin where the value i sits (equitable for EAG_n and CAG_n).
+  that pin where the value i sits (equitable for AG_n, EAG_n and CAG_n).
 - ``blocks_Xij(n, j=...)``: the n blocks that pin the value at position j
   (a partition, but not equitable in general).
 """

@@ -298,7 +298,7 @@ def certify_spectrum(G: CayleyGraph, spectrum: dict[int, int]) -> dict[str, bool
     verts = alternating_images(n)
     left_invariant = True
     for cycle in ([1, 2, 3], range(2 - n % 2, n + 1)):
-        right = alternating_ranks(np.array([0, *from_cycle(n, cycle).images])[verts])
+        right = alternating_ranks(np.array([0, *from_cycle(n, cycle).images], np.uint8)[verts])
         left_invariant &= all(np.array_equal(row.take(right), right.take(row)) for row in G.perms)
     block_of, k = np.minimum(np.arange(N), 1), 2
     while True:  # own-block and neighbour weights are drawn apart, so the two cannot trade

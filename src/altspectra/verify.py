@@ -345,6 +345,8 @@ def verify_family(
         # Every named-family spectrum is integral: a residual under 1/2 ties
         # lambda2 to a single integer, a larger one lets any value pass.
         raise ValueError(f"tol must be in (0, 0.5), got {tol}")
+    if not 1 <= block_index <= n:
+        raise ValueError(f"block_index must be in 1..{n}, got {block_index}")
     cache = _GraphCache(max_order)
     report = VerificationReport(family=family, n=n, seed=seed, tol=tol)
     G = cache.get(family, n)

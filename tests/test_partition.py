@@ -169,6 +169,10 @@ def test_check_equitable_matches_per_block_counts(graph, family, n):
     # CAG's generating set is closed under conjugation, so all nine are
     # equitable; AG and EAG each have a position partition that is not.
     assert bool(witnesses) == (family != "CAG")
+    # The position of i in t*g is t^-1 of its position in g, so the blocks
+    # by where a value sits are equitable for every generating set.
+    for i in range(1, n + 1):
+        assert isinstance(check_equitable(G, blocks_Xij(n, i=i)), DivisorMatrix)
 
 
 def first_two_values_partition(n):

@@ -303,6 +303,19 @@ def test_verify_family_rejects_tol_outside_open_half_unit(tol):
         verify_family("AG", 5, tol=tol)
 
 
+def test_verify_family_rejects_a_block_outside_1_to_n(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad block must be refused before any build")
+
+    monkeypatch.setattr(verify, "build_family", refuse)
+    # At n = 3 no AG check reads the block, so no check would fail on it.
+    with pytest.raises(ValueError, match="block_index must be in 1..3"):
+        verify_family("AG", 3, block_index=9)
+    for block in (0, 9, 99):
+        with pytest.raises(ValueError, match="block_index must be in 1..8"):
+            verify_family("CAG", 8, block_index=block)
+
+
 def test_verify_family_every_check_names_a_source():
     report = verify_family("EAG", 4)
     for check in report.checks:
