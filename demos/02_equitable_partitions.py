@@ -31,7 +31,7 @@ print("counted divisor matrix:")
 print(B.entries)
 print("closed form:")
 print(divisor_closed_form("AG", n).entries)
-print("eigenvalues:", divisor_spectrum(B).round(10))
+print("eigenvalues:", divisor_spectrum(B))
 
 print()
 E = build_family("EAG", 4)
@@ -39,7 +39,7 @@ B = check_equitable(E, blocks_Xij(4, i=2))
 assert isinstance(B, DivisorMatrix)
 print("EAG_4 with the value 2 pinned per position:")
 print(B.entries)
-print("eigenvalues:", divisor_spectrum(B).round(10))
+print("eigenvalues:", divisor_spectrum(B))
 
 print()
 print("an arbitrary split is almost never equitable:")

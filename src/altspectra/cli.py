@@ -196,12 +196,11 @@ def _run_gap(args) -> tuple[dict, int]:
 
 def _run_divisor(args) -> tuple[dict, int]:
     B = divisor_closed_form(args.family, args.n)
-    values = divisor_spectrum(B)
     return {
         "family": args.family,
         "n": args.n,
         "entries": B.entries.tolist(),
-        "eigenvalues": [float(v) for v in values],
+        "eigenvalues": divisor_spectrum(B),
     }, 0
 
 
@@ -234,7 +233,7 @@ def _run_decompose(args) -> tuple[dict, int]:
     else:
         first = check_edge_decomposition(args.family, args.n, cache=cache)
     second = check_subgraph_isomorphism(args.family, args.n, args.block, cache=cache)
-    report = VerificationReport(args.family, args.n, args.seed, args.tol, [first, second])
+    report = VerificationReport(args.family, args.n, args.seed, args.block, args.tol, [first, second])
     return report.to_dict(args.timings), 0 if report.overall else 1
 
 

@@ -15,13 +15,12 @@ ranked vertices of A_n:
   the rest, labelled X(i), Y(i), Z(i), W(i).
 - ``blocks_Xij(n, i=...)``: the n blocks {g : g_1 = i}, ..., {g : g_n = i}
   that pin where the value i sits (equitable for AG_n, EAG_n and CAG_n).
-- ``blocks_Xij(n, j=...)``: the n blocks that pin the value at position j
-  (a partition, but not equitable in general).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -113,28 +112,14 @@ def blocks_AG(n: int, i: int) -> VertexPartition:
     )
 
 
-def blocks_Xij(n: int, *, i: int | None = None, j: int | None = None) -> VertexPartition:
-    """The n-block partitions built from a single pinned value or position.
-
-    Exactly one selector must be given: ``i`` fixes a value and the blocks
-    run over the position holding it (X_i(1), ..., X_i(n)); ``j`` fixes a
-    position and the blocks run over the value found there (X_1(j), ...,
-    X_n(j)).  Every block has (n-1)!/2 vertices.
-    """
+def blocks_Xij(n: int, *, i: int) -> VertexPartition:
+    """The n blocks X_i(1), ..., X_i(n) by the position holding the value i;
+    every block has (n-1)!/2 vertices."""
     if n < 3:
         raise ValueError(f"partitions need n >= 3, got {n}")
-    if (i is None) == (j is None):
-        raise ValueError("give exactly one of i= (fixed value) or j= (fixed position)")
-    if i is not None:
-        return VertexPartition(
-            block_of=_value_positions(n, i),
-            labels=tuple(f"X_{i}({jj})" for jj in range(1, n + 1)),
-        )
-    if not 1 <= j <= n:
-        raise ValueError(f"position {j} outside 1..{n}")
     return VertexPartition(
-        block_of=alternating_images(n)[:, j - 1] - 1,
-        labels=tuple(f"X_{v}({j})" for v in range(1, n + 1)),
+        block_of=_value_positions(n, i),
+        labels=tuple(f"X_{i}({j})" for j in range(1, n + 1)),
     )
 
 
@@ -228,16 +213,26 @@ def divisor_eigenvalues_closed_form(family: str, n: int) -> list[int]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def divisor_spectrum(B: DivisorMatrix, tol: float = 1e-10) -> np.ndarray:
-    """All eigenvalues of B, descending, via the general dense solver.
+def divisor_spectrum(B: DivisorMatrix) -> list[int]:
+    """The integer eigenvalues of B, descending with multiplicity.
 
-    Divisor matrices of equitable partitions always have real spectra even
-    when non-symmetric; a residual imaginary part above ``tol`` (relative
-    to the matrix scale) is reported as an error rather than discarded.
+    det(xI - B) comes from Faddeev-LeVerrier in Python ints (each division
+    is exact); its integer roots are divided out by Horner, scanning from
+    the largest absolute row sum r (Gershgorin) down to -r.  A root that is
+    not an integer is left out, so the list is then shorter than k.
     """
-    entries = np.asarray(B.entries, dtype=np.float64)
-    w = np.linalg.eigvals(entries)
-    scale = max(1.0, float(np.abs(entries).max()))
-    if np.abs(w.imag).max(initial=0.0) > tol * scale:
-        raise ValueError("matrix has genuinely complex eigenvalues")
-    return np.sort(w.real)[::-1]
+    A, eye = B.entries.astype(object), np.eye(B.k, dtype=object)
+    poly, AM = [1], 0 * eye
+    for m in range(1, B.k + 1):
+        AM = A @ (AM + poly[-1] * eye)
+        poly.append(-AM.trace() // m)
+    r = int(np.abs(B.entries).sum(axis=1).max(initial=0))
+    roots, theta = [], r
+    while len(poly) > 1 and theta >= -r:
+        *quotient, remainder = accumulate(poly, lambda acc, c: acc * theta + c)
+        if remainder:
+            theta -= 1
+        else:
+            poly = quotient
+            roots.append(theta)
+    return roots

@@ -79,6 +79,7 @@ class VerificationReport:
     family: str
     n: int
     seed: int
+    block: int
     tol: float
     checks: list[CheckResult] = field(default_factory=list)
 
@@ -90,6 +91,8 @@ class VerificationReport:
         return {
             "family": self.family,
             "n": self.n,
+            "seed": self.seed,
+            "block": self.block,
             "checks": [c.to_dict(include_timings) for c in self.checks],
             "overall": self.overall,
         }
@@ -136,6 +139,8 @@ def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     value i first and one with it second, and those edges are disjoint."""
     if n < 4:
         raise ValueError(f"matching checks need n >= 4, got {n}")
+    if not 1 <= i <= n:
+        raise ValueError(f"block value must be in 1..{n}, got {i}")
     cache = cache or _GraphCache()
     G = cache.get("AG", n)
 
@@ -248,6 +253,8 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     """
     if n < 4:
         raise ValueError(f"block isomorphism checks need n >= 4, got {n}")
+    if not 1 <= i <= n:
+        raise ValueError(f"block value must be in 1..{n}, got {i}")
     cache = cache or _GraphCache()
 
     def run():
@@ -326,16 +333,17 @@ def verify_family(
 ) -> VerificationReport:
     """Run the full check battery for one family at one n.
 
-    Order: graph invariants, solver mode, equitable partition vs the closed
-    form, divisor spectrum vs the closed form, second eigenvalue (iterative
-    always; exact when the order is within the fixed
-    ``spectra.DENSE_ORDER_CAP``, n <= 7), spectral gap, canonical cut ratio,
-    isoperimetric bracket (order within ``cheeger.BRUTE_ORDER_CAP``), then
-    the structural checks.  A battery builds each graph, the (n-1)-point
-    ones included, once and within ``max_order``, and solves each second
-    eigenvalue once.  The exact check proves the exact spectrum on the
-    graph (:func:`~altspectra.spectra.certify_spectrum`) and gives the
-    isoperimetric bracket its gap; no dense matrix is formed.
+    Order: graph invariants, equitable partition vs the closed form, the
+    integer spectrum of the divisor matrix that check measured on the graph
+    vs the closed form, second eigenvalue (iterative always; exact when the
+    order is within the fixed ``spectra.DENSE_ORDER_CAP``, n <= 7), spectral
+    gap, canonical cut ratio, isoperimetric bracket (order within
+    ``cheeger.BRUTE_ORDER_CAP``), then the structural checks.  Every check
+    reads the built graph, so each can fail.  A battery builds each graph,
+    the (n-1)-point ones included, once and within ``max_order``, and
+    solves each second eigenvalue once.  The exact check proves the exact
+    spectrum on the graph (:func:`~altspectra.spectra.certify_spectrum`)
+    and gives the isoperimetric bracket its gap; no dense matrix is formed.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -348,7 +356,7 @@ def verify_family(
     if not 1 <= block_index <= n:
         raise ValueError(f"block_index must be in 1..{n}, got {block_index}")
     cache = _GraphCache(max_order)
-    report = VerificationReport(family=family, n=n, seed=seed, tol=tol)
+    report = VerificationReport(family=family, n=n, seed=seed, block=block_index, tol=tol)
     G = cache.get(family, n)
     degree, lam2_pred, gap_pred = predicted(family, n)
 
@@ -372,22 +380,17 @@ def verify_family(
 
     report.checks.append(_timed("graph_invariants", "regular Cayley graph structure", invariants))
 
-    exact_possible = G.order <= DENSE_ORDER_CAP
-
-    def solver_mode():
-        mode = "exact+iterative" if exact_possible else "partial (iterative)"
-        return mode, mode, None, True
-
-    report.checks.append(_timed("solver_mode", "which solvers this order admits", solver_mode))
-
     partition_applies = n >= 4 or family in ("EAG", "CAG")
     if partition_applies:
+        measured = None
 
         def equitable():
+            nonlocal measured
             P = blocks_AG(n, block_index) if family == "AG" else blocks_Xij(n, i=block_index)
             result = check_equitable(G, P)
             B = divisor_closed_form(family, n)
             if isinstance(result, DivisorMatrix):
+                measured = result
                 ok = np.array_equal(result.entries, B.entries)
                 observed = result.entries.tolist()
             else:
@@ -400,10 +403,9 @@ def verify_family(
         )
 
         def divisor_eigs():
-            values = divisor_spectrum(divisor_closed_form(family, n))
+            values = None if measured is None else divisor_spectrum(measured)
             target = divisor_eigenvalues_closed_form(family, n)
-            ok = len(values) == len(target) and np.allclose(values, target, atol=1e-8)
-            return target, [float(v) for v in values], 1e-8, ok
+            return target, values, None, values == target
 
         report.checks.append(
             _timed("divisor_spectrum", "quotient matrix eigenvalues", divisor_eigs)
@@ -418,15 +420,15 @@ def verify_family(
     )
 
     exact_lambda2 = None
-    if exact_possible:
+    if G.order <= DENSE_ORDER_CAP:
 
         def lam2_exact():
             nonlocal exact_lambda2
             spectrum = exact_spectrum(family, n)
             exact_lambda2 = list(spectrum)[1]
             certificate = certify_spectrum(G, spectrum)
-            observed = {"lambda2": exact_lambda2, "distinct": len(spectrum), **certificate}
-            predicted_value = {**observed, "lambda2": lam2_pred, **dict.fromkeys(certificate, True)}
+            observed = {"lambda2": exact_lambda2, **certificate}
+            predicted_value = {"lambda2": lam2_pred, **dict.fromkeys(certificate, True)}
             return predicted_value, observed, None, observed == predicted_value
 
         report.checks.append(

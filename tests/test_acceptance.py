@@ -104,7 +104,7 @@ def test_criterion_04_divisor_matrices(graph):
                     failures.append(f"{family}_{n} i={i}: divisor matrix mismatch")
             spec = divisor_spectrum(divisor_closed_form(family, n))
             target = divisor_eigenvalues_closed_form(family, n)
-            if not np.allclose(spec, target, atol=1e-8):
+            if spec != target:
                 failures.append(f"{family}_{n}: divisor spectrum {spec} != {target}")
     conclude(4, "equitable partitions give the printed divisor matrices, n=4..9", failures)
 

@@ -35,7 +35,8 @@ def test_verify_json_exit_zero(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["overall"] is True
-    assert list(data) == ["family", "n", "checks", "overall"]
+    assert list(data) == ["family", "n", "seed", "block", "checks", "overall"]
+    assert (data["seed"], data["block"]) == (42, 1)
 
 
 def test_verify_output_is_byte_identical(capsys):
@@ -88,7 +89,8 @@ def test_divisor_verb(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["entries"][0] == [0, 2, 2, 2]
-    assert data["eigenvalues"][0] == 6.0
+    assert data["eigenvalues"] == [6, 1, 1, -2]
+    assert '"eigenvalues":[6,1,1,-2]' in out
 
 
 def test_cut_verb(capsys):
@@ -288,7 +290,7 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     import altspectra.cli as cli_mod
 
     def fake_verify(family, n, **kwargs):
-        report = VerificationReport(family=family, n=n, seed=42, tol=1e-8)
+        report = VerificationReport(family=family, n=n, seed=42, block=1, tol=1e-8)
         report.checks.append(
             CheckResult(
                 name="forced", ref="r", predicted=1, observed=2,

@@ -25,7 +25,13 @@ digests on (1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3) (with or without
 (1,5,6),(1,6,5), and with (2,3,4),(2,4,3) first or in place) were recorded
 before a generator row could be one gather of two rows built before it and
 before the connectivity search grew over a doubling prefix of the rows,
-which must leave them alone.
+which must leave them alone.  Every verify and decompose digest was
+re-recorded when each check came to read the built graph: the always-passing
+``solver_mode`` check and ``lambda2_exact``'s self-compared ``distinct`` were
+dropped, ``divisor_spectrum`` became the integer spectrum of the measured
+divisor matrix, and reports gained ``seed`` and ``block`` after ``n``, so the
+``--block 4 --seed 11`` digests now differ from the defaults.  The three
+``divisor`` digests were recorded after its eigenvalues became integers.
 Any change to a report's bytes, including the order of checks, keys or
 problem strings, shows up here.  Re-record a digest only when an output
 change is intended, and say so in CHANGES.md.
@@ -40,23 +46,23 @@ from altspectra.cli import main
 
 GOLDEN = {
     "verify --family AG --n 6 --format json": (
-        "135a45394a26acaebb525eab75f2166a27fed0b591fee06e9c178bb400691850", 0),
+        "5caf051c38ba5a1978461073dea268ca24fb79778d2fd721061f53534558446b", 0),
     "verify --family AG --n 6 --format text": (
-        "21fc606911fe08db682321204bfe0cb56c1d7771c673964baf16c8fd934fbc7c", 0),
+        "57c0d779914798652f8803b43befca21a0dff48e0620e3f541078596be63b3a4", 0),
     "verify --family EAG --n 6 --format json": (
-        "b331c9207235264646fa17897666dd43a9bab0c7ee987e375caab21f60a3282a", 0),
+        "3618af804d04d6e890b584096d8c2d2423cffe89fa90186fccc9d8f107ee1c7a", 0),
     "verify --family EAG --n 6 --format text": (
-        "0bd6a3d4dbed9a84f288d44250ea62322467bfeeff79a16715f46faf977977f2", 0),
+        "add1bf5349ac43d5ac05eb3275ab61e05f6fc2fee2546e5d5140ceb1276eb019", 0),
     "verify --family CAG --n 6 --format json": (
-        "9ece6749ad7ccf9cf45f990a7c4d9f5c8ffcb054e736c69a2d56543b26c30a99", 0),
+        "21ab85bafc1890453be8b07fa357e05ba195141039ab6f9c99f1004d2edd6b09", 0),
     "verify --family CAG --n 6 --format text": (
-        "31f2c36d0d2b89ecacbfecba9d4a6e15226f8d236bb5e54ad707223bdc776a4c", 0),
+        "09ef4ddffac5c8568a4f390a236a02de32cd5342106592c9f152b89d9320db8b", 0),
     "decompose --family AG --n 5": (
-        "1db2af2b7e82520d7da9e59d70b9d4b17ce3abe9c05fed9364c645cd6556c20f", 0),
+        "1a00d23aacd83b8526d763c9658ae832b50b75868cb87afa545b59f1b9c6026a", 0),
     "decompose --family EAG --n 5": (
-        "5b68a684ca21c8f278dd7814800facf3e1851da79221e90cbd36226e05064a5d", 0),
+        "123d6e75cdbd352154c86f9bfb0685c57474e1678216494dd1dc584a945853c4", 0),
     "decompose --family CAG --n 5": (
-        "2f4f61bb4b9ec751e38e7e807cee6ec26677002e6d00032802175cb4c00e302e", 0),
+        "9fb3f9eb75e686a6d5c1804308a851a4681eba180fbfd1fac1b230ebac7b9e02", 0),
     "cut --family AG --n 5": (
         "55931b11f801971b4b881290df5fdf716e65ae5ab72035b05168eee6466a54ef", 0),
     "cut --family EAG --n 5": (
@@ -66,15 +72,15 @@ GOLDEN = {
     "build --gens (1,2,3),(1,3,2) --n 5": (
         "41f24d678f4bf3375f093e03e5c7cffdead4e4678bcd106091b2b33ab469b9ea", 0),
     "decompose --family AG --n 6 --block 3": (
-        "1d462118ba4d882e463bca149834b8610ec3490bff88b40c205af55f5691edea", 0),
+        "ccd67f0a4958afa25c9f4eef3259f8eb8909c73ddc2f05df68953c7d3b811b6a", 0),
     "decompose --family EAG --n 6 --block 3": (
-        "2fce9063c4474c2fc4da269feec8f89e05c8de304f684a65be92ddcc40ec7573", 0),
+        "533ffb508a8803227d23ded22511a285f521df78f15a1b05de5d79b25dbf034c", 0),
     "decompose --family CAG --n 6 --block 3": (
-        "61a10df2aab8a73cd05a2a59870a378a0a5724f736d54ce887b0703c03a65fff", 0),
+        "82034bd914345cb698ceabcdcd9b46ddf22f1ba04485f8d85387cce855c76d79", 0),
     "verify --family EAG --n 6 --block 4 --seed 11 --format json": (
-        "b331c9207235264646fa17897666dd43a9bab0c7ee987e375caab21f60a3282a", 0),
+        "e39f7750fa3aebc196989c8b9de51ae6c85f3105326e2d17e515b5493998026b", 0),
     "verify --family CAG --n 6 --block 4 --seed 11 --format json": (
-        "9ece6749ad7ccf9cf45f990a7c4d9f5c8ffcb054e736c69a2d56543b26c30a99", 0),
+        "6ebda158b23ed960c21bba0a4d175824cc7cf151c2afce32016267431ee98ea3", 0),
     "spectrum --family EAG --n 5 --format json": (
         "fe6532cc12be164555c867a3ce11058d499446599a88e7912537488ce921b2cb", 0),
     "hmin --family AG --n 4": (
@@ -86,21 +92,21 @@ GOLDEN = {
     "build --family EAG --n 6 --format json": (
         "3499b2902b757074bca56fbd373902f3ad94e7778c83f8e77e502a75d4328dc2", 0),
     "verify --family AG --n 5 --block 5 --format json": (
-        "e15684f0718d67ef2213d8267ebcfa8adce0d5d44e6661b747321312f061a224", 0),
+        "a07752abb5d3b6384e3034f7c6ff11e0f10c8bee947e6aa15e8d1566ded29768", 0),
     "gap --gens (1,2,3),(1,3,2),(1,2,3,4,5,6,7),(1,7,6,5,4,3,2) --n 7 --format json": (
         "5bafbf54de9d0249d43e39d5672a9a325ad51d471b1ee7f84cf95feae7c06eea", 0),
     "verify --family AG --n 7 --format json": (
-        "d14690449f9dad911fd76cf2ac495d4a7f809a01ee5535312d58a68efcc1c089", 0),
+        "5114d80f683a6c96c30c0234d160502de08aec1e8487de31554a6dc8091cd6c9", 0),
     "verify --family EAG --n 7 --format json": (
-        "be47403b7e8278938e6ef09c2bc7470ee5a61f011d22b737aee91fcf66377166", 0),
+        "4679faff28d01f82f7845bb1abd42a355ee2e70a399d052b15b2fde976286753", 0),
     "verify --family CAG --n 7 --format json": (
-        "2ed63003126eda77415cd876f4c2207a99d819a5ba3aecd328440f5ded229991", 0),
+        "9ceab75ee5730310ec17d937830d01e7fbbb3a1ec87eaa6d135654971dea8450", 0),
     "verify --family AG --n 8 --format json": (
-        "c10d8800a044d4ae3af60909de3548c5b2c5027d8749bc4d716b651a4bde5c3c", 0),
+        "380dc5e70093ea5b6270572a3045af68c8b7b38b6664ef2524144532876037b7", 0),
     "verify --family EAG --n 8 --format json": (
-        "a7acfcc9f0a80bb6c7ea33c4033b67710ba6f07c1e65fbf3a54a2f51dfa597a8", 0),
+        "1763502241ad04cdd289c5b053ddcb2f3854bd801b111a4b9cd49d1221d5f2b5", 0),
     "verify --family CAG --n 8 --format json": (
-        "cd480d5dd8baf80068c0d88010c6f67adfe758dd5b42ace6fe7916b10d880d6a", 0),
+        "c76fd3595f7950e6e692a1403f7f3ceca8d79d1932ccfa4893dd91f7c35700f9", 0),
     "build --gens (2,3,4),(2,4,3),(1,2)(3,4) --n 6 --format json": (
         "95c8b54349d6be6675aebc3dc550bdbd7eef052c41ede178fa65e52eabcc6e40", 0),
     "gap --gens (2,3,4),(2,4,3),(1,2)(3,4) --n 6 --format json": (
@@ -110,9 +116,9 @@ GOLDEN = {
     "hmin --family CAG --n 4 --format json": (
         "72ee15b08a5f2c435221c3d8915af833e8249e9be88134ed5142bb0bf67599cd", 0),
     "verify --family AG --n 4 --format json": (
-        "0e3f28a8b000e237ab98ab250a95229bd8d064571ed22210e5ec53ce727a99bc", 0),
+        "453dc193dbf87d87e646732bab963081b40eb17cd92f7f1037c82ba4781cd994", 0),
     "verify --family EAG --n 4 --format json": (
-        "1bdae06bd462eaa657f93afd947c24365aa76718dfef03b3336a99af4f8370fe", 0),
+        "1b3f8ae42f273dab958f0a5d04f518f7473626631c56b5a2df713647be957b48", 0),
     "build --gens ;(1,2,3);(1,3,2);;(1,2,3,4,5),(1,5,4,3,2), --n 5 --format json": (
         "c9eb78ec04e27a4d0fa92195551c8ddcac1de45a40aafee1a77c3426fcaa7ef7", 0),
     "gap --gens ;(1,2,3);(1,3,2);;(1,2,3,4,5),(1,5,4,3,2), --n 5 --format json": (
@@ -123,6 +129,12 @@ GOLDEN = {
         "7aa9f0bfba46fe205d2a3a53fdb767e23d40a8185479e4b44d773047fd5f4cfb", 0),
     "build --gens (1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3) --n 6 --format json": (
         "0126732dbd9574f8e137b0a333145e6c2a4897097732878cad05ee53ffa04f83", 0),
+    "divisor --family AG --n 6 --format json": (
+        "d4ea69364c243f798638a2c61dd3de2e757a578c212c45f798a38dfe35482f34", 0),
+    "divisor --family EAG --n 6 --format json": (
+        "0b48258897bf4a8239c945b83d725beddc41271a64955d2bf568b4a4f7b59f77", 0),
+    "divisor --family CAG --n 6 --format json": (
+        "482e06bb9e91cef80b943ef9ca8ba341f18e72b712009755a834ba90190a0897", 0),
 }
 
 EXPORT_AG5 = "a91b0cb3980ccf503bc20176404efa9e16e4cb8bf74816dc3cc97c3c0c48e8be"

@@ -14,7 +14,6 @@ from altspectra.partition import (
     divisor_eigenvalues_closed_form,
     divisor_spectrum,
 )
-from altspectra.cayley import block_labels
 from altspectra.perm import alternating_images, identity, rank, unrank
 from altspectra.spectra import dense_spectrum
 
@@ -40,15 +39,10 @@ def test_blocks_AG_rejects_small_n():
         blocks_AG(3, 1)
 
 
-def test_blocks_Xij_fixed_position():
-    P = blocks_Xij(4, j=2)
-    assert P.sizes() == (3, 3, 3, 3)
-    assert P.labels == ("X_1(2)", "X_2(2)", "X_3(2)", "X_4(2)")
-
-
 def test_blocks_Xij_fixed_value_partitions_everything():
     P = blocks_Xij(5, i=5)
     assert P.sizes() == (12,) * 5
+    assert P.labels == ("X_5(1)", "X_5(2)", "X_5(3)", "X_5(4)", "X_5(5)")
     assert P.block_of.shape == (60,)
     assert P.block_of.dtype == np.int32
     assert not P.block_of.flags.writeable
@@ -61,39 +55,31 @@ def test_blocks_agree_with_unranked_images(n):
     values = range(1, n + 1)
     ag = {i: blocks_AG(n, i).block_of for i in values}
     by_value = {i: blocks_Xij(n, i=i).block_of for i in values}
-    by_position = {j: blocks_Xij(n, j=j).block_of for j in values}
     for v in range(factorial(n) // 2):
         images = unrank(n, v).images
         for i in values:
             position = images.index(i) + 1
             assert ag[i][v] == ag_block.get(position, 3)
             assert by_value[i][v] == position - 1
-            assert by_position[i][v] == images[i - 1] - 1
-
-
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_blocks_Xij_position_matches_block_labels(n):
-    for family, position in (("AG", n), ("EAG", 2), ("CAG", 1)):
-        labels = block_labels(family, n)
-        assert np.array_equal(blocks_Xij(n, j=position).block_of + 1, labels)
 
 
 def test_identity_in_its_own_position_block():
     for n in (4, 5):
         e = rank(identity(n))
-        for j in range(1, n + 1):
-            P = blocks_Xij(n, j=j)
-            # identity has the value j at position j
-            assert P.block_of[e] == j - 1
+        for i in range(1, n + 1):
+            # identity has the value i at position i
+            assert blocks_Xij(n, i=i).block_of[e] == i - 1
 
 
 def test_blocks_Xij_selector_validation():
-    with pytest.raises(ValueError):
+    # The value i is the only selector; the position partitions are
+    # cayley.block_labels minus 1.
+    with pytest.raises(TypeError):
         blocks_Xij(4)
-    with pytest.raises(ValueError):
-        blocks_Xij(4, i=1, j=1)
-    with pytest.raises(ValueError):
-        blocks_Xij(4, j=9)
+    with pytest.raises(TypeError):
+        blocks_Xij(4, j=2)
+    with pytest.raises(ValueError, match="value 9 outside 1..4"):
+        blocks_Xij(4, i=9)
 
 
 def test_check_equitable_AG4_matches_printed_matrix(graph):
@@ -160,7 +146,8 @@ def test_check_equitable_matches_per_block_counts(graph, family, n):
     G = graph(family, n)
     partitions = [blocks_AG(n, i) for i in (1, 2, n)]
     partitions += [blocks_Xij(n, i=i) for i in (1, 2, n)]
-    partitions += [blocks_Xij(n, j=j) for j in (1, 2, n)]
+    images = alternating_images(n)
+    partitions += [VertexPartition(images[:, j - 1] - 1, tuple(map(str, range(n)))) for j in (1, 2, n)]
     witnesses = 0
     for P in partitions:
         got, want = check_equitable(G, P), reference_equitable(G, P)
@@ -302,15 +289,35 @@ def test_divisor_rows_sum_to_degree(family, n):
     ],
 )
 def test_divisor_spectrum_matches_formulas(family, n, expected):
-    values = divisor_spectrum(divisor_closed_form(family, n))
     assert divisor_eigenvalues_closed_form(family, n) == expected
-    assert np.allclose(values, expected, atol=1e-8)
+    assert divisor_spectrum(divisor_closed_form(family, n)) == expected
 
 
-def test_divisor_spectrum_rejects_rotation_matrix():
-    rot = DivisorMatrix(entries=np.array([[0, -1], [1, 0]]))
-    with pytest.raises(ValueError):
-        divisor_spectrum(rot)
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_divisor_spectrum_is_the_closed_form_exactly(family):
+    for n in range(4 if family == "AG" else 3, 13):
+        values = divisor_spectrum(divisor_closed_form(family, n))
+        assert values == divisor_eigenvalues_closed_form(family, n)
+        assert all(type(v) is int for v in values)
+
+
+def spectrum_of(rows):
+    return divisor_spectrum(DivisorMatrix(entries=np.array(rows, dtype=np.int64)))
+
+
+def test_divisor_spectrum_leaves_out_roots_that_are_not_integers():
+    assert spectrum_of([[0, -1], [1, 0]]) == []  # +-i
+    assert spectrum_of([[1, 1], [1, 0]]) == []  # (1 +- sqrt 5) / 2
+    # One integral block beside the rotation: only its roots, 3 and 1.
+    assert spectrum_of([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]) == [3, 1]
+
+
+def test_divisor_spectrum_repeated_and_negative_roots():
+    assert spectrum_of([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == [2, -1, -1]
+    assert spectrum_of([[-2, 1, 0], [0, -2, 1], [0, 0, -2]]) == [-2, -2, -2]  # one Jordan block
+    assert spectrum_of([[0, 3], [3, 0]]) == [3, -3]  # both ends of the Gershgorin range
+    assert spectrum_of([[0, 0], [0, 0]]) == [0, 0]
+    assert spectrum_of([[5, 7, 0], [0, 1, 0], [0, 0, 5]]) == [5, 5, 1]  # not symmetric
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])

@@ -226,12 +226,11 @@ def test_alternating_images_cap_allocates_nothing(n):
     [
         lambda n: blocks_AG(n, 1),
         lambda n: blocks_Xij(n, i=1),
-        lambda n: blocks_Xij(n, j=2),
         lambda n: block_labels("CAG", n),
         lambda n: canonical_cut("EAG", n, 1),
         lambda n: phi_isomorphism(n, 1, "AG"),
     ],
-    ids=["blocks_AG", "blocks_Xij_i", "blocks_Xij_j", "block_labels", "canonical_cut", "phi"],
+    ids=["blocks_AG", "blocks_Xij_i", "block_labels", "canonical_cut", "phi"],
 )
 def test_vertex_entry_points_hit_the_enumeration_cap(entry, n):
     with pytest.raises(OrderCapError):

@@ -3,9 +3,21 @@ import random
 import numpy as np
 import pytest
 
-from altspectra.cayley import Graph, block_labels, induced_subgraph
+from altspectra.cayley import (
+    FAMILIES,
+    FAMILY_TO_TAG,
+    CayleyGraph,
+    Graph,
+    block_labels,
+    build_cayley,
+    build_family,
+    custom_generating_set,
+    generating_set,
+    induced_subgraph,
+)
 from altspectra.cheeger import canonical_cut
 from altspectra.partition import blocks_AG
+from altspectra.perm import parse_generator_list
 from altspectra import cayley, spectra, verify
 from altspectra.spectra import predicted
 from altspectra.verify import (
@@ -316,6 +328,70 @@ def test_verify_family_rejects_a_block_outside_1_to_n(monkeypatch):
             verify_family("CAG", 8, block_index=block)
 
 
+def test_block_checks_reject_a_block_outside_1_to_n(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad block must be refused before any build")
+
+    monkeypatch.setattr(verify, "build_family", refuse)
+    with pytest.raises(ValueError, match="block value must be in 1..5, got 9"):
+        check_matchings(5, 9)
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match="block value must be in 1..5, got 0"):
+            check_subgraph_isomorphism(family, 5, 0)
+
+
+def test_report_records_seed_and_block():
+    report = verify_family("EAG", 5, seed=11, block_index=4).to_dict()
+    assert (report["seed"], report["block"]) == (11, 4)
+    assert report["overall"]
+
+
+# The first generator pair of each family, traded for a pair outside its T.
+WRONG_PAIR = {"AG": "(1,3,4),(1,4,3)", "EAG": "(2,3,4),(2,4,3)", "CAG": "(1,2)(3,4),(1,3)(2,4)"}
+
+
+def _doctorings(G):
+    """Doctored copies of G's rows by name; "rows reordered", G's own rows
+    in another order, is the control."""
+    n, family = G.n, G.family_tag
+    rng = random.Random(n)
+    gens = generating_set(FAMILY_TO_TAG[family], n).elements[2:]
+    gens = custom_generating_set(n, [*parse_generator_list(WRONG_PAIR[family], n), *gens])
+    rename = np.random.default_rng(n).permutation(G.order)
+    renamed = np.empty_like(G.perms)
+    renamed[:, rename] = rename.take(G.perms)
+    one_way = G.perms.copy()
+    one_way[0, 0] = np.setdiff1d(np.arange(1, G.order), G.perms[:, 0])[0]
+    return {
+        "one arc swap": _random_swaps(G, rng, 1).perms,
+        "20 arc swaps": _random_swaps(G, rng, 20).perms,
+        "wrong generator pair": build_cayley(n, gens).perms,
+        "vertices renamed": renamed,
+        "one arc without its reverse": one_way,
+        "rows reordered": G.perms[::-1],
+    }
+
+
+def test_every_check_fails_on_some_doctored_graph(monkeypatch):
+    # Each doctored graph stands in for the family graph under test; the
+    # graphs it is compared with are built as usual.
+    served = {}
+    monkeypatch.setattr(
+        verify, "build_family", lambda f, n, **kw: served.get((f, n)) or build_family(f, n, **kw)
+    )
+    names, failed = set(), set()
+    for family in FAMILIES:
+        for n in (5, 6):
+            for label, perms in _doctorings(build_family(family, n)).items():
+                served[(family, n)] = CayleyGraph(perms=perms, n=n, family_tag=family)
+                report = verify_family(family, n)
+                names.update(c.name for c in report.checks)
+                failed.update(c.name for c in report.checks if not c.passed)
+                assert report.overall == (label == "rows reordered"), (family, n, label)
+            del served[(family, n)]
+    assert names - failed == set()
+
+
 def test_verify_family_every_check_names_a_source():
     report = verify_family("EAG", 4)
     for check in report.checks:
@@ -326,7 +402,7 @@ def test_report_dict_is_deterministic_and_schema_stable():
     a = verify_family("EAG", 4, seed=42).to_dict()
     b = verify_family("EAG", 4, seed=42).to_dict()
     assert a == b
-    assert list(a) == ["family", "n", "checks", "overall"]
+    assert list(a) == ["family", "n", "seed", "block", "checks", "overall"]
     for check in a["checks"]:
         assert list(check) == [
             "name", "paper_ref", "predicted", "observed", "tolerance", "pass", "millis",
@@ -353,12 +429,10 @@ def test_verify_family_passes_iterative_only_at_n8(family):
     assert report.overall
     names = [c.name for c in report.checks]
     assert "lambda2_exact" not in names
-    mode = next(c for c in report.checks if c.name == "solver_mode")
-    assert mode.observed == "partial (iterative)"
 
 
 def test_overall_is_a_conjunction():
-    report = VerificationReport(family="AG", n=4, seed=42, tol=1e-8)
+    report = VerificationReport(family="AG", n=4, seed=42, block=1, tol=1e-8)
     report.checks.append(
         CheckResult(name="ok", ref="r", predicted=1, observed=1, tolerance=None, passed=True, millis=0.0)
     )
@@ -422,5 +496,4 @@ def test_verify_makes_no_dense_solve(monkeypatch, family, n):
     assert ("isoperimetric_bracket" in checks) == (n <= 4)
     if n <= 4:
         assert checks["isoperimetric_bracket"].observed["lower"] == predicted(family, n)[2] / 2
-    assert checks["solver_mode"].observed == "exact+iterative"
     assert checks["lambda2_exact"].observed["lambda2"] == predicted(family, n)[1]
