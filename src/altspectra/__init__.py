@@ -13,12 +13,11 @@ gaps densely and iteratively, and brackets their isoperimetric numbers.
 """
 
 from .cayley import (
-    CayleyGraph,
     GeneratingSet,
     Graph,
     build_cayley,
     build_family,
-    custom_generating_set,
+    check_family,
     export_edges,
     generating_set,
     induced_subgraph,
@@ -64,14 +63,12 @@ from .spectra import (
     integrality_check,
     lambda2_iterative,
     predicted,
-    spectral_gap,
 )
 from .verify import VerificationReport, verify_family
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CayleyGraph",
     "ConvergenceError",
     "CutReport",
     "DivisorMatrix",
@@ -92,10 +89,10 @@ __all__ = [
     "canonical_cut",
     "certify_spectrum",
     "check_equitable",
+    "check_family",
     "cheeger_bounds",
     "compose",
     "corollary_bounds",
-    "custom_generating_set",
     "cut_ratio",
     "dense_spectrum",
     "divisor_closed_form",
@@ -115,7 +112,6 @@ __all__ = [
     "predicted",
     "rank",
     "sign",
-    "spectral_gap",
     "unrank",
     "verify_family",
 ]

@@ -108,22 +108,22 @@ def generating_set(family: str, n: int) -> GeneratingSet:
     return GeneratingSet(n=n, elements=tuple(elements), family_tag=family)
 
 
-def custom_generating_set(n: int, elements) -> GeneratingSet:
-    return GeneratingSet(n=n, elements=tuple(elements), family_tag="custom")
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected regular graph as a (degree, order) array.
 
-    ``perms[c, v]`` is the c-th neighbor of vertex v.  Each row is meant to
-    be a bijection whose inverse is also a row (an involution is its own
+    ``perms[c, v]`` is the c-th neighbor of vertex v.  A built graph carries
+    its point count ``n`` and family (AG, EAG, CAG or ``"custom"``); one made
+    by hand has ``n`` None and family ``"custom"``.  Each row is meant to be a
+    bijection whose inverse is also a row (an involution is its own
     inverse); :func:`graph_invariant_violations` reports where it is not.
     Two graphs are equal iff their arrays match entry for entry.  Passes
     over ``perms`` go row by row, so their scratch memory is O(order).
     """
 
     perms: np.ndarray
+    n: int | None = None
+    family_tag: str = "custom"
 
     def __post_init__(self):
         if self.perms.ndim != 2:
@@ -174,12 +174,6 @@ class Graph:
         return isinstance(other, Graph) and np.array_equal(self.perms, other.perms)
 
 
-@dataclass(frozen=True, eq=False)
-class CayleyGraph(Graph):
-    n: int = 0
-    family_tag: str = "custom"
-
-
 @lru_cache(maxsize=1)
 def _star_rows(n: int) -> np.ndarray:
     """Read-only (n-1, order) star rows of A_n; one n is kept.  Row a-2 holds
@@ -195,7 +189,7 @@ def _star_rows(n: int) -> np.ndarray:
     return star
 
 
-def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
+def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> Graph:
     """Cayley graph of A_n with respect to ``gens``.
 
     Vertex v is the even permutation g_v = ``unrank(n, v)``; row c holds the
@@ -227,17 +221,20 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
             j = i
         perms[c] = row
         rows[word] = perms[c]
-    return CayleyGraph(
-        perms=perms,
-        n=n,
-        family_tag=TAG_TO_FAMILY.get(gens.family_tag, "custom"),
-    )
+    return Graph(perms, n=n, family_tag=TAG_TO_FAMILY.get(gens.family_tag, "custom"))
 
 
-def build_family(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
-    """AG_n, EAG_n or CAG_n."""
+def check_family(family: str, n: int, least: int = 3) -> None:
+    """Raise ``ValueError`` unless ``family`` is in :data:`FAMILIES` and n >= ``least``."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    if n < least:
+        raise ValueError(f"{family} needs n >= {least} here, got {n}")
+
+
+def build_family(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> Graph:
+    """AG_n, EAG_n or CAG_n."""
+    check_family(family, n)
     return build_cayley(n, generating_set(FAMILY_TO_TAG[family], n), max_order=max_order)
 
 
@@ -290,8 +287,7 @@ def block_labels(family: str, n: int) -> np.ndarray:
 
     Block X(i) of the family is the set of vertices labelled i.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    check_family(family, n)
     position = {"AG": n, "EAG": 2, "CAG": 1}[family]
     return alternating_images(n)[:, position - 1]
 
@@ -308,8 +304,7 @@ def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray
     a fixed swap of the values 1 and 2 is applied on top, which leaves
     products untouched and lands the block in A_{n-1}.
     """
-    if n < 4:
-        raise ValueError(f"block isomorphisms need n >= 4, got {n}")
+    check_family(family, n, 4)
     if not 1 <= i <= n:
         raise ValueError(f"block value {i} outside 1..{n}")
     block = np.flatnonzero(block_labels(family, n) == i)
@@ -350,12 +345,11 @@ def graph_invariant_violations(G: Graph) -> list[str]:
 def export_edges(G: Graph, path) -> None:
     """Write the edge list: header comment, then one ``u v`` pair per line.
 
-    Vertices are 0-based ranks, u < v, LF line endings.  A graph that is not
-    a :class:`CayleyGraph` gets ``family=custom n=None``.
+    Vertices are 0-based ranks, u < v, LF line endings.  The header carries
+    ``G.family_tag`` and ``G.n``: ``family=custom n=None`` for a graph made
+    by hand.
     """
-    family = getattr(G, "family_tag", "custom")
-    n = getattr(G, "n", None)
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# family={family} n={n} order={G.order} degree={G.degree}\n")
+        fh.write(f"# family={G.family_tag} n={G.n} order={G.order} degree={G.degree}\n")
         for u, v in G.edges_array():
             fh.write(f"{u} {v}\n")

@@ -13,7 +13,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .cayley import Graph, block_labels
+from .cayley import Graph, block_labels, check_family
 from .errors import OrderCapError
 
 # Largest order brute_force_h enumerates; fixed, since 2^59 subsets of A_5 are out of reach.
@@ -87,13 +87,12 @@ def canonical_cut(family: str, n: int, i: int = 1) -> np.ndarray:
 def canonical_boundary(family: str, n: int) -> int:
     """Exact boundary size of the canonical cut: (n-1)!, (n-2)(n-1)! or
     (n-1)(n-2)(n-1)!/2."""
+    check_family(family, n)
     if family == "AG":
         return factorial(n - 1)
     if family == "EAG":
         return (n - 2) * factorial(n - 1)
-    if family == "CAG":
-        return (n - 1) * (n - 2) * factorial(n - 1) // 2
-    raise ValueError(f"unknown family {family!r}")
+    return (n - 1) * (n - 2) * factorial(n - 1) // 2
 
 
 def cheeger_bounds(mu: float, delta: float) -> tuple[float, float]:
@@ -110,20 +109,18 @@ def cheeger_bounds(mu: float, delta: float) -> tuple[float, float]:
 
 
 def corollary_bounds(family: str, n: int) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket on the isoperimetric number of each family."""
+    """Exact rational bracket on the isoperimetric number of each family (AG from n = 4)."""
+    check_family(family, n, 4 if family == "AG" else 3)
     if family == "AG":
-        if n < 4:
-            raise ValueError(f"AG bounds need n >= 4, got {n}")
         return (Fraction(1), Fraction(2))
     if family == "EAG":
-        if n < 3:
-            raise ValueError(f"EAG bounds need n >= 3, got {n}")
         return (Fraction(2 * n - 3, 2), Fraction(2 * n - 4))
-    if family == "CAG":
-        if n < 3:
-            raise ValueError(f"CAG bounds need n >= 3, got {n}")
-        return (Fraction(n * n - 2 * n, 2), Fraction(n * n - 3 * n + 2))
-    raise ValueError(f"unknown family {family!r}")
+    return (Fraction(n * n - 2 * n, 2), Fraction(n * n - 3 * n + 2))
+
+
+def _check_brute_order(order: int) -> None:
+    if order > BRUTE_ORDER_CAP:
+        raise OrderCapError(f"order {order} above the fixed brute-force cap {BRUTE_ORDER_CAP}")
 
 
 def brute_force_h(G: Graph) -> tuple[Fraction, tuple[int, ...]]:
@@ -136,8 +133,7 @@ def brute_force_h(G: Graph) -> tuple[Fraction, tuple[int, ...]]:
     representative is also the lex-least member of its pair.
     """
     order = G.order
-    if order > BRUTE_ORDER_CAP:
-        raise OrderCapError(f"order {order} above the fixed brute-force cap {BRUTE_ORDER_CAP}")
+    _check_brute_order(order)
     if order < 2:
         raise ValueError("isoperimetric number needs at least two vertices")
     # Row r holds vertex 0 and the binary digits of r on vertices 1.., the

@@ -26,16 +26,16 @@ from . import cheeger as _cheeger
 from .cayley import (
     DEFAULT_MAX_ORDER,
     FAMILIES,
+    GeneratingSet,
     build_cayley,
     build_family,
-    custom_generating_set,
     export_edges,
     is_connected,
 )
 from .errors import ConvergenceError, OrderCapError
 from .partition import divisor_closed_form, divisor_spectrum
-from .perm import MAX_POINTS, parse_generator_list
-from .spectra import dense_spectrum, gap_report, integrality_check
+from .perm import MAX_POINTS, alternating_order, parse_generator_list
+from .spectra import _check_dense_order, dense_spectrum, gap_report, integrality_check
 from .verify import (
     VerificationReport,
     _GraphCache,
@@ -97,7 +97,7 @@ def _build(args):
     """The graph of --family or --gens; --gens is parsed here, before any build work."""
     if args.family:
         return build_family(args.family, args.n, max_order=args.max_order)
-    gens = custom_generating_set(args.n, parse_generator_list(args.gens, args.n))
+    gens = GeneratingSet(args.n, tuple(parse_generator_list(args.gens, args.n)))
     return build_cayley(args.n, gens, max_order=args.max_order)
 
 
@@ -168,7 +168,7 @@ def _run_build(args) -> tuple[dict, int]:
         export_edges(G, args.export_edges)
         print(f"edge list written to {args.export_edges}", file=sys.stderr)
     report = {
-        "family": getattr(G, "family_tag", "custom"),
+        "family": G.family_tag,
         "n": args.n,
         "order": G.order,
         "degree": G.degree,
@@ -179,6 +179,7 @@ def _run_build(args) -> tuple[dict, int]:
 
 
 def _run_spectrum(args) -> tuple[dict, int]:
+    _check_dense_order(alternating_order(args.n))  # the fixed cap, before the build
     G = _build(args)
     rep = dense_spectrum(G, tol=args.tol)
     integral, worst = integrality_check(rep, tol=max(args.tol, 1e-8))
@@ -214,6 +215,7 @@ def _run_cut(args) -> tuple[dict, int]:
 
 
 def _run_hmin(args) -> tuple[dict, int]:
+    _cheeger._check_brute_order(alternating_order(args.n))  # the fixed cap, before the build
     G = _build(args)
     h, witness = _cheeger.brute_force_h(G)
     return {
@@ -233,7 +235,7 @@ def _run_decompose(args) -> tuple[dict, int]:
     else:
         first = check_edge_decomposition(args.family, args.n, cache=cache)
     second = check_subgraph_isomorphism(args.family, args.n, args.block, cache=cache)
-    report = VerificationReport(args.family, args.n, args.seed, args.block, args.tol, [first, second])
+    report = VerificationReport(args.family, args.n, args.seed, args.block, [first, second])
     return report.to_dict(args.timings), 0 if report.overall else 1
 
 

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .cayley import Graph
+from .cayley import Graph, check_family
 from .perm import alternating_images
 
 
@@ -164,10 +164,9 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
 
 
 def divisor_closed_form(family: str, n: int) -> DivisorMatrix:
-    """The block neighbor-count matrix of each family, as a formula in n."""
+    """The block neighbor-count matrix of each family, as a formula in n (AG from n = 4)."""
+    check_family(family, n, 4 if family == "AG" else 3)
     if family == "AG":
-        if n < 4:
-            raise ValueError(f"AG divisor matrix needs n >= 4, got {n}")
         entries = np.array(
             [
                 [2 * n - 6, 1, 1, 0],
@@ -178,39 +177,27 @@ def divisor_closed_form(family: str, n: int) -> DivisorMatrix:
             dtype=np.int64,
         )
     elif family == "EAG":
-        if n < 3:
-            raise ValueError(f"EAG divisor matrix needs n >= 3, got {n}")
         entries = np.full((n, n), 1, dtype=np.int64)
         entries[0, :] = n - 2
         entries[:, 0] = n - 2
         entries[0, 0] = 0
         for a in range(1, n):
             entries[a, a] = (n - 2) * (n - 3)
-    elif family == "CAG":
-        if n < 3:
-            raise ValueError(f"CAG divisor matrix needs n >= 3, got {n}")
+    else:
         entries = np.full((n, n), n - 2, dtype=np.int64)
         np.fill_diagonal(entries, 2 * comb(n - 1, 3))
-    else:
-        raise ValueError(f"unknown family {family!r}")
     return DivisorMatrix(entries=entries)
 
 
 def divisor_eigenvalues_closed_form(family: str, n: int) -> list[int]:
-    """Eigenvalues of the closed-form divisor matrix, descending with multiplicity."""
+    """Eigenvalues of the closed-form divisor matrix, descending with
+    multiplicity (AG from n = 4)."""
+    check_family(family, n, 4 if family == "AG" else 3)
     if family == "AG":
-        if n < 4:
-            raise ValueError(f"AG divisor eigenvalues need n >= 4, got {n}")
         return [2 * n - 4, 2 * n - 6, n - 4, 2 - n]
     if family == "EAG":
-        if n < 3:
-            raise ValueError(f"EAG divisor eigenvalues need n >= 3, got {n}")
         return [(n - 1) * (n - 2)] + [n * n - 5 * n + 5] * (n - 2) + [2 - n]
-    if family == "CAG":
-        if n < 3:
-            raise ValueError(f"CAG divisor eigenvalues need n >= 3, got {n}")
-        return [2 * comb(n, 3)] + [n * (n - 2) * (n - 4) // 3] * (n - 1)
-    raise ValueError(f"unknown family {family!r}")
+    return [2 * comb(n, 3)] + [n * (n - 2) * (n - 4) // 3] * (n - 1)
 
 
 def divisor_spectrum(B: DivisorMatrix) -> list[int]:

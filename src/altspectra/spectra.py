@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .cayley import FAMILIES, CayleyGraph, Graph, is_connected
+from .cayley import Graph, check_family, is_connected
 from .errors import ConvergenceError, OrderCapError
 from .partition import DivisorMatrix, VertexPartition, check_equitable
 from .perm import alternating_images, alternating_ranks, from_cycle
@@ -37,7 +37,7 @@ LANCZOS_BASIS = 32
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    family: str | None
+    family: str
     n: int | None
     order: int
     degree: int
@@ -54,10 +54,11 @@ class SpectrumReport:
         return asdict(self)
 
 
-def _meta(G: Graph) -> tuple[str | None, int | None, int]:
-    if isinstance(G, CayleyGraph):
-        return G.family_tag, G.n, G.degree
-    return None, None, G.degree
+def _check_dense_order(order: int) -> None:
+    if order > DENSE_ORDER_CAP:
+        raise OrderCapError(
+            f"order {order} above the fixed dense cap {DENSE_ORDER_CAP}; use the iterative solver"
+        )
 
 
 def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
@@ -68,15 +69,11 @@ def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
     residual ||A v - lambda v|| divided by the degree; it must come in
     under ``tol`` or the solve is treated as failed.
     """
-    family, n, degree = _meta(G)
-    if G.order > DENSE_ORDER_CAP:
-        raise OrderCapError(
-            f"order {G.order} above the fixed dense cap {DENSE_ORDER_CAP}; use the iterative solver"
-        )
+    _check_dense_order(G.order)
     A = G.adjacency_dense()
     vals, vecs = np.linalg.eigh(A)
     resid = float(np.linalg.norm(A @ vecs - vecs * vals, axis=0).max())
-    achieved = resid / max(degree, 1)
+    achieved = resid / max(G.degree, 1)
     if achieved > tol:
         raise ConvergenceError(
             f"dense solve residual {achieved:.3e} above tolerance {tol:.3e}", achieved
@@ -87,15 +84,15 @@ def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
     cluster_starts = np.flatnonzero(~(desc[:-1] - desc[1:] < 100 * tol)) + 1
     lambda1 = float(desc[0])
     lambda2 = float(desc[1]) if len(desc) > 1 else float("nan")
-    if is_connected(G) and abs(lambda1 - degree) > max(tol * max(degree, 1), achieved * 10):
+    if is_connected(G) and abs(lambda1 - G.degree) > max(tol * max(G.degree, 1), achieved * 10):
         raise ConvergenceError(
-            f"largest eigenvalue {lambda1} differs from degree {degree}", achieved
+            f"largest eigenvalue {lambda1} differs from degree {G.degree}", achieved
         )
     return SpectrumReport(
-        family=family,
-        n=n,
+        family=G.family_tag,
+        n=G.n,
         order=G.order,
-        degree=degree,
+        degree=G.degree,
         solver="dense",
         tolerance=achieved,
         seed=None,
@@ -189,37 +186,28 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
     return rq
 
 
-def spectral_gap(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
-    """Degree minus the second-largest adjacency eigenvalue."""
-    return G.degree - lambda2_iterative(G, tol=tol, seed=seed)
-
-
 def gap_report(G: Graph, tol: float = 1e-8, seed: int = 42) -> SpectrumReport:
     """Iterative-solver report carrying just the top two eigenvalues."""
-    family, n, degree = _meta(G)
     lam2 = lambda2_iterative(G, tol=tol, seed=seed)
     return SpectrumReport(
-        family=family,
-        n=n,
+        family=G.family_tag,
+        n=G.n,
         order=G.order,
-        degree=degree,
+        degree=G.degree,
         solver="iterative",
         tolerance=tol,
         seed=seed,
-        eigenvalues=(float(degree), lam2),
+        eigenvalues=(float(G.degree), lam2),
         multiplicities=None,
-        lambda1=float(degree),
+        lambda1=float(G.degree),
         lambda2=lam2,
-        gap=degree - lam2,
+        gap=G.degree - lam2,
     )
 
 
 def predicted(family: str, n: int) -> tuple[int, int, int]:
     """Closed-form (lambda1, lambda2, gap) for each family; exact integers."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 3:
-        raise ValueError(f"{family} is defined for n >= 3, got {n}")
+    check_family(family, n)
     if family == "AG":
         return (2, -1, 3) if n == 3 else (2 * n - 4, 2 * n - 6, 2)
     if family == "EAG":
@@ -260,7 +248,7 @@ def exact_spectrum(family: str, n: int) -> dict[int, int]:
     d_(lambda-a-b): 2a - 2 in one row, -2a - 2 in one column, else
     -1 +- |a + b| once per pair.
     """
-    predicted(family, n)  # rejects an unknown family and n < 3
+    check_family(family, n)
     counts: Counter[int] = Counter()
     for shape in _partitions(n):
         d = _dimension(shape)
@@ -282,7 +270,7 @@ def exact_spectrum(family: str, n: int) -> dict[int, int]:
     return {theta: counts[theta] // 2 for theta in sorted(counts, reverse=True)}
 
 
-def certify_spectrum(G: CayleyGraph, spectrum: dict[int, int]) -> dict[str, bool]:
+def certify_spectrum(G: Graph, spectrum: dict[int, int]) -> dict[str, bool]:
     """Exact proof that ``spectrum`` (eigenvalue -> multiplicity) is that of G.
 
     ``left_invariant``: each row commutes with right translation by (1 2 3)

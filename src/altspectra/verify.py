@@ -26,10 +26,10 @@ import numpy as np
 from . import cheeger as _cheeger
 from .cayley import (
     DEFAULT_MAX_ORDER,
-    FAMILIES,
     Graph,
     block_labels,
     build_family,
+    check_family,
     graph_invariant_violations,
     is_connected,
     phi_isomorphism,
@@ -80,7 +80,6 @@ class VerificationReport:
     n: int
     seed: int
     block: int
-    tol: float
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
@@ -137,8 +136,7 @@ class _GraphCache:
 def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     """Every vertex with the value i last has exactly one neighbor with the
     value i first and one with it second, and those edges are disjoint."""
-    if n < 4:
-        raise ValueError(f"matching checks need n >= 4, got {n}")
+    check_family("AG", n, 4)
     if not 1 <= i <= n:
         raise ValueError(f"block value must be in 1..{n}, got {i}")
     cache = cache or _GraphCache()
@@ -196,8 +194,7 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     """
     if family not in ("EAG", "CAG"):
         raise ValueError("edge decompositions exist for EAG and CAG only")
-    if n < 4:
-        raise ValueError(f"edge decompositions need n >= 4, got {n}")
+    check_family(family, n, 4)
     cache = cache or _GraphCache()
 
     def run():
@@ -251,8 +248,7 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     block part way keeps a -1 and matches none.  A doctored graph yields a
     failed check, not an exception.
     """
-    if n < 4:
-        raise ValueError(f"block isomorphism checks need n >= 4, got {n}")
+    check_family(family, n, 4)
     if not 1 <= i <= n:
         raise ValueError(f"block value must be in 1..{n}, got {i}")
     cache = cache or _GraphCache()
@@ -297,8 +293,7 @@ def check_decomposition_bound(
     decomposition (the induction step behind the closed forms)."""
     if family not in ("EAG", "CAG"):
         raise ValueError("decomposition bounds exist for EAG and CAG only")
-    if n < 4:
-        raise ValueError(f"decomposition bounds need n >= 4, got {n}")
+    check_family(family, n, 4)
     cache = cache or _GraphCache()
 
     def run():
@@ -345,10 +340,7 @@ def verify_family(
     spectrum on the graph (:func:`~altspectra.spectra.certify_spectrum`)
     and gives the isoperimetric bracket its gap; no dense matrix is formed.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 3:
-        raise ValueError(f"families are defined for n >= 3, got {n}")
+    check_family(family, n)
     if not 0 < tol < 0.5:
         # Every named-family spectrum is integral: a residual under 1/2 ties
         # lambda2 to a single integer, a larger one lets any value pass.
@@ -356,7 +348,7 @@ def verify_family(
     if not 1 <= block_index <= n:
         raise ValueError(f"block_index must be in 1..{n}, got {block_index}")
     cache = _GraphCache(max_order)
-    report = VerificationReport(family=family, n=n, seed=seed, block=block_index, tol=tol)
+    report = VerificationReport(family=family, n=n, seed=seed, block=block_index)
     G = cache.get(family, n)
     degree, lam2_pred, gap_pred = predicted(family, n)
 

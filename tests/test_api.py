@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import altspectra
-from altspectra.cayley import Graph
+from altspectra.cayley import Graph, build_family
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -55,3 +55,14 @@ def test_traced_function_resolves(module, attr):
 )
 def test_traced_graph_member_resolves(attr):
     assert attr in Graph.__dict__
+
+
+def test_graphs_carry_the_key_the_tracer_reads():
+    # The tracer counts distinct lambda2 solves by (family_tag, n) of built
+    # graphs; a renamed field would silently change those counts.
+    built = build_family("AG", 4)
+    by_hand = Graph(perms=built.perms)
+    assert (built.n, built.family_tag) == (4, "AG")
+    assert (by_hand.n, by_hand.family_tag) == (None, "custom")
+    assert tracer._graph_key(built) == ("AG", 4)
+    assert tracer._graph_key(by_hand) == id(by_hand)

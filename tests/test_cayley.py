@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from altspectra import cayley
+from altspectra import cayley, cheeger, partition, spectra, verify
 from altspectra.cayley import (
     FAMILY_TO_TAG,
     GeneratingSet,
@@ -14,7 +14,6 @@ from altspectra.cayley import (
     block_labels,
     build_cayley,
     build_family,
-    custom_generating_set,
     export_edges,
     generating_set,
     graph_invariant_violations,
@@ -106,10 +105,10 @@ def test_generating_set_validation():
         GeneratingSet(n=4, elements=(from_cycle(4, [1, 2]), from_cycle(4, [1, 2])))
     with pytest.raises(ValueError):
         # odd element
-        custom_generating_set(4, [from_cycle(4, [1, 2])])
+        GeneratingSet(4, (from_cycle(4, [1, 2]),))
     with pytest.raises(ValueError):
         # not closed under inverses
-        custom_generating_set(4, [from_cycle(4, [1, 2, 3])])
+        GeneratingSet(4, (from_cycle(4, [1, 2, 3]),))
     with pytest.raises(ValueError):
         generating_set("T1", 2)
     with pytest.raises(ValueError, match="unknown generating family"):
@@ -227,7 +226,7 @@ def test_star_rows_match_per_generator_ranks(graph, family, n):
 )
 @pytest.mark.parametrize("n", [6, 7])
 def test_star_rows_match_per_generator_ranks_custom(gens, n):
-    gset = custom_generating_set(n, parse_generator_list(gens, n))
+    gset = GeneratingSet(n, tuple(parse_generator_list(gens, n)))
     assert np.array_equal(build_cayley(n, gset).perms, reference_rows(n, gset))
 
 
@@ -263,7 +262,7 @@ def test_star_rows_are_ranked_once_per_n(monkeypatch):
         want = [rank(compose(compose(from_cycle(6, (1, a)), g), s)) for a in range(2, 7)]
         assert star[:, v].tolist() == want
     # A set that moves two of the five points still ranks every star row, once.
-    gens = custom_generating_set(5, parse_generator_list("(1,2,3),(1,3,2)", 5))
+    gens = GeneratingSet(5, tuple(parse_generator_list("(1,2,3),(1,3,2)", 5)))
     build_cayley(5, gens)
     build_cayley(5, gens)
     assert ranked == [(5, 60)] * 4
@@ -275,7 +274,7 @@ def test_concurrent_builds_share_the_star_rows():
     # may each rank the star rows of A_6 before one of them is cached; every
     # build must still get the same rows, whichever copy it reads.
     sets = [generating_set("T3", 6)] + [
-        custom_generating_set(6, parse_generator_list(gens, 6))
+        GeneratingSet(6, tuple(parse_generator_list(gens, 6)))
         for gens in ["(1,2,3),(1,3,2)", "(1,5,6),(1,6,5)", "(2,4,3),(2,3,4)"]
     ]
     want = [reference_rows(6, gens) for gens in sets]
@@ -334,7 +333,7 @@ def connectivity_cases():
         ("degree 0", 4, ""),
     ]:
         elements = parse_generator_list(gens, n) if gens else []
-        build = lambda n=n, elements=elements: build_cayley(n, custom_generating_set(n, elements))
+        build = lambda n=n, elements=elements: build_cayley(n, GeneratingSet(n, tuple(elements)))
         yield pytest.param(build, id=name)
     one = np.zeros((0, 1), dtype=np.int32)
     yield pytest.param(lambda: Graph(perms=one), id="one vertex, degree 0")
@@ -352,14 +351,14 @@ def test_is_connected_matches_an_all_rows_search(make):
 
 
 def test_empty_generating_set_gives_disconnected_graph():
-    g = build_cayley(4, custom_generating_set(4, []))
+    g = build_cayley(4, GeneratingSet(4, ()))
     assert g.edge_count == 0
     assert not is_connected(g)
 
 
 def test_degenerate_generators_disconnect():
     # generators fixing the point 4 cannot reach permutations moving it
-    gens = custom_generating_set(4, [from_cycle(4, [1, 2, 3]), from_cycle(4, [1, 3, 2])])
+    gens = GeneratingSet(4, (from_cycle(4, [1, 2, 3]), from_cycle(4, [1, 3, 2])))
     g = build_cayley(4, gens)
     assert not is_connected(g)
 
@@ -430,6 +429,64 @@ def test_block_labels_read_the_pinned_position(family, n, position):
 def test_block_labels_reject_unknown_family():
     with pytest.raises(ValueError):
         block_labels("XAG", 5)
+
+
+# Every entry point that takes a (family, n) pair, called as fn(family, n),
+# with the least n it accepts where that is not 3.
+FROM_4 = {"AG": 4, "EAG": 4, "CAG": 4}
+DOMAIN_CHECKED = {
+    "build_family": (cayley.build_family, {}),
+    "block_labels": (block_labels, {}),
+    "predicted": (spectra.predicted, {}),
+    "exact_spectrum": (spectra.exact_spectrum, {}),
+    "divisor_closed_form": (partition.divisor_closed_form, {"AG": 4}),
+    "divisor_eigenvalues_closed_form": (partition.divisor_eigenvalues_closed_form, {"AG": 4}),
+    "corollary_bounds": (cheeger.corollary_bounds, {"AG": 4}),
+    "canonical_boundary": (cheeger.canonical_boundary, {}),
+    "verify_family": (verify.verify_family, {}),
+    "phi_isomorphism": (lambda family, n: phi_isomorphism(n, 1, family), FROM_4),
+    "check_subgraph_isomorphism": (
+        lambda family, n: verify.check_subgraph_isomorphism(family, n, 1), FROM_4
+    ),
+}
+
+
+def _refuse_builds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the domain check")
+
+    monkeypatch.setattr(cayley, "build_cayley", refuse)
+    monkeypatch.setattr(cayley, "alternating_images", refuse)
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("name", list(DOMAIN_CHECKED))
+def test_family_domain_is_checked_before_any_build(monkeypatch, name, family):
+    fn, leasts = DOMAIN_CHECKED[name]
+    least = leasts.get(family, 3)
+    with monkeypatch.context() as patched:
+        _refuse_builds(patched)
+        with pytest.raises(ValueError, match=f"^{family} needs n >= {least} here, got {least - 1}$"):
+            fn(family, least - 1)
+        with pytest.raises(ValueError, match=r"^unknown family 'XAG' \(expected one of"):
+            fn("XAG", least)
+    fn(family, least)
+
+
+@pytest.mark.parametrize(
+    "check,family",
+    [
+        pytest.param(lambda family, n: verify.check_matchings(n, 1), "AG", id="matchings-AG"),
+        (verify.check_edge_decomposition, "EAG"),
+        (verify.check_edge_decomposition, "CAG"),
+        (verify.check_decomposition_bound, "EAG"),
+        (verify.check_decomposition_bound, "CAG"),
+    ],
+)
+def test_structural_checks_need_n_at_least_4_before_any_build(monkeypatch, check, family):
+    _refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{family} needs n >= 4 here, got 3$"):
+        check(family, 3)
 
 
 def test_phi_restriction_case():

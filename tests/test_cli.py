@@ -271,6 +271,24 @@ def test_cap_exceeded_exits_3(capsys):
         assert "cap" in err and lifted_by in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hmin", "--family", "AG", "--n", "5", "--max-order", "60"),
+        ("spectrum", "--family", "AG", "--n", "8", "--max-order", "20160"),
+        ("spectrum", "--family", "CAG", "--n", "10", "--max-order", "2000000"),
+    ],
+)
+def test_fixed_caps_refuse_before_the_build(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph the fixed cap refuses")
+
+    monkeypatch.setattr(cli, "build_family", refuse)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "cap" in err and "fixed" in err
+
+
 def test_verify_leaves_numpy_ma_unimported():
     # A plain np.unique imports numpy.ma, about 17 ms of every CLI job, and
     # np.random.default_rng imports numpy.random with secrets, 15-22 ms more.
@@ -290,7 +308,7 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     import altspectra.cli as cli_mod
 
     def fake_verify(family, n, **kwargs):
-        report = VerificationReport(family=family, n=n, seed=42, block=1, tol=1e-8)
+        report = VerificationReport(family=family, n=n, seed=42, block=1)
         report.checks.append(
             CheckResult(
                 name="forced", ref="r", predicted=1, observed=2,

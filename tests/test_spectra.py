@@ -6,7 +6,7 @@ from math import factorial, lcm, prod
 import numpy as np
 import pytest
 
-from altspectra.cayley import CayleyGraph, Graph, build_cayley, build_family, custom_generating_set
+from altspectra.cayley import GeneratingSet, Graph, build_cayley, build_family, export_edges
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
 from altspectra.partition import EquitableWitness
@@ -22,7 +22,6 @@ from altspectra.spectra import (
     integrality_check,
     lambda2_iterative,
     predicted,
-    spectral_gap,
 )
 
 
@@ -96,7 +95,8 @@ def test_lambda2_iterative_matches_closed_form(graph, family, n, expected):
 
 @pytest.mark.parametrize("family,n,expected", [("AG", 6, 2.0), ("EAG", 6, 9.0), ("CAG", 6, 24.0)])
 def test_spectral_gap(graph, family, n, expected):
-    assert spectral_gap(graph(family, n), tol=1e-8) == pytest.approx(expected, abs=1e-6)
+    G = graph(family, n)
+    assert G.degree - lambda2_iterative(G, tol=1e-8) == pytest.approx(expected, abs=1e-6)
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
@@ -106,6 +106,17 @@ def test_dense_and_iterative_agree(graph, family, n):
     dense = dense_spectrum(G).lambda2
     iterative = lambda2_iterative(G, tol=1e-8)
     assert abs(dense - iterative) < 1e-6
+
+
+def test_a_graph_made_by_hand_reports_family_custom(tmp_path):
+    built = build_family("AG", 4)
+    by_hand = Graph(perms=built.perms)
+    for report in (gap_report, dense_spectrum):
+        want = {**report(built).to_dict(), "family": "custom", "n": None}
+        assert report(by_hand).to_dict() == want
+    export_edges(by_hand, tmp_path / "edges.txt")
+    header = (tmp_path / "edges.txt").read_text().splitlines()[0]
+    assert header == "# family=custom n=None order=12 degree=4"
 
 
 def test_predicted_values():
@@ -178,7 +189,7 @@ def test_rayleigh_of_centered_block_indicator_is_bounded(graph):
 
 
 def test_lambda2_flags_disconnected_graph():
-    gens = custom_generating_set(4, [from_cycle(4, [1, 2, 3]), from_cycle(4, [1, 3, 2])])
+    gens = GeneratingSet(4, (from_cycle(4, [1, 2, 3]), from_cycle(4, [1, 3, 2])))
     G = build_cayley(4, gens)
     with pytest.warns(UserWarning, match="disconnected"):
         lam2 = lambda2_iterative(G, tol=1e-8)
@@ -275,7 +286,7 @@ def test_lambda2_custom_set_needs_restarts(monkeypatch):
     # An irrational second eigenvalue that takes more Lanczos steps than
     # one basis holds, so the solve goes through at least one restart.
     cycles = ([1, 2, 3], [1, 3, 2], [1, 2, 3, 4, 5, 6, 7], [1, 7, 6, 5, 4, 3, 2])
-    G = build_cayley(7, custom_generating_set(7, [from_cycle(7, c) for c in cycles]))
+    G = build_cayley(7, GeneratingSet(7, tuple(from_cycle(7, c) for c in cycles)))
     expected = np.linalg.eigvalsh(G.adjacency_dense())[-2]
     assert expected == pytest.approx(3.71161754263538, abs=1e-12)
     calls = _count_matvecs(monkeypatch)
@@ -404,5 +415,5 @@ def test_certify_spectrum_fails_on_swapped_arcs(graph):
         and perms[0, 0] not in perms[:, x]
     )
     _swap_arcs(perms, 0, 0, x)
-    certificate = certify_spectrum(CayleyGraph(perms=perms, n=5), exact_spectrum("AG", 5))
+    certificate = certify_spectrum(Graph(perms=perms, n=5), exact_spectrum("AG", 5))
     assert certificate["left_invariant"] is False
