@@ -56,6 +56,8 @@ FAMILY_TO_TAG = {"AG": "T1", "EAG": "T2", "CAG": "T3"}
 TAG_TO_FAMILY = {v: k for k, v in FAMILY_TO_TAG.items()}
 # The points every 3-cycle of a generating family moves.
 PINNED_POINTS = {"T1": (1, 2), "T2": (1,), "T3": ()}
+# The least n of each family's block partition (AG's block W is empty at n = 3).
+PARTITION_LEAST = {"AG": 4, "EAG": 3, "CAG": 3}
 
 # 9!/2: the largest graph order built unless max_order (--max-order) is raised.
 DEFAULT_MAX_ORDER = 181_440
@@ -224,12 +226,25 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
     return Graph(perms, n=n, family_tag=TAG_TO_FAMILY.get(gens.family_tag, "custom"))
 
 
-def check_family(family: str, n: int, least: int = 3) -> None:
-    """Raise ``ValueError`` unless ``family`` is in :data:`FAMILIES` and n >= ``least``."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+def check_block(n: int, i: int) -> None:
+    """Raise ``ValueError`` unless the block value i lies in 1..n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"block value must be in 1..{n}, got {i}")
+
+
+def check_family(
+    family: str, n: int, least: int | dict = 3, block: int | None = None, families=FAMILIES
+) -> None:
+    """Raise ``ValueError`` unless ``family`` is one of ``families``, n >= ``least``
+    (or ``least[family]``, as with :data:`PARTITION_LEAST`) and ``block``, if given,
+    is in 1..n.  Every family or block-value entry point calls this before it builds."""
+    if family not in families:
+        raise ValueError(f"family {family!r} not allowed here (expected one of {families})")
+    least = least[family] if isinstance(least, dict) else least
     if n < least:
         raise ValueError(f"{family} needs n >= {least} here, got {n}")
+    if block is not None:
+        check_block(n, block)
 
 
 def build_family(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> Graph:
@@ -304,9 +319,7 @@ def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray
     a fixed swap of the values 1 and 2 is applied on top, which leaves
     products untouched and lands the block in A_{n-1}.
     """
-    check_family(family, n, 4)
-    if not 1 <= i <= n:
-        raise ValueError(f"block value {i} outside 1..{n}")
+    check_family(family, n, 4, block=i)
     block = np.flatnonzero(block_labels(family, n) == i)
     rows = alternating_images(n)[block]
     imgs = rows[rows != i].reshape(block.size, n - 1)

@@ -13,7 +13,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .cayley import Graph, block_labels, check_family
+from .cayley import PARTITION_LEAST, Graph, block_labels, check_family
 from .errors import OrderCapError
 
 # Largest order brute_force_h enumerates; fixed, since 2^59 subsets of A_5 are out of reach.
@@ -79,8 +79,7 @@ def cut_ratio(G: Graph, S, description: str = "subset") -> CutReport:
 def canonical_cut(family: str, n: int, i: int = 1) -> np.ndarray:
     """The family's distinguished block X(i), ascending: the vertices that
     :func:`altspectra.cayley.block_labels` labels i."""
-    if not 1 <= i <= n:
-        raise ValueError(f"value {i} outside 1..{n}")
+    check_family(family, n, block=i)
     return np.flatnonzero(block_labels(family, n) == i)
 
 
@@ -110,7 +109,7 @@ def cheeger_bounds(mu: float, delta: float) -> tuple[float, float]:
 
 def corollary_bounds(family: str, n: int) -> tuple[Fraction, Fraction]:
     """Exact rational bracket on the isoperimetric number of each family (AG from n = 4)."""
-    check_family(family, n, 4 if family == "AG" else 3)
+    check_family(family, n, PARTITION_LEAST)
     if family == "AG":
         return (Fraction(1), Fraction(2))
     if family == "EAG":

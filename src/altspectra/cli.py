@@ -36,14 +36,7 @@ from .errors import ConvergenceError, OrderCapError
 from .partition import divisor_closed_form, divisor_spectrum
 from .perm import MAX_POINTS, alternating_order, parse_generator_list
 from .spectra import _check_dense_order, dense_spectrum, gap_report, integrality_check
-from .verify import (
-    VerificationReport,
-    _GraphCache,
-    check_edge_decomposition,
-    check_matchings,
-    check_subgraph_isomorphism,
-    verify_family,
-)
+from .verify import VerificationReport, _GraphCache, structural_checks, verify_family
 
 VERBS = ("build", "spectrum", "gap", "divisor", "cut", "hmin", "decompose", "verify")
 
@@ -219,7 +212,7 @@ def _run_hmin(args) -> tuple[dict, int]:
     G = _build(args)
     h, witness = _cheeger.brute_force_h(G)
     return {
-        "family": args.family or "custom",
+        "family": G.family_tag,
         "n": args.n,
         "order": G.order,
         "h": _fmt(h),
@@ -229,13 +222,8 @@ def _run_hmin(args) -> tuple[dict, int]:
 
 
 def _run_decompose(args) -> tuple[dict, int]:
-    cache = _GraphCache(args.max_order)
-    if args.family == "AG":
-        first = check_matchings(args.n, args.block, cache=cache)
-    else:
-        first = check_edge_decomposition(args.family, args.n, cache=cache)
-    second = check_subgraph_isomorphism(args.family, args.n, args.block, cache=cache)
-    report = VerificationReport(args.family, args.n, args.seed, args.block, [first, second])
+    checks = structural_checks(args.family, args.n, args.block, _GraphCache(args.max_order))
+    report = VerificationReport(args.family, args.n, args.seed, args.block, list(checks))
     return report.to_dict(args.timings), 0 if report.overall else 1
 
 

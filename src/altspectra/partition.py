@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .cayley import Graph, check_family
+from .cayley import PARTITION_LEAST, Graph, check_block, check_family
 from .perm import alternating_images
 
 
@@ -95,15 +95,12 @@ class EquitableWitness:
 
 def _value_positions(n: int, i: int) -> np.ndarray:
     """Zero-based position of the value i in every vertex's image tuple."""
-    if not 1 <= i <= n:
-        raise ValueError(f"value {i} outside 1..{n}")
     return (alternating_images(n) == i).argmax(axis=1)
 
 
 def blocks_AG(n: int, i: int) -> VertexPartition:
     """The four-block partition pinning where the value i appears."""
-    if n < 4:
-        raise ValueError(f"four-block partitions need n >= 4, got {n}")
+    check_family("AG", n, PARTITION_LEAST, block=i)
     block_at = np.full(n, 3, dtype=np.int32)
     block_at[[n - 1, 0, 1]] = 0, 1, 2
     return VertexPartition(
@@ -117,6 +114,7 @@ def blocks_Xij(n: int, *, i: int) -> VertexPartition:
     every block has (n-1)!/2 vertices."""
     if n < 3:
         raise ValueError(f"partitions need n >= 3, got {n}")
+    check_block(n, i)
     return VertexPartition(
         block_of=_value_positions(n, i),
         labels=tuple(f"X_{i}({j})" for j in range(1, n + 1)),
@@ -165,7 +163,7 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
 
 def divisor_closed_form(family: str, n: int) -> DivisorMatrix:
     """The block neighbor-count matrix of each family, as a formula in n (AG from n = 4)."""
-    check_family(family, n, 4 if family == "AG" else 3)
+    check_family(family, n, PARTITION_LEAST)
     if family == "AG":
         entries = np.array(
             [
@@ -192,7 +190,7 @@ def divisor_closed_form(family: str, n: int) -> DivisorMatrix:
 def divisor_eigenvalues_closed_form(family: str, n: int) -> list[int]:
     """Eigenvalues of the closed-form divisor matrix, descending with
     multiplicity (AG from n = 4)."""
-    check_family(family, n, 4 if family == "AG" else 3)
+    check_family(family, n, PARTITION_LEAST)
     if family == "AG":
         return [2 * n - 4, 2 * n - 6, n - 4, 2 - n]
     if family == "EAG":

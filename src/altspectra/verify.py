@@ -26,6 +26,7 @@ import numpy as np
 from . import cheeger as _cheeger
 from .cayley import (
     DEFAULT_MAX_ORDER,
+    PARTITION_LEAST,
     Graph,
     block_labels,
     build_family,
@@ -136,9 +137,7 @@ class _GraphCache:
 def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     """Every vertex with the value i last has exactly one neighbor with the
     value i first and one with it second, and those edges are disjoint."""
-    check_family("AG", n, 4)
-    if not 1 <= i <= n:
-        raise ValueError(f"block value must be in 1..{n}, got {i}")
+    check_family("AG", n, 4, block=i)
     cache = cache or _GraphCache()
     G = cache.get("AG", n)
 
@@ -192,9 +191,7 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     edge count of the graph and the sum of the parts' edge counts must both
     equal the closed form n!/2 * d/2, with d the family degree.
     """
-    if family not in ("EAG", "CAG"):
-        raise ValueError("edge decompositions exist for EAG and CAG only")
-    check_family(family, n, 4)
+    check_family(family, n, 4, families=("EAG", "CAG"))
     cache = cache or _GraphCache()
 
     def run():
@@ -248,9 +245,7 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     block part way keeps a -1 and matches none.  A doctored graph yields a
     failed check, not an exception.
     """
-    check_family(family, n, 4)
-    if not 1 <= i <= n:
-        raise ValueError(f"block value must be in 1..{n}, got {i}")
+    check_family(family, n, 4, block=i)
     cache = cache or _GraphCache()
 
     def run():
@@ -291,9 +286,7 @@ def check_decomposition_bound(
 ) -> CheckResult:
     """Solver-level subadditivity of the second eigenvalue across the edge
     decomposition (the induction step behind the closed forms)."""
-    if family not in ("EAG", "CAG"):
-        raise ValueError("decomposition bounds exist for EAG and CAG only")
-    check_family(family, n, 4)
+    check_family(family, n, 4, families=("EAG", "CAG"))
     cache = cache or _GraphCache()
 
     def run():
@@ -318,6 +311,17 @@ def check_decomposition_bound(
     )
 
 
+def structural_checks(family: str, n: int, i: int, cache: _GraphCache):
+    """Yield the matchings (AG) or edge-decomposition (EAG, CAG) check, then the subgraph
+    isomorphism check, each run when reached; ``verify`` adds the bound after the first."""
+    check_family(family, n, 4, block=i)
+    if family == "AG":
+        yield check_matchings(n, i, cache=cache)
+    else:
+        yield check_edge_decomposition(family, n, cache=cache)
+    yield check_subgraph_isomorphism(family, n, i, cache=cache)
+
+
 def verify_family(
     family: str,
     n: int,
@@ -340,13 +344,11 @@ def verify_family(
     spectrum on the graph (:func:`~altspectra.spectra.certify_spectrum`)
     and gives the isoperimetric bracket its gap; no dense matrix is formed.
     """
-    check_family(family, n)
+    check_family(family, n, block=block_index)
     if not 0 < tol < 0.5:
         # Every named-family spectrum is integral: a residual under 1/2 ties
         # lambda2 to a single integer, a larger one lets any value pass.
         raise ValueError(f"tol must be in (0, 0.5), got {tol}")
-    if not 1 <= block_index <= n:
-        raise ValueError(f"block_index must be in 1..{n}, got {block_index}")
     cache = _GraphCache(max_order)
     report = VerificationReport(family=family, n=n, seed=seed, block=block_index)
     G = cache.get(family, n)
@@ -372,7 +374,7 @@ def verify_family(
 
     report.checks.append(_timed("graph_invariants", "regular Cayley graph structure", invariants))
 
-    partition_applies = n >= 4 or family in ("EAG", "CAG")
+    partition_applies = n >= PARTITION_LEAST[family]
     if partition_applies:
         measured = None
 
@@ -437,7 +439,7 @@ def verify_family(
 
         def cut():
             S = _cheeger.canonical_cut(family, n, block_index)
-            cr = _cheeger.cut_ratio(G, S, description=f"{family} canonical block {block_index}")
+            cr = _cheeger.cut_ratio(G, S)
             _, upper = _cheeger.corollary_bounds(family, n)
             boundary_pred = _cheeger.canonical_boundary(family, n)
             ok = cr.ratio == upper and cr.boundary == boundary_pred
@@ -470,11 +472,10 @@ def verify_family(
         )
 
     if n >= 4:
-        if family == "AG":
-            report.checks.append(check_matchings(n, block_index, cache=cache))
-        else:
-            report.checks.append(check_edge_decomposition(family, n, cache=cache))
-            report.checks.append(check_decomposition_bound(family, n, tol=tol, seed=seed, cache=cache))
-        report.checks.append(check_subgraph_isomorphism(family, n, block_index, cache=cache))
+        for check in structural_checks(family, n, block_index, cache):
+            report.checks.append(check)
+            if check.name == "edge_decomposition":
+                bound = check_decomposition_bound(family, n, tol=tol, seed=seed, cache=cache)
+                report.checks.append(bound)
 
     return report

@@ -8,6 +8,7 @@ import pytest
 
 from altspectra import cayley, cheeger, partition, spectra, verify
 from altspectra.cayley import (
+    FAMILIES,
     FAMILY_TO_TAG,
     GeneratingSet,
     Graph,
@@ -457,6 +458,7 @@ def _refuse_builds(monkeypatch):
 
     monkeypatch.setattr(cayley, "build_cayley", refuse)
     monkeypatch.setattr(cayley, "alternating_images", refuse)
+    monkeypatch.setattr(partition, "alternating_images", refuse)
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
@@ -468,7 +470,7 @@ def test_family_domain_is_checked_before_any_build(monkeypatch, name, family):
         _refuse_builds(patched)
         with pytest.raises(ValueError, match=f"^{family} needs n >= {least} here, got {least - 1}$"):
             fn(family, least - 1)
-        with pytest.raises(ValueError, match=r"^unknown family 'XAG' \(expected one of"):
+        with pytest.raises(ValueError, match=r"^family 'XAG' not allowed here \(expected one of"):
             fn("XAG", least)
     fn(family, least)
 
@@ -487,6 +489,41 @@ def test_structural_checks_need_n_at_least_4_before_any_build(monkeypatch, check
     _refuse_builds(monkeypatch)
     with pytest.raises(ValueError, match=f"^{family} needs n >= 4 here, got 3$"):
         check(family, 3)
+
+
+@pytest.mark.parametrize("check", [verify.check_edge_decomposition, verify.check_decomposition_bound])
+def test_decompositions_refuse_AG_before_any_build(monkeypatch, check):
+    _refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match=r"^family 'AG' not allowed here \(expected one of \('EAG', 'CAG'\)\)$"):
+        check("AG", 5)
+
+
+# Every entry point that takes a block value, called as fn(family, n, i),
+# with the families it takes (None: it takes none) and the least n it takes.
+BLOCK_CHECKED = {
+    "verify_family": (lambda f, n, i: verify.verify_family(f, n, block_index=i), FAMILIES, 3),
+    "check_matchings": (lambda f, n, i: verify.check_matchings(n, i), ("AG",), 4),
+    "check_subgraph_isomorphism": (verify.check_subgraph_isomorphism, FAMILIES, 4),
+    "structural_checks": (
+        lambda f, n, i: list(verify.structural_checks(f, n, i, verify._GraphCache())), FAMILIES, 4
+    ),
+    "phi_isomorphism": (lambda f, n, i: phi_isomorphism(n, i, f), FAMILIES, 4),
+    "canonical_cut": (canonical_cut, FAMILIES, 3),
+    "blocks_AG": (lambda f, n, i: blocks_AG(n, i), ("AG",), 4),
+    "blocks_Xij": (lambda f, n, i: blocks_Xij(n, i=i), (None,), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "name,family", [(name, f) for name, (_, fs, _) in BLOCK_CHECKED.items() for f in fs]
+)
+def test_block_value_is_checked_before_any_build(monkeypatch, name, family):
+    fn, _, least = BLOCK_CHECKED[name]
+    _refuse_builds(monkeypatch)
+    for n in {least, 4, 5, 8}:
+        for i in (0, n + 1, 9, 99):
+            with pytest.raises(ValueError, match=f"^block value must be in 1..{n}, got {i}$"):
+                fn(family, n, i)
 
 
 def test_phi_restriction_case():

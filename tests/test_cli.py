@@ -247,6 +247,22 @@ def test_handler_value_errors_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "family,names",
+    [
+        ("AG", ["matchings", "subgraph_isomorphism"]),
+        ("EAG", ["edge_decomposition", "subgraph_isomorphism"]),
+        ("CAG", ["edge_decomposition", "subgraph_isomorphism"]),
+    ],
+)
+def test_decompose_reports_the_structural_rows_of_verify(capsys, family, names):
+    argv = ("--family", family, "--n", "6", "--block", "3", "--format", "json")
+    checks = json.loads(run(capsys, "decompose", *argv)[1])["checks"]
+    rows = {check["name"]: check for check in json.loads(run(capsys, "verify", *argv)[1])["checks"]}
+    assert [check["name"] for check in checks] == names
+    assert checks == [rows[name] for name in names]
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(capsys, "gap", "--family", "AG", "--n", "4", "--bogus")[0] == 2
 

@@ -78,8 +78,6 @@ def test_blocks_Xij_selector_validation():
         blocks_Xij(4)
     with pytest.raises(TypeError):
         blocks_Xij(4, j=2)
-    with pytest.raises(ValueError, match="value 9 outside 1..4"):
-        blocks_Xij(4, i=9)
 
 
 def test_check_equitable_AG4_matches_printed_matrix(graph):

@@ -1,0 +1,114 @@
+"""Run the altspectra CLI in-process over a fixed argv list.
+
+Prints one JSON line per argv: the argv, the exit code, and the sha256 of
+what it wrote to stdout and to stderr.  Two checkouts that print the same
+lines give every argv the same bytes and the same exit code, so a diff of
+two runs checks that a change leaves the CLI byte-identical:
+
+    python tools/argv_sweep.py > change.jsonl
+    python tools/argv_sweep.py ../parent/src > parent.jsonl
+    diff parent.jsonl change.jsonl
+
+The optional argument is the ``src`` directory to import ``altspectra``
+from; the default is the one next to this file.  BLAS runs on one thread,
+since ``spectrum`` prints LAPACK round-off that changes with the thread
+count.  The list covers every verb and family at n = 3..8 (``spectrum`` at
+n <= 6) in each format with ``--block 1`` (and ``--block n`` for the verbs
+that read it), three ``--gens`` sets at n = 4..7, and the usage errors of
+``tests/test_cli.py``.
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+import traceback
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+VERBS = ("build", "spectrum", "gap", "divisor", "cut", "hmin", "decompose", "verify")
+FAMILIES = ("AG", "EAG", "CAG")
+FORMATS = ("json", "text", "csv")
+BLOCK_VERBS = ("cut", "decompose", "verify")
+GENS = (
+    "(1,2,3),(1,3,2)",
+    "(2,3,4),(2,4,3),(1,2)(3,4)",
+    "(1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3)",
+)
+USAGE_ERRORS = (
+    ("gap", "--n", "4"),
+    ("gap", "--family", "AG", "--gens", "(1,2,3)", "--n", "4"),
+    ("gap", "--family", "AG", "--n", "2"),
+    ("gap", "--family", "AG", "--n", "13"),
+    ("verify", "--gens", "(1,2,3),(1,3,2)", "--n", "4"),
+    ("gap", "--gens", "(1,2,", "--n", "4"),
+    ("gap", "--family", "AG", "--n", "11", "--block", "99"),
+    ("cut", "--gens", "(1,2,3),(1,3,2)", "--n", "4"),
+    ("verify", "--family", "AG", "--n", "5", "--tol", "inf"),
+    ("verify", "--family", "AG", "--n", "5", "--tol", "1e6"),
+    ("gap", "--family", "AG", "--n", "5", "--tol", "inf", "--format", "json"),
+    ("gap", "--family", "AG", "--n", "5", "--tol", "nan"),
+    ("gap", "--family", "AG", "--n", "5", "--seed", "-1"),
+    ("verify", "--family", "AG", "--n", "5", "--seed", "-3"),
+    ("verify", "--family", "AG", "--n", "5", "--export-edges", "x"),
+    ("decompose", "--family", "AG", "--n", "3"),
+    ("decompose", "--family", "EAG", "--n", "3"),
+    ("decompose", "--family", "CAG", "--n", "3"),
+    ("divisor", "--family", "AG", "--n", "3"),
+    ("gap", "--family", "AG", "--n", "4", "--bogus"),
+)
+
+
+def argvs():
+    """The fixed argv list, in a fixed order."""
+    for verb in VERBS:
+        for family in FAMILIES:
+            for n in range(3, 7 if verb == "spectrum" else 9):
+                for block in (1, n) if verb in BLOCK_VERBS else (1,):
+                    for fmt in FORMATS:
+                        yield (verb, "--family", family, "--n", str(n), "--block", str(block),
+                               "--format", fmt)
+    for verb in VERBS:
+        for gens in GENS:
+            for n in range(4, 7 if verb == "spectrum" else 8):
+                for fmt in FORMATS:
+                    yield (verb, "--gens", gens, "--n", str(n), "--format", fmt)
+    yield from USAGE_ERRORS
+
+
+def run(main, argv, src: str) -> dict:
+    """Exit code and output digests of one in-process ``main(argv)``; the
+    ``src`` path in a warning's location reads ``<src>``, so that two
+    checkouts compare equal."""
+    out, err = io.StringIO(), io.StringIO()
+    # A fresh filter set per argv shows each warning as a new process would.
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("default")
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # recorded, so one crash does not end the sweep
+            code = "raised"
+            err.write("".join(traceback.format_exception_only(exc)))
+    stdout, stderr = out.getvalue(), err.getvalue().replace(src, "<src>")
+    return {"argv": list(argv), "exit": code, "stdout": _sha256(stdout), "stderr": _sha256(stderr)}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parents[1] / "src"
+    src = str(src.resolve())
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads BLAS
+    sys.path.insert(0, src)
+    from altspectra.cli import main as cli_main
+
+    for argv in argvs():
+        print(json.dumps(run(cli_main, argv, src)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
