@@ -10,10 +10,10 @@ from altspectra import build_family, export_edges, is_connected
 from altspectra.cayley import generating_set
 
 print("generating sets at n = 5")
-for tag in ("T1", "T2", "T3"):
-    gens = generating_set(tag, 5)
+for family in ("AG", "EAG", "CAG"):
+    gens = generating_set(family, 5)
     shown = ", ".join(str(g) for g in gens.elements[:4])
-    print(f"  {tag}: {gens.size} elements, e.g. {shown}, ...")
+    print(f"  {family}: {gens.size} elements, e.g. {shown}, ...")
 
 print()
 print(f"{'graph':>8} {'order':>7} {'degree':>7} {'edges':>8} {'connected':>10}")

@@ -20,14 +20,12 @@ pieces of the word whose rows it holds: the n-1 star rows (one read-only
 array, ranked once per n and kept for the last n) and earlier generators'
 rows, so a 3-cycle that avoids 1 is one gather of two 3-cycles through 1.
 
-Three generating families are provided, each the 3-cycles that move
-every point the family pins (:data:`PINNED_POINTS`):
+Three families are provided, AG_n, EAG_n and CAG_n, each generated by the
+3-cycles that move every point the family pins (:data:`PINNED_POINTS`):
 
-- T1 pins 1 and 2: the 3-cycles (1,2,i) and (1,i,2) for 3 <= i <= n,
-- T2 pins 1: the 3-cycles through the point 1,
-- T3 pins nothing: all 3-cycles.
-
-The resulting graphs are called AG_n, EAG_n and CAG_n respectively.
+- AG pins 1 and 2: the 3-cycles (1,2,i) and (1,i,2) for 3 <= i <= n,
+- EAG pins 1: the 3-cycles through the point 1,
+- CAG pins nothing: all 3-cycles.
 """
 
 from __future__ import annotations
@@ -52,10 +50,10 @@ from .perm import (
 )
 
 FAMILIES = ("AG", "EAG", "CAG")
-FAMILY_TO_TAG = {"AG": "T1", "EAG": "T2", "CAG": "T3"}
-TAG_TO_FAMILY = {v: k for k, v in FAMILY_TO_TAG.items()}
-# The points every 3-cycle of a generating family moves.
-PINNED_POINTS = {"T1": (1, 2), "T2": (1,), "T3": ()}
+# The points every 3-cycle of a family's generating set (the paper's T1, T2, T3) moves.
+PINNED_POINTS = {"AG": (1, 2), "EAG": (1,), "CAG": ()}
+# EAG_n is AG_n plus n copies of EAG_{n-1}; CAG_n is EAG_n plus n copies of CAG_{n-1}.
+SPANNING = {"EAG": "AG", "CAG": "EAG"}
 # The least n of each family's block partition (AG's block W is empty at n = 3).
 PARTITION_LEAST = {"AG": 4, "EAG": 3, "CAG": 3}
 
@@ -93,13 +91,10 @@ class GeneratingSet:
 
 
 def generating_set(family: str, n: int) -> GeneratingSet:
-    """The T1 / T2 / T3 generating set on {1..n}: each 3-cycle (*p, *rest)
+    """The generating set of AG_n, EAG_n or CAG_n: each 3-cycle (*p, *rest)
     and then its inverse, for p the pinned points (a prefix of 1..n) and
     ``rest`` running over the combinations of the later points."""
-    if n < 3:
-        raise ValueError(f"generating sets need n >= 3, got {n}")
-    if family not in PINNED_POINTS:
-        raise ValueError(f"unknown generating family {family!r} (expected T1, T2 or T3)")
+    check_family(family, n)
     p = PINNED_POINTS[family]
     elements = [
         from_cycle(n, cycle)
@@ -223,7 +218,7 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
             j = i
         perms[c] = row
         rows[word] = perms[c]
-    return Graph(perms, n=n, family_tag=TAG_TO_FAMILY.get(gens.family_tag, "custom"))
+    return Graph(perms, n=n, family_tag=gens.family_tag)
 
 
 def check_block(n: int, i: int) -> None:
@@ -249,8 +244,7 @@ def check_family(
 
 def build_family(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> Graph:
     """AG_n, EAG_n or CAG_n."""
-    check_family(family, n)
-    return build_cayley(n, generating_set(FAMILY_TO_TAG[family], n), max_order=max_order)
+    return build_cayley(n, generating_set(family, n), max_order=max_order)
 
 
 def is_connected(G: Graph) -> bool:

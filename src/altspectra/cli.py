@@ -3,7 +3,8 @@
 Verbs: build, spectrum, gap, divisor, cut, hmin, decompose, verify; one flat
 parser takes the same flags for each (``--export-edges`` is build-only).
 Reports go to standard output in text (default), JSON, or CSV; progress
-notes, if any, go to standard error.  Exit codes: 0 success / all checks
+notes and library warnings, if any, go to standard error, each warning as
+one ``warning: <message>`` line.  Exit codes: 0 success / all checks
 pass, 1 verification failure, 2 usage error or unwritable edge file, 3
 computational failure (non-convergence or a size cap was hit).
 
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -258,8 +260,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _validate(args)
-        report, code = _HANDLERS[args.verb](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_, **__: print(f"warning: {msg}", file=sys.stderr)
+            _validate(args)
+            report, code = _HANDLERS[args.verb](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

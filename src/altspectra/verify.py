@@ -27,6 +27,7 @@ from . import cheeger as _cheeger
 from .cayley import (
     DEFAULT_MAX_ORDER,
     PARTITION_LEAST,
+    SPANNING,
     Graph,
     block_labels,
     build_family,
@@ -135,47 +136,33 @@ class _GraphCache:
 
 
 def check_matchings(n: int, i: int, cache=None) -> CheckResult:
-    """Every vertex with the value i last has exactly one neighbor with the
-    value i first and one with it second, and those edges are disjoint."""
+    """The edges between X(i), the vertices with the value i last, and each of
+    Y(i) and Z(i), with i first and second, are perfect matchings: every X(i)
+    vertex has exactly one neighbor in Y(i) and one in Z(i), and every Y(i)
+    and Z(i) vertex exactly one in X(i).  Each matching size is its edge count."""
     check_family("AG", n, 4, block=i)
     cache = cache or _GraphCache()
     G = cache.get("AG", n)
 
     def run():
         block_of = blocks_AG(n, i).block_of
-        x = np.flatnonzero(block_of == 0)
-        expected_size = x.size
-        rows = np.stack([row.take(x) for row in G.perms], axis=1)
-        row_blocks = block_of.take(rows)
-        problems = []
-        sizes = []
-        for label, other in (("Y", 1), ("Z", 2)):
-            hit = row_blocks == other
-            counts = hit.sum(axis=1)
-            single = counts == 1
-            partner = np.full(x.size, -1, dtype=np.int64)
-            partner[single] = rows[hit & single[:, None]]
-            # A partner already taken by an earlier vertex of x is matched twice.
-            _, first = np.unique(partner[single], return_index=True)
-            repeated = single.copy()
-            repeated[np.nonzero(single)[0][first]] = False
-            for k in np.nonzero(~single | repeated)[0]:
-                if single[k]:
-                    problems.append(f"vertex {partner[k]} of {label}({i}) matched twice")
-                else:
-                    problems.append(f"vertex {x[k]} has {counts[k]} neighbors in {label}({i})")
-            sizes.append(int(first.size))
-        observed = {
-            "matching_size_Y": sizes[0],
-            "matching_size_Z": sizes[1],
-            "problems": problems,
-        }
-        predicted_value = {
-            "matching_size_Y": int(expected_size),
-            "matching_size_Z": int(expected_size),
-            "problems": [],
-        }
-        return predicted_value, observed, None, not problems and sizes[0] == sizes[1] == expected_size
+        masks = np.stack([block_of == b for b in range(3)])  # X(i), Y(i), Z(i)
+        counts = G.gather_sum(masks.view(np.uint8))
+        problems, sizes = [], []
+        for b, label in ((1, "Y"), (2, "Z")):
+            problems += [
+                f"vertex {v} has {counts[b, v]} neighbors in {label}({i})"
+                for v in np.flatnonzero(masks[0] & (counts[b] != 1))
+            ]
+            problems += [
+                f"vertex {v} of {label}({i}) has {counts[0, v]} neighbors in X({i})"
+                for v in np.flatnonzero(masks[b] & (counts[0] != 1))
+            ]
+            sizes.append(int(counts[b][masks[0]].sum()))
+        size = factorial(n - 1) // 2
+        observed = {"matching_size_Y": sizes[0], "matching_size_Z": sizes[1], "problems": problems}
+        predicted_value = {"matching_size_Y": size, "matching_size_Z": size, "problems": []}
+        return predicted_value, observed, None, observed == predicted_value
 
     return _timed("matchings", "one-to-one edges between adjacent blocks", run)
 
@@ -191,12 +178,12 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     edge count of the graph and the sum of the parts' edge counts must both
     equal the closed form n!/2 * d/2, with d the family degree.
     """
-    check_family(family, n, 4, families=("EAG", "CAG"))
+    check_family(family, n, 4, families=tuple(SPANNING))
     cache = cache or _GraphCache()
 
     def run():
         G = cache.get(family, n)
-        spanning = cache.get("AG" if family == "EAG" else "EAG", n)
+        spanning = cache.get(SPANNING[family], n)
         label = block_labels(family, n)
         inside_count = np.zeros(G.order, dtype=np.int64)
         row_any, row_all = np.zeros((2, G.degree), dtype=bool)
@@ -242,7 +229,8 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     The rows that meet the block, renamed through the map, must be the
     smaller graph's rows: both sets are put in the order of where each row
     sends vertex 0 and compared entry for entry.  A row that leaves the
-    block part way keeps a -1 and matches none.  A doctored graph yields a
+    block part way keeps a -1 and matches none.  Both edge counts are held to
+    (n-1)!/2 * d/2, d the (n-1)-point degree.  A doctored graph yields a
     failed check, not an exception.
     """
     check_family(family, n, 4, block=i)
@@ -251,6 +239,7 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     def run():
         G = cache.get(family, n)
         H = cache.get(family, n - 1)
+        edges = factorial(n - 1) // 2 * predicted(family, n - 1)[0] // 2
         block, image = phi_isomorphism(n, i, family)
         rename = np.full(G.order, -1, dtype=np.int32)
         rename[block] = image
@@ -267,8 +256,8 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
         }
         predicted_value = {
             "block_size": H.order,
-            "mapped_edges": H.edge_count,
-            "target_edges": H.edge_count,
+            "mapped_edges": edges,
+            "target_edges": edges,
             "edge_sets_equal": True,
             "bijective": True,
         }
@@ -286,7 +275,7 @@ def check_decomposition_bound(
 ) -> CheckResult:
     """Solver-level subadditivity of the second eigenvalue across the edge
     decomposition (the induction step behind the closed forms)."""
-    check_family(family, n, 4, families=("EAG", "CAG"))
+    check_family(family, n, 4, families=tuple(SPANNING))
     cache = cache or _GraphCache()
 
     def run():

@@ -9,7 +9,6 @@ import pytest
 from altspectra import cayley, cheeger, partition, spectra, verify
 from altspectra.cayley import (
     FAMILIES,
-    FAMILY_TO_TAG,
     GeneratingSet,
     Graph,
     block_labels,
@@ -41,6 +40,9 @@ from altspectra.perm import (
 from altspectra.spectra import certify_spectrum, exact_spectrum
 from altspectra.verify import _GraphCache, check_edge_decomposition
 
+# Test ids name each family's generating set as the paper does.
+PAPER_SET = {"AG": "T1", "EAG": "T2", "CAG": "T3"}.get
+
 
 def reference_rows(n, gens):
     """One full rank per generator: row c holds rank(t_c * g) for every g."""
@@ -52,7 +54,7 @@ def reference_rows(n, gens):
 
 
 def test_generating_set_T1_n4_exact():
-    gens = generating_set("T1", 4)
+    gens = generating_set("AG", 4)
     got = {g.images for g in gens.elements}
     want = {
         from_cycle(4, [1, 2, 3]).images,
@@ -63,14 +65,14 @@ def test_generating_set_T1_n4_exact():
     assert got == want
 
 
-def reference_generators(tag, n):
+def reference_generators(family, n):
     """The three generating sets as one loop nest each, in their original order."""
     elements = []
-    if tag == "T1":
+    if family == "AG":
         for i in range(3, n + 1):
             elements.append(from_cycle(n, [1, 2, i]))
             elements.append(from_cycle(n, [1, i, 2]))
-    elif tag == "T2":
+    elif family == "EAG":
         for i in range(2, n + 1):
             for j in range(i + 1, n + 1):
                 elements.append(from_cycle(n, [1, i, j]))
@@ -84,19 +86,20 @@ def reference_generators(tag, n):
     return tuple(elements)
 
 
-@pytest.mark.parametrize("tag", ["T1", "T2", "T3"])
+@pytest.mark.parametrize("family", FAMILIES, ids=PAPER_SET)
 @pytest.mark.parametrize("n", range(3, 13))
-def test_generating_set_order_is_the_loop_nest_order(tag, n):
+def test_generating_set_order_is_the_loop_nest_order(family, n):
     # Row order decides Graph equality and the order in which matvec sums.
-    assert generating_set(tag, n).elements == reference_generators(tag, n)
+    assert generating_set(family, n).elements == reference_generators(family, n)
 
 
 @pytest.mark.parametrize(
-    "tag,n,size",
-    [("T1", 4, 4), ("T1", 6, 8), ("T2", 5, 12), ("T2", 7, 30), ("T3", 5, 20), ("T3", 4, 8)],
+    "family,n,size",
+    [("AG", 4, 4), ("AG", 6, 8), ("EAG", 5, 12), ("EAG", 7, 30), ("CAG", 5, 20), ("CAG", 4, 8)],
+    ids=PAPER_SET,
 )
-def test_generating_set_sizes(tag, n, size):
-    assert generating_set(tag, n).size == size
+def test_generating_set_sizes(family, n, size):
+    assert generating_set(family, n).size == size
 
 
 def test_generating_set_validation():
@@ -110,11 +113,14 @@ def test_generating_set_validation():
     with pytest.raises(ValueError):
         # not closed under inverses
         GeneratingSet(4, (from_cycle(4, [1, 2, 3]),))
-    with pytest.raises(ValueError):
-        generating_set("T1", 2)
-    with pytest.raises(ValueError, match="unknown generating family"):
+    with pytest.raises(ValueError, match="AG needs n >= 3"):
+        generating_set("AG", 2)
+    with pytest.raises(ValueError, match="family 'T4' not allowed"):
         generating_set("T4", 5)
-    with pytest.raises(ValueError, match="n >= 3"):
+    with pytest.raises(ValueError, match="family 'T1' not allowed"):
+        generating_set("T1", 5)
+    # The family is checked before n.
+    with pytest.raises(ValueError, match="family 'T4' not allowed"):
         generating_set("T4", 2)
 
 
@@ -135,7 +141,7 @@ def test_family_shapes(graph):
 
 def test_neighbors_come_from_left_multiplication(graph):
     g = graph("AG", 5)
-    gens = generating_set("T1", 5)
+    gens = generating_set("AG", 5)
     rng = random.Random(11)
     for _ in range(10):
         v = rng.randrange(g.order)
@@ -206,7 +212,7 @@ def test_connected(graph, family, n):
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_star_rows_match_per_generator_ranks(graph, family, n):
-    gens = generating_set(FAMILY_TO_TAG[family], n)
+    gens = generating_set(family, n)
     assert np.array_equal(graph(family, n).perms, reference_rows(n, gens))
 
 
@@ -274,7 +280,7 @@ def test_concurrent_builds_share_the_star_rows():
     # Every round clears the cache and starts four builds at once, so they
     # may each rank the star rows of A_6 before one of them is cached; every
     # build must still get the same rows, whichever copy it reads.
-    sets = [generating_set("T3", 6)] + [
+    sets = [generating_set("CAG", 6)] + [
         GeneratingSet(6, tuple(parse_generator_list(gens, 6)))
         for gens in ["(1,2,3),(1,3,2)", "(1,5,6),(1,6,5)", "(2,4,3),(2,3,4)"]
     ]
@@ -328,8 +334,8 @@ def connectivity_cases():
             yield pytest.param(lambda family=family, n=n: build_family(family, n), id=f"{family}_{n}")
     for name, n, gens in [
         ("only the last pair moves 5", 5, "(1,2,3),(1,3,2),(1,2,4),(1,4,2),(1,2,5),(1,5,2)"),
-        ("40 rows fixing 7", 7, ",".join(str(t) for t in generating_set("T3", 6).elements)),
-        ("8 rows on 1..4", 7, ",".join(str(t) for t in generating_set("T3", 4).elements)),
+        ("40 rows fixing 7", 7, ",".join(str(t) for t in generating_set("CAG", 6).elements)),
+        ("8 rows on 1..4", 7, ",".join(str(t) for t in generating_set("CAG", 4).elements)),
         ("6 rows keeping {5,6}", 6, "(1,2)(3,4),(1,3)(2,4),(1,4)(2,3),(2,3,4),(2,4,3),(1,2)(5,6)"),
         ("degree 0", 4, ""),
     ]:

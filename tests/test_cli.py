@@ -231,6 +231,13 @@ def test_loose_tol_raises_no_disconnected_warning(capsys):
     assert err == ""
 
 
+def test_library_warning_is_one_line_on_stderr(capsys):
+    # (1,2,3) alone generates A_3 on 3 of the 5 points: a disconnected graph.
+    code, out, err = run(capsys, "gap", "--gens", "(1,2,3),(1,3,2)", "--n", "5")
+    assert code == 0
+    assert err == "warning: second eigenvalue equals the degree; the graph is likely disconnected\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from altspectra.cayley import block_labels, generating_set, phi_isomorphism
+from altspectra.cayley import FAMILIES, block_labels, generating_set, phi_isomorphism
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import OrderCapError
 from altspectra.partition import blocks_AG, blocks_Xij
@@ -309,9 +309,9 @@ GOLDEN_GENS = sorted(
 
 
 @pytest.mark.parametrize("n", range(3, 10))
-@pytest.mark.parametrize("tag", ["T1", "T2", "T3"])
-def test_star_words_of_the_families_multiply_back(tag, n):
-    for t in generating_set(tag, n).elements:
+@pytest.mark.parametrize("family", FAMILIES, ids=["T1", "T2", "T3"])  # the paper's set names
+def test_star_words_of_the_families_multiply_back(family, n):
+    for t in generating_set(family, n).elements:
         assert star_product(star_word(t), n) == t
 
 

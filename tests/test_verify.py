@@ -5,7 +5,6 @@ import pytest
 
 from altspectra.cayley import (
     FAMILIES,
-    FAMILY_TO_TAG,
     GeneratingSet,
     Graph,
     block_labels,
@@ -51,7 +50,8 @@ def test_matchings_pass(graph, n, i, size):
 
 def test_matchings_fail_after_swapping_edges(graph):
     # Swap the X-Y arc a -> b of row c with a W-W arc v -> d of the same
-    # row: every degree is kept, but a loses its only Y neighbor.
+    # row: every degree is kept, but a loses its only Y neighbor and b its
+    # only X neighbor.
     G = graph("AG", 4)
     x, y, _, w = _ag_blocks(4, 1)
     perms = G.perms.copy()
@@ -66,6 +66,7 @@ def test_matchings_fail_after_swapping_edges(graph):
     result = check_matchings(4, 1, cache=_FixedGraphs({("AG", 4): doctored}))
     assert not result.passed
     assert f"vertex {a} has 0 neighbors in Y(1)" in result.observed["problems"]
+    assert f"vertex {b} of Y(1) has 0 neighbors in X(1)" in result.observed["problems"]
     assert result.observed == _matchings_by_loops(doctored, 4, 1)
 
 
@@ -94,7 +95,9 @@ def test_matchings_agree_with_loops_after_random_swaps(graph):
             observed = check_matchings(5, i, cache=cache).observed
             assert observed == _matchings_by_loops(doctored, 5, i)
             kinds.update(p.split(" ", 2)[2].split(" in ")[0] for p in observed["problems"])
-    assert {"has 0 neighbors", "has 2 neighbors", "of Y(1) matched twice"} <= kinds
+    # Lines from the X side and from the Y and Z sides.
+    assert {"has 0 neighbors", "has 2 neighbors", "of Y(1) has 2 neighbors",
+            "of Z(5) has 0 neighbors"} <= kinds
 
 
 def _ag_blocks(n, i):
@@ -104,20 +107,22 @@ def _ag_blocks(n, i):
 
 
 def _matchings_by_loops(G, n, i):
-    """The matchings check's observed value, computed vertex by vertex."""
+    """The matchings check's observed value, counted vertex by vertex from
+    the X(i) side and from the Y(i) or Z(i) side."""
     x, y, z, _ = _ag_blocks(n, i)
     problems, sizes = [], []
-    for label, other in (("Y", set(y.tolist())), ("Z", set(z.tolist()))):
-        matched = set()
+    for label, side in (("Y", y), ("Z", z)):
+        size = 0
         for v in x.tolist():
-            hits = [u for u in G.perms[:, v].tolist() if u in other]
-            if len(hits) != 1:
-                problems.append(f"vertex {v} has {len(hits)} neighbors in {label}({i})")
-                continue
-            if hits[0] in matched:
-                problems.append(f"vertex {hits[0]} of {label}({i}) matched twice")
-            matched.add(hits[0])
-        sizes.append(len(matched))
+            hits = sum(u in side for u in G.perms[:, v].tolist())
+            size += hits
+            if hits != 1:
+                problems.append(f"vertex {v} has {hits} neighbors in {label}({i})")
+        for v in side.tolist():
+            hits = sum(u in x for u in G.perms[:, v].tolist())
+            if hits != 1:
+                problems.append(f"vertex {v} of {label}({i}) has {hits} neighbors in X({i})")
+        sizes.append(size)
     return {"matching_size_Y": sizes[0], "matching_size_Z": sizes[1], "problems": problems}
 
 
@@ -222,6 +227,16 @@ def test_subgraph_isomorphism_fails_on_relabelled_target(graph):
     assert not result.passed
     assert result.observed["mapped_edges"] == result.observed["target_edges"] == 24
     assert result.observed["edge_sets_equal"] is False
+
+
+def test_subgraph_isomorphism_holds_the_target_to_the_closed_form(graph):
+    # AG_4 without its first inverse pair of rows: every block vertex still
+    # maps onto it, but it has 12 edges where the closed form says 24.
+    cache = _FixedGraphs({("AG", 5): graph("AG", 5), ("AG", 4): Graph(graph("AG", 4).perms[2:])})
+    result = check_subgraph_isomorphism("AG", 5, 1, cache=cache)
+    assert not result.passed
+    assert result.observed["target_edges"] == 12
+    assert result.predicted["mapped_edges"] == result.predicted["target_edges"] == 24
 
 
 def test_subgraph_isomorphism_fails_when_a_row_enters_the_block(graph):
@@ -329,7 +344,7 @@ def _doctorings(G):
     in another order, is the control."""
     n, family = G.n, G.family_tag
     rng = random.Random(n)
-    gens = generating_set(FAMILY_TO_TAG[family], n).elements[2:]
+    gens = generating_set(family, n).elements[2:]
     gens = GeneratingSet(n, (*parse_generator_list(WRONG_PAIR[family], n), *gens))
     rename = np.random.default_rng(n).permutation(G.order)
     renamed = np.empty_like(G.perms)

@@ -78,10 +78,8 @@ def argvs():
     yield from USAGE_ERRORS
 
 
-def run(main, argv, src: str) -> dict:
-    """Exit code and output digests of one in-process ``main(argv)``; the
-    ``src`` path in a warning's location reads ``<src>``, so that two
-    checkouts compare equal."""
+def run(main, argv) -> dict:
+    """Exit code and output digests of one in-process ``main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     # A fresh filter set per argv shows each warning as a new process would.
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
@@ -91,7 +89,7 @@ def run(main, argv, src: str) -> dict:
         except Exception as exc:  # recorded, so one crash does not end the sweep
             code = "raised"
             err.write("".join(traceback.format_exception_only(exc)))
-    stdout, stderr = out.getvalue(), err.getvalue().replace(src, "<src>")
+    stdout, stderr = out.getvalue(), err.getvalue()
     return {"argv": list(argv), "exit": code, "stdout": _sha256(stdout), "stderr": _sha256(stderr)}
 
 
@@ -101,13 +99,12 @@ def _sha256(text: str) -> str:
 
 def main() -> None:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parents[1] / "src"
-    src = str(src.resolve())
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads BLAS
-    sys.path.insert(0, src)
+    sys.path.insert(0, str(src.resolve()))
     from altspectra.cli import main as cli_main
 
     for argv in argvs():
-        print(json.dumps(run(cli_main, argv, src)), flush=True)
+        print(json.dumps(run(cli_main, argv)), flush=True)
 
 
 if __name__ == "__main__":
