@@ -10,9 +10,11 @@ graphs are immutable: the array is marked read-only, so a graph can be
 shared freely across threads.
 
 Every pass over the rows gathers one row at a time with ``ndarray.take``
-(:meth:`Graph.gather_sum` sums over neighbors): ``x.take(row)`` is about
-twice as fast as ``x[row]`` for an int32 row, while ``x[perms]`` fills a
-(degree, order) temporary and ``x.take(perms)`` first copies every index.
+(:meth:`Graph.gather_sum` sums over neighbors), but for the whole-array
+sorts of :func:`graph_invariant_violations` and :meth:`Graph.edges_array`:
+``x.take(row)`` is about twice as fast as ``x[row]`` for an int32 row, while
+``x[perms]`` fills a (degree, order) temporary and ``x.take(perms)`` first
+copies every index.
 
 A build writes each generator as a word of star transpositions (1 a)
 (:func:`altspectra.perm.star_word`) and gathers its row from the longest
@@ -115,7 +117,8 @@ class Graph:
     bijection whose inverse is also a row (an involution is its own
     inverse); :func:`graph_invariant_violations` reports where it is not.
     Two graphs are equal iff their arrays match entry for entry.  Passes
-    over ``perms`` go row by row, so their scratch memory is O(order).
+    over ``perms`` go row by row in O(order) scratch memory, except the
+    full-copy sorts of :func:`graph_invariant_violations` and :meth:`edges_array`.
     """
 
     perms: np.ndarray

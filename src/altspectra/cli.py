@@ -40,8 +40,6 @@ from .perm import MAX_POINTS, alternating_order, parse_generator_list
 from .spectra import _check_dense_order, dense_spectrum, gap_report, integrality_check
 from .verify import VerificationReport, _GraphCache, structural_checks, verify_family
 
-VERBS = ("build", "spectrum", "gap", "divisor", "cut", "hmin", "decompose", "verify")
-
 
 class UsageError(ValueError):
     pass
@@ -52,7 +50,7 @@ def _make_parser() -> argparse.ArgumentParser:
         prog="altspectra",
         description="Alternating-group Cayley graphs: build, solve, cut, verify.",
     )
-    p.add_argument("verb", choices=VERBS)
+    p.add_argument("verb", choices=_HANDLERS)
     p.add_argument("--family", choices=FAMILIES, help="graph family")
     p.add_argument("--gens", help="custom generating set in cycle notation, e.g. '(1,2,3),(1,3,2)'")
     p.add_argument("--n", type=int, required=True, help="number of points")
@@ -112,7 +110,7 @@ def _normalize(value):
 
 
 def _fmt(value) -> str:
-    value = _normalize(value)
+    """One report value as a table cell; ``emit`` normalizes the report first."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -225,7 +223,7 @@ def _run_hmin(args) -> tuple[dict, int]:
 
 def _run_decompose(args) -> tuple[dict, int]:
     checks = structural_checks(args.family, args.n, args.block, _GraphCache(args.max_order))
-    report = VerificationReport(args.family, args.n, args.seed, args.block, list(checks))
+    report = VerificationReport(args.family, args.n, args.seed, args.block, checks)
     return report.to_dict(args.timings), 0 if report.overall else 1
 
 

@@ -130,6 +130,8 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
     """
     if G.order < 2:
         raise ValueError("graph must have at least two vertices")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     x = _start_vector(G.order, seed)
     x -= x.mean()
     basis = np.empty((min(LANCZOS_BASIS, G.order - 1), G.order))

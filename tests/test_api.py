@@ -14,6 +14,7 @@ import pytest
 
 import altspectra
 from altspectra.cayley import Graph, build_family
+from altspectra.verify import verify_family
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -66,3 +67,14 @@ def test_graphs_carry_the_key_the_tracer_reads():
     assert (by_hand.n, by_hand.family_tag) == (None, "custom")
     assert tracer._graph_key(built) == ("AG", 4)
     assert tracer._graph_key(by_hand) == id(by_hand)
+
+
+def test_tracer_reads_the_name_and_millis_of_each_verify_check():
+    report = verify_family("AG", 4)
+    traced = tracer.Tracer()
+    traced._on_verify({}, report)
+    names = [check.name for check in report.checks]
+    assert len(set(names)) == len(names)
+    assert sorted(traced.check_seconds) == sorted(f"verify.{name}.s" for name in names)
+    for check in report.checks:
+        assert traced.check_seconds[f"verify.{check.name}.s"] == check.millis / 1000.0

@@ -310,6 +310,19 @@ def test_lambda2_respects_matvec_cap(graph, monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_lambda2_rejects_tol_that_is_not_positive_and_finite(graph, monkeypatch, tol):
+    # Zero, negative and nan never pass the residual test, so the solve
+    # would run to the matvec cap; inf would accept the first Ritz value.
+    G = graph("AG", 6)
+    calls = _count_matvecs(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        lambda2_iterative(G, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        spectra.gap_report(G, tol=tol)
+    assert calls == []
+
+
 def test_lambda2_zero_on_CAG4(graph):
     assert abs(lambda2_iterative(graph("CAG", 4))) < 1e-12
 

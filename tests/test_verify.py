@@ -25,6 +25,7 @@ from altspectra.verify import (
     check_edge_decomposition,
     check_matchings,
     check_subgraph_isomorphism,
+    structural_checks,
     verify_family,
 )
 
@@ -299,6 +300,40 @@ def test_decomposition_bound(family, n, parts):
     for got, want in zip(values, sorted(parts)):
         assert got == pytest.approx(want, abs=1e-6)
     assert observed["lambda2"] <= observed["bound"] + 1e-6
+
+
+def _fields_but_millis(check):
+    return {key: value for key, value in vars(check).items() if key != "millis"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_battery_structural_checks_equal_the_standalone_checks(family):
+    # The battery puts the bound between the two structural checks.
+    standalone = structural_checks(family, 5, 1, verify._GraphCache())
+    if family != "AG":
+        standalone.insert(1, check_decomposition_bound(family, 5, verify._GraphCache()))
+    battery = verify_family(family, 5).checks[-len(standalone):]
+    assert [_fields_but_millis(c) for c in battery] == [_fields_but_millis(c) for c in standalone]
+
+
+def test_decomposition_bound_judges_at_the_cache_tolerance():
+    result = check_decomposition_bound("EAG", 5, cache=verify._GraphCache(tol=1e-6))
+    assert result.tolerance == 1e-6
+    assert result.passed
+
+
+@pytest.mark.parametrize(
+    "check,doc",
+    [
+        (check_matchings, "The edges between X(i)"),
+        (check_edge_decomposition, "Exact edge-set split"),
+        (check_subgraph_isomorphism, "The defining block induces"),
+        (check_decomposition_bound, "Solver-level subadditivity"),
+    ],
+)
+def test_decorated_checks_keep_their_name_and_docstring(check, doc):
+    assert getattr(verify, check.__name__) is check
+    assert check.__doc__.startswith(doc)
 
 
 def test_verify_family_AG5():
