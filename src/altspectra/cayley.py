@@ -9,12 +9,13 @@ the bijection g -> t_c*g, and the row of t_c^{-1} is its inverse.  Built
 graphs are immutable: the array is marked read-only, so a graph can be
 shared freely across threads.
 
-Every pass over the rows gathers one row at a time with ``ndarray.take``
-(:meth:`Graph.gather_sum` sums over neighbors), but for the whole-array
-sorts of :func:`graph_invariant_violations` and :meth:`Graph.edges_array`:
-``x.take(row)`` is about twice as fast as ``x[row]`` for an int32 row, while
-``x[perms]`` fills a (degree, order) temporary and ``x.take(perms)`` first
-copies every index.
+Every pass over the rows runs in O(order) scratch memory: it gathers one
+row at a time with ``ndarray.take`` (:meth:`Graph.gather_sum` sums over
+neighbors into one output and one scratch buffer), or sorts the rows one
+block of about order/degree columns at a time (:func:`graph_invariant_violations`,
+:meth:`Graph.edges_array`).  ``x.take(row)`` is about twice as fast as
+``x[row]`` for an int32 row, while ``x[perms]`` fills a (degree, order)
+temporary and ``x.take(perms)`` first copies every index.
 
 A build writes each generator as a word of star transpositions (1 a)
 (:func:`altspectra.perm.star_word`) and gathers its row from the longest
@@ -33,7 +34,7 @@ Three families are provided, AG_n, EAG_n and CAG_n, each generated by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -117,8 +118,8 @@ class Graph:
     bijection whose inverse is also a row (an involution is its own
     inverse); :func:`graph_invariant_violations` reports where it is not.
     Two graphs are equal iff their arrays match entry for entry.  Passes
-    over ``perms`` go row by row in O(order) scratch memory, except the
-    full-copy sorts of :func:`graph_invariant_violations` and :meth:`edges_array`.
+    over ``perms`` go row by row, or column block by column block, in
+    O(order) scratch memory.
     """
 
     perms: np.ndarray
@@ -147,22 +148,64 @@ class Graph:
     def edge_count(self) -> int:
         return self.perms.size // 2
 
+    @cached_property
+    def index_range(self) -> tuple[int, int]:
+        """Least and greatest neighbor index, found once; (0, -1) with no entries."""
+        return (int(self.perms.min()), int(self.perms.max())) if self.perms.size else (0, -1)
+
+    def column_blocks(self) -> list[slice]:
+        """Column slices of ceil(order/degree) columns, the last one partial
+        when the degree does not divide the order: each (degree, width)
+        block of ``perms`` holds about order entries."""
+        width = -(-self.order // max(self.degree, 1))
+        return [slice(lo, lo + width) for lo in range(0, self.order, width)]
+
     def edges_array(self) -> np.ndarray:
         """(E, 2) array of edges with u < v, sorted lexicographically."""
-        nbrs = np.sort(self.perms.T, axis=1)
-        mask = nbrs > np.arange(self.order)[:, None]
-        return np.column_stack([np.nonzero(mask)[0], nbrs[mask]])
+        vertices = np.arange(self.order)
+        edges = np.empty((sum(np.count_nonzero(row > vertices) for row in self.perms), 2), np.int64)
+        end = 0
+        for cols in self.column_blocks():
+            nbrs = np.sort(self.perms[:, cols], axis=0).T
+            u, k = np.nonzero(nbrs > vertices[cols, None])
+            edges[end : end + u.size, 0] = u + cols.start
+            edges[end : end + u.size, 1] = nbrs[u, k]
+            end += u.size
+        return edges
 
-    def gather_sum(self, values: np.ndarray) -> np.ndarray:
-        """Neighbor sums of ``values`` on its last axis, added row by row, in its dtype."""
-        out = np.zeros((*values.shape[:-1], self.order), dtype=values.dtype)
+    def gather_sum(
+        self, values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Neighbor sums of ``values`` on its last axis, added row by row, in its
+        dtype, into ``out``; each row is gathered into ``scratch``.  Either
+        buffer is allocated when not given; neither may overlap ``values``.
+
+        ``take(mode="wrap")`` writes each gather straight into ``scratch``,
+        where ``mode="raise"`` would gather into a temporary first, so an
+        index that ``take`` would reject raises ``IndexError`` before the
+        first row, judged from :attr:`index_range`.
+        """
+        size = values.shape[-1]
+        low, high = self.index_range
+        if low < -size or high >= size:
+            raise IndexError(f"neighbor index out of range for {size} values")
+        shape = (*values.shape[:-1], self.order)
+        if out is None:
+            out = np.zeros(shape, dtype=values.dtype)
+        else:
+            out[...] = 0
+        if scratch is None:
+            scratch = np.empty(shape, dtype=values.dtype)
         for row in self.perms:
-            out += values.take(row, axis=-1)
+            out += values.take(row, axis=-1, out=scratch, mode="wrap")
         return out
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Adjacency-matrix product A @ v without materializing A."""
-        return self.gather_sum(np.asarray(v, dtype=np.float64))
+    def matvec(
+        self, v: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Adjacency-matrix product A @ v without materializing A, through
+        :meth:`gather_sum` and its ``out`` and ``scratch`` buffers."""
+        return self.gather_sum(np.asarray(v, dtype=np.float64), out, scratch)
 
     def adjacency_dense(self) -> np.ndarray:
         A = np.zeros((self.order, self.order))
@@ -334,20 +377,25 @@ def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray
 
 def graph_invariant_violations(G: Graph) -> list[str]:
     """Structural defects of the neighbor rows; empty list means clean."""
+    low, high = G.index_range
+    if low < 0 or high >= G.order:
+        return ["neighbor index out of range"]
     problems = []
     P = G.perms
-    if P.size and (P.min() < 0 or P.max() >= G.order):
-        problems.append("neighbor index out of range")
-        return problems
     vertices = np.arange(G.order, dtype=P.dtype)
-    if any((row == vertices).any() for row in P):
+    back, hit = np.empty_like(vertices), np.empty(G.order, dtype=bool)
+    if any(np.equal(row, vertices, out=hit).any() for row in P):
         problems.append("self-loop present")
-    S = np.sort(P, axis=0)
-    if any((above == below).any() for above, below in zip(S[1:], S)):
+    sorted_blocks = (np.sort(P[:, cols], axis=0) for cols in G.column_blocks())
+    if any((S[1:] == S[:-1]).any() for S in sorted_blocks):
         problems.append("a vertex has a repeated neighbor")
-    # Each row's reverse arcs must all lie in the row that takes row[0] back
-    # to 0; with no repeated neighbors that makes the adjacency symmetric.
-    if not all(np.array_equal(P[np.argmax(P[:, row[0]] == 0)].take(row), vertices) for row in P):
+
+    def reverse(row):  # the row that takes row[0] back to 0, read along row
+        return P[np.argmax(P[:, row[0]] == 0)].take(row, out=back, mode="wrap")
+
+    # Each row's reverse arcs must all lie in that row; with no repeated
+    # neighbors that makes the adjacency symmetric.
+    if not all(np.equal(reverse(row), vertices, out=hit).all() for row in P):
         problems.append("adjacency is not symmetric")
     return problems
 

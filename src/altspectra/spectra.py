@@ -10,7 +10,9 @@ Lanczos vector off the all-ones vector, the matrix-vector product works
 directly on the neighbor array, and no dense matrix is ever formed in this
 mode.  It starts from a SplitMix64 hash of the seed (no ``numpy.random``).
 A result is certified by the explicit eigenpair residual of the returned
-Ritz pair.
+Ritz pair.  A solve allocates its work vectors once (the restart vector,
+the product and one scratch vector, which the matvec reuses as its own
+buffers) and its basis in blocks of 16 rows, each when it first reaches it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,13 @@ from .perm import alternating_images, alternating_ranks, from_cycle
 DENSE_ORDER_CAP = 3000
 ITERATION_CAP = 200_000
 # Lanczos basis vectors kept before a restart; bounds solver memory at
-# LANCZOS_BASIS * order float64 values.
+# LANCZOS_BASIS * order float64 values.  The basis is held in blocks of
+# LANCZOS_BLOCK rows, each allocated when a solve first reaches it.  Below
+# order 32,768 (n <= 8) a block is under numpy's 4 MiB huge-page madvise
+# threshold, so a solve is billed for the rows it touches in 4 KB pages,
+# not in 2 MB ones.
 LANCZOS_BASIS = 32
+LANCZOS_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -132,9 +139,12 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
         raise ValueError("graph must have at least two vertices")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    size = min(LANCZOS_BASIS, G.order - 1)
+    blocks: list[np.ndarray] = []  # the basis, LANCZOS_BLOCK rows per block
+    # The work vectors: the start or restart vector, the product, a scratch.
     x = _start_vector(G.order, seed)
     x -= x.mean()
-    basis = np.empty((min(LANCZOS_BASIS, G.order - 1), G.order))
+    w, tmp = np.empty((2, G.order))
     matvecs = 0
     resid = np.inf
 
@@ -145,33 +155,44 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
                 f"no convergence in {ITERATION_CAP} matvecs (residual {resid:.3e})", resid
             )
         matvecs += 1
-        return G.matvec(v)
+        return G.matvec(v, out=w, scratch=tmp)
+
+    def row(k):  # basis row k, its block allocated when first reached
+        if k == len(blocks) * LANCZOS_BLOCK:
+            blocks.append(np.empty((min(LANCZOS_BLOCK, size - k), G.order)))
+        return blocks[k // LANCZOS_BLOCK][k % LANCZOS_BLOCK]
+
+    def spans(k):  # (first row, rows) of basis rows 0..k-1, block by block
+        return [(i, block[: k - i]) for i, block in zip(range(0, k, LANCZOS_BLOCK), blocks)]
 
     while True:
-        basis[0] = x / np.linalg.norm(x)
+        np.divide(x, np.linalg.norm(x), out=row(0))
         alpha: list[float] = []
         beta: list[float] = []
-        for k in range(basis.shape[0]):
-            w = product(basis[k])
+        for k in range(size):
+            product(row(k))
             w -= w.mean()
-            V = basis[: k + 1]
             # Two passes of classical Gram-Schmidt against the whole basis.
-            h = V @ w
-            w -= h @ V
-            h2 = V @ w
-            w -= h2 @ V
-            alpha.append(float(h[k] + h2[k]))
+            V = spans(k + 1)
+            alpha.append(0.0)
+            for _ in range(2):
+                h = np.concatenate([rows @ w for _, rows in V])
+                for i, rows in V:
+                    w -= np.dot(h[i : i + len(rows)], rows, out=tmp)
+                alpha[k] += float(h[k])
             b = float(np.linalg.norm(w))
             _, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             # Ritz residual of the top pair; b ~ 0 means the Krylov space is invariant.
             resid = abs(b * s[-1, -1])
             converged = resid < tol or b < 1e-12
-            if converged or k + 1 == basis.shape[0]:
+            if converged or k + 1 == size:
                 break
             beta.append(b)
-            basis[k + 1] = w / b
+            np.divide(w, b, out=row(k + 1))
         # Restart from (or certify) the top Ritz vector.
-        x = s[:, -1] @ V
+        x[:] = 0.0
+        for i, rows in V:
+            x += np.dot(s[i : i + len(rows), -1], rows, out=tmp)
         x -= x.mean()
         if converged:
             x /= np.linalg.norm(x)

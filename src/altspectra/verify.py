@@ -223,10 +223,11 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     """The defining block induces a graph isomorphic to the (n-1)-point
     family graph, via the explicit relabeling map.
 
-    The rows that meet the block, renamed through the map, must be the
-    smaller graph's rows: both sets are put in the order of where each row
-    sends vertex 0 and compared entry for entry.  A row that leaves the
-    block part way keeps a -1 and matches none.  Both edge counts are held to
+    The rows that meet the block, renamed through the map one at a time,
+    must be the smaller graph's rows, each the one that sends vertex 0 to
+    the same place (as :func:`check_edge_decomposition` matches them), each
+    matched once and every one matched.  A row that leaves the block part
+    way keeps a -1 and equals none.  Both edge counts are held to
     (n-1)!/2 * d/2, d the (n-1)-point degree.  A doctored graph yields a
     failed check, not an exception.
     """
@@ -238,15 +239,21 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     block, image = phi_isomorphism(n, i, family)
     rename = np.full(G.order, -1, dtype=np.int32)
     rename[block] = image
-    rows = np.stack([rename.take(row.take(block)) for row in G.perms])
-    inside = rows >= 0
-    mapped = rows[inside.any(axis=1)][:, np.argsort(image)]
-    mapped = mapped[np.argsort(mapped[:, 0])]
+    zero = np.argmin(image)  # the block member renamed to vertex 0
+    unmatched = {v: m for m, v in enumerate(H.perms[:, 0].tolist())}  # H's rows by image of 0
+    arcs, matched, equal = 0, 0, True
+    for row in G.perms:
+        mapped = rename.take(row.take(block))
+        inside = np.count_nonzero(mapped >= 0)
+        if inside:
+            arcs, matched = arcs + inside, matched + 1
+            m = unmatched.pop(int(mapped[zero]), None)
+            equal = equal and m is not None and np.array_equal(H.perms[m].take(image), mapped)
     observed = {
         "block_size": int(block.size),
-        "mapped_edges": int(np.count_nonzero(inside)) // 2,
+        "mapped_edges": arcs // 2,
         "target_edges": H.edge_count,
-        "edge_sets_equal": np.array_equal(mapped, H.perms[np.argsort(H.perms[:, 0])]),
+        "edge_sets_equal": equal and matched == H.degree,
         "bijective": np.array_equal(np.sort(image), np.arange(H.order)),
     }
     predicted_value = {

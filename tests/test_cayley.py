@@ -38,7 +38,7 @@ from altspectra.perm import (
     unrank,
 )
 from altspectra.spectra import certify_spectrum, exact_spectrum
-from altspectra.verify import _GraphCache, check_edge_decomposition
+from altspectra.verify import _GraphCache, check_edge_decomposition, check_subgraph_isomorphism
 
 # Test ids name each family's generating set as the paper does.
 PAPER_SET = {"AG": "T1", "EAG": "T2", "CAG": "T3"}.get
@@ -202,6 +202,54 @@ def test_invariant_violations_are_reported(defect):
     assert graph_invariant_violations(_four_cycle_with(None)) == []
     problems = graph_invariant_violations(_four_cycle_with(defect))
     assert len(problems) == 1 and defect in problems[0], problems
+
+
+def _with_repeated_neighbor(G, v):
+    """G's rows with the second neighbor of vertex v replaced by its first."""
+    perms = G.perms.copy()
+    perms[1, v] = perms[0, v]
+    return Graph(perms=perms)
+
+
+# All six rows of AG_5 split its 60 columns into whole blocks; the first
+# four inverse pairs of CAG_5's rows, degree 8, leave a partial last block.
+@pytest.mark.parametrize("family,rows", [("AG", 6), ("CAG", 8)])
+def test_repeated_neighbors_are_found_at_every_column_block_edge(graph, family, rows):
+    G = Graph(perms=graph(family, 5).perms[:rows])
+    blocks = G.column_blocks()
+    assert (blocks[-1].stop == G.order) == (family == "AG")
+    assert graph_invariant_violations(G) == []
+    for v in sorted({b.start for b in blocks} | {min(b.stop, G.order) - 1 for b in blocks}):
+        problems = graph_invariant_violations(_with_repeated_neighbor(G, v))
+        assert "a vertex has a repeated neighbor" in problems, v
+
+
+@pytest.mark.parametrize("entry", [4, -5])
+def test_matvec_rejects_an_out_of_range_neighbor(entry):
+    perms = _four_cycle_with(None).perms.copy()
+    perms[0, 2] = entry
+    with pytest.raises(IndexError):
+        Graph(perms=perms).matvec(np.ones(4))
+    with pytest.raises(IndexError):
+        _four_cycle_with(None).matvec(np.ones(3))  # a vector shorter than the order
+
+
+def _edges_by_whole_sort(G):
+    """Reference edge list: one sort of a full (order, degree) copy of the rows."""
+    nbrs = np.sort(G.perms.T, axis=1)
+    mask = nbrs > np.arange(G.order)[:, None]
+    return np.column_stack([np.nonzero(mask)[0], nbrs[mask]])
+
+
+def test_edges_array_matches_a_whole_array_sort(graph):
+    for G in (
+        graph("AG", 5),
+        graph("CAG", 6),
+        Graph(perms=graph("CAG", 5).perms[:8]),
+        _with_repeated_neighbor(graph("AG", 5), 9),
+    ):
+        edges, reference = G.edges_array(), _edges_by_whole_sort(G)
+        assert edges.dtype == reference.dtype and np.array_equal(edges, reference)
 
 
 @pytest.mark.parametrize("family,n", [("AG", 3), ("AG", 4), ("AG", 5), ("AG", 6), ("EAG", 5), ("CAG", 5)])
@@ -610,9 +658,9 @@ def test_gather_sum_on_a_batch_matches_row_by_row(graph, family, dtype):
 # Scratch-memory budget of each pass over CAG_7 (degree 70, order 2,520), as
 # a fraction of its rows' own size, degree * order * 4 bytes.  Gathering one
 # row at a time keeps the passes far below it; a whole-array gather of the
-# rows, or an intp copy of them, does not fit.  The invariant check keeps
-# one sorted copy of the rows and compares them row by row.  The build
-# writes the rows themselves and, from a cleared star-row cache, fills one
+# rows, or an intp copy of them, does not fit.  The invariant check sorts
+# one column block at a time; the quarter-size test below holds it tighter.
+# The build writes the rows themselves and, from a cleared star-row cache, fills one
 # (6, order) int32 array of star rows from a value-swapped uint8 copy of
 # the columns of A_7, freed when the star rows are done.
 ROW_PASS_BUDGETS = {
@@ -652,3 +700,38 @@ def test_row_passes_stay_below_the_rows_size(name):
     finally:
         tracemalloc.stop()
     assert peak < ROW_PASS_BUDGETS[name] * G.degree * G.order * 4
+
+
+def _second_run_peak(run):
+    """tracemalloc peak of a second call of ``run``; numpy reports its buffers."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The verify passes that once sorted or stacked a full copy of the rows go
+# one column block or one row at a time, far below the rows' own size.
+@pytest.mark.parametrize("name", ["graph_invariant_violations", "check_subgraph_isomorphism"])
+def test_verify_passes_stay_below_a_quarter_of_the_rows(name):
+    cache = _GraphCache()
+    G = cache.get("CAG", 7)
+    cache.get("CAG", 6)
+    run = {
+        "graph_invariant_violations": lambda: graph_invariant_violations(G),
+        "check_subgraph_isomorphism": lambda: check_subgraph_isomorphism("CAG", 7, 1, cache),
+    }[name]
+    assert _second_run_peak(run) < G.perms.nbytes / 4
+
+
+def test_a_second_matvec_allocates_at_most_three_vectors(graph):
+    # The output, the scratch row and take's intp copy of one index row;
+    # 1 KB covers the Python objects.  Given both buffers, only the copy.
+    G = graph("CAG", 7)
+    v, out, scratch = np.ones((3, G.order))
+    assert _second_run_peak(lambda: G.matvec(v)) <= 3 * v.nbytes + 1024
+    assert _second_run_peak(lambda: G.matvec(v, out=out, scratch=scratch)) <= v.nbytes + 1024
+    assert np.array_equal(out, G.matvec(v))

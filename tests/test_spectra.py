@@ -266,9 +266,9 @@ def _count_matvecs(monkeypatch):
     calls = []
     matvec = Graph.matvec
 
-    def counted(self, v):
+    def counted(self, v, *args, **kwargs):
         calls.append(1)
-        return matvec(self, v)
+        return matvec(self, v, *args, **kwargs)
 
     monkeypatch.setattr(Graph, "matvec", counted)
     return calls

@@ -12,10 +12,11 @@ two runs checks that a change leaves the CLI byte-identical:
 The optional argument is the ``src`` directory to import ``altspectra``
 from; the default is the one next to this file.  BLAS runs on one thread,
 since ``spectrum`` prints LAPACK round-off that changes with the thread
-count.  The list covers every verb and family at n = 3..8 (``spectrum`` at
-n <= 6) in each format with ``--block 1`` (and ``--block n`` for the verbs
-that read it), three ``--gens`` sets at n = 4..7, and the usage errors of
-``tests/test_cli.py``.
+count.  The list covers every verb (the keys of ``cli._HANDLERS`` in the
+imported ``src``, so a new verb joins the sweep) and family at n = 3..8
+(``spectrum`` at n <= 6) in each format with ``--block 1`` (and ``--block
+n`` for the verbs that read it), three ``--gens`` sets at n = 4..7, and the
+usage errors of ``tests/test_cli.py``.
 """
 
 import hashlib
@@ -28,7 +29,6 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-VERBS = ("build", "spectrum", "gap", "divisor", "cut", "hmin", "decompose", "verify")
 FAMILIES = ("AG", "EAG", "CAG")
 FORMATS = ("json", "text", "csv")
 BLOCK_VERBS = ("cut", "decompose", "verify")
@@ -61,16 +61,16 @@ USAGE_ERRORS = (
 )
 
 
-def argvs():
-    """The fixed argv list, in a fixed order."""
-    for verb in VERBS:
+def argvs(verbs):
+    """The fixed argv list over ``verbs``, in a fixed order."""
+    for verb in verbs:
         for family in FAMILIES:
             for n in range(3, 7 if verb == "spectrum" else 9):
                 for block in (1, n) if verb in BLOCK_VERBS else (1,):
                     for fmt in FORMATS:
                         yield (verb, "--family", family, "--n", str(n), "--block", str(block),
                                "--format", fmt)
-    for verb in VERBS:
+    for verb in verbs:
         for gens in GENS:
             for n in range(4, 7 if verb == "spectrum" else 8):
                 for fmt in FORMATS:
@@ -101,9 +101,9 @@ def main() -> None:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parents[1] / "src"
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads BLAS
     sys.path.insert(0, str(src.resolve()))
-    from altspectra.cli import main as cli_main
+    from altspectra.cli import _HANDLERS, main as cli_main
 
-    for argv in argvs():
+    for argv in argvs(tuple(_HANDLERS)):
         print(json.dumps(run(cli_main, argv)), flush=True)
 
 
