@@ -232,6 +232,37 @@ def _star_rows(n: int) -> np.ndarray:
     return star
 
 
+def star_matvec(G: Graph):
+    """A @ v of a named EAG_n or CAG_n from its n-1 star rows, as a function
+    ``(v, out, scratch) -> out`` with two order-length buffers; None for any
+    other graph (AG_n: 2(n-1) gathers for 2(n-2) rows).  Q_a, the star-row
+    gather of a, is an involution; Q_a Q_b is (1 a)(1 b) or its inverse.  With
+    S_k = Q_2 + ... + Q_k, EAG_n is S_n^2 - (n-1)I (2(n-1) gathers) and CAG_n,
+    by the Jucys-Murphy sums X_k = Q_k S_k Q_k (X_2^2 = I), is (1 - C(n,2))I +
+    sum over k = 3..n of Q_k S_k^2 Q_k (n(n+1)-6).  It reads no ``G.perms``."""
+    if G.family_tag not in ("EAG", "CAG") or G.n is None or G.order != alternating_order(G.n):
+        return None
+    n, Q, (u, y) = G.n, _star_rows(G.n), np.empty((2, G.order))
+
+    def S(k, x, out, scratch):  # S_k x into out
+        np.take(x, Q[0], out=out, mode="wrap")
+        for row in Q[1 : k - 1]:
+            out += np.take(x, row, out=scratch, mode="wrap")
+        return out
+
+    def product(v, out, scratch):
+        if G.family_tag == "EAG":
+            S(n, S(n, v, u, scratch), out, scratch)
+            return np.subtract(out, np.multiply(v, n - 1, out=scratch), out=out)
+        np.multiply(v, 1 - n * (n - 1) // 2, out=out)
+        for k in range(3, n + 1):
+            S(k, S(k, np.take(v, Q[k - 2], out=y, mode="wrap"), u, scratch), y, scratch)
+            out += np.take(y, Q[k - 2], out=scratch, mode="wrap")
+        return out
+
+    return product
+
+
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> Graph:
     """Cayley graph of A_n with respect to ``gens``.
 
@@ -409,5 +440,5 @@ def export_edges(G: Graph, path) -> None:
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# family={G.family_tag} n={G.n} order={G.order} degree={G.degree}\n")
-        for u, v in G.edges_array():
-            fh.write(f"{u} {v}\n")
+        for rows in np.array_split(G.edges_array(), max(G.degree, 1)):  # one write per chunk
+            fh.write("".join("%d %d\n" % (u, v) for u, v in rows.tolist()))

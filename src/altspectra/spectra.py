@@ -13,6 +13,8 @@ A result is certified by the explicit eigenpair residual of the returned
 Ritz pair.  A solve allocates its work vectors once (the restart vector,
 the product and one scratch vector, which the matvec reuses as its own
 buffers) and its basis in blocks of 16 rows, each when it first reaches it.
+EAG_n's and CAG_n's Krylov steps take star-row square sums (two more work
+vectors, :func:`~altspectra.cayley.star_matvec`); the certificate, ``G.matvec``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .cayley import Graph, check_family, is_connected
+from .cayley import Graph, check_family, is_connected, star_matvec
 from .errors import ConvergenceError, OrderCapError
 from .partition import DivisorMatrix, VertexPartition, check_equitable
 from .perm import alternating_images, alternating_ranks, from_cycle
@@ -131,9 +133,10 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
     caps the matrix-vector products over all restarts.  A Ritz pair is
     accepted only when its explicit eigenpair residual ||A x - rho x|| is
     below tol; for a symmetric matrix that residual bounds the eigenvalue
-    error directly.  A result whose certified interval (within tol) holds
-    the degree is flagged with a warning: it usually means the graph was
-    not connected.
+    error directly.  It is always taken on ``G``'s own rows; the Krylov steps
+    of EAG_n and CAG_n read the family's star rows until it first fails.  A
+    result whose certified interval (within tol) holds the degree is flagged
+    with a warning: it usually means the graph was not connected.
     """
     if G.order < 2:
         raise ValueError("graph must have at least two vertices")
@@ -147,15 +150,16 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
     w, tmp = np.empty((2, G.order))
     matvecs = 0
     resid = np.inf
+    steps = star_matvec(G) or G.matvec  # the Krylov steps' product
 
-    def product(v):
+    def product(v, multiply):
         nonlocal matvecs
         if matvecs == ITERATION_CAP:
             raise ConvergenceError(
                 f"no convergence in {ITERATION_CAP} matvecs (residual {resid:.3e})", resid
             )
         matvecs += 1
-        return G.matvec(v, out=w, scratch=tmp)
+        return multiply(v, w, tmp)
 
     def row(k):  # basis row k, its block allocated when first reached
         if k == len(blocks) * LANCZOS_BLOCK:
@@ -170,7 +174,7 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
         alpha: list[float] = []
         beta: list[float] = []
         for k in range(size):
-            product(row(k))
+            product(row(k), steps)
             w -= w.mean()
             # Two passes of classical Gram-Schmidt against the whole basis.
             V = spans(k + 1)
@@ -196,11 +200,12 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
         x -= x.mean()
         if converged:
             x /= np.linalg.norm(x)
-            ax = product(x)
+            ax = product(x, G.matvec)
             rq = float(x @ ax)
-            resid = float(np.linalg.norm(ax - rq * x))
+            resid = float(np.linalg.norm(np.subtract(ax, np.multiply(x, rq, out=tmp), out=tmp)))
             if resid < tol:
                 break
+            steps = G.matvec  # G's rows may not be its family's: go on with them
     if abs(rq - G.degree) <= tol:
         warnings.warn(
             "second eigenvalue equals the degree; the graph is likely disconnected",

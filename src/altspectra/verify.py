@@ -285,15 +285,18 @@ def check_decomposition_bound(family: str, n: int, cache=None) -> CheckResult:
     return {"lambda2_at_most": bound}, observed, cache.tol, whole <= bound + cache.tol
 
 
+def _spanning_check(family: str, n: int, i: int, cache: _GraphCache) -> CheckResult:
+    """The matchings (AG) or edge-decomposition (EAG, CAG) check."""
+    if family == "AG":
+        return check_matchings(n, i, cache)
+    return check_edge_decomposition(family, n, cache)
+
+
 def structural_checks(family: str, n: int, i: int, cache: _GraphCache) -> list[CheckResult]:
     """The matchings (AG) or edge-decomposition (EAG, CAG) check, then the
-    subgraph isomorphism check; ``verify`` puts the bound between them."""
+    subgraph isomorphism check; ``verify`` runs the bound between them."""
     check_family(family, n, 4, block=i)
-    if family == "AG":
-        first = check_matchings(n, i, cache)
-    else:
-        first = check_edge_decomposition(family, n, cache)
-    return [first, check_subgraph_isomorphism(family, n, i, cache)]
+    return [_spanning_check(family, n, i, cache), check_subgraph_isomorphism(family, n, i, cache)]
 
 
 def verify_family(
@@ -311,12 +314,13 @@ def verify_family(
     vs the closed form, second eigenvalue (iterative always; exact when the
     order is within the fixed ``spectra.DENSE_ORDER_CAP``, n <= 7), spectral
     gap, canonical cut ratio, isoperimetric bracket (order within
-    ``cheeger.BRUTE_ORDER_CAP``), then the structural checks.  Every check
-    reads the built graph, so each can fail.  A battery builds each graph,
-    the (n-1)-point ones included, once and within ``max_order``, and
-    solves each second eigenvalue once.  The exact check proves the exact
-    spectrum on the graph (:func:`~altspectra.spectra.certify_spectrum`) and
-    the isoperimetric bracket reads its gap from it; no dense matrix is formed.
+    ``cheeger.BRUTE_ORDER_CAP``), then the structural checks and the bound
+    between them, run in that order.  Every check reads the built graph, so
+    each can fail.  A battery builds each graph, the (n-1)-point ones
+    included, once and within ``max_order``, and solves each second
+    eigenvalue once.  The exact check proves the exact spectrum on the graph
+    (:func:`~altspectra.spectra.certify_spectrum`) and the isoperimetric
+    bracket reads its gap from it; no dense matrix is formed.
     """
     check_family(family, n, block=block_index)
     if not 0 < tol < 0.5:
@@ -418,9 +422,9 @@ def verify_family(
         checks.append(cut())
     if G.order <= _cheeger.BRUTE_ORDER_CAP:
         checks.append(bracket())
-    if n >= 4:
-        structural = structural_checks(family, n, block_index, cache)
+    if n >= 4:  # in report order: EAG_n is solved before any (n-1)-point build
+        checks.append(_spanning_check(family, n, block_index, cache))
         if family in SPANNING:
-            structural.insert(1, check_decomposition_bound(family, n, cache))
-        checks += structural
+            checks.append(check_decomposition_bound(family, n, cache))
+        checks.append(check_subgraph_isomorphism(family, n, block_index, cache))
     return VerificationReport(family, n, seed, block_index, checks)

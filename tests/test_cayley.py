@@ -735,3 +735,43 @@ def test_a_second_matvec_allocates_at_most_three_vectors(graph):
     assert _second_run_peak(lambda: G.matvec(v)) <= 3 * v.nbytes + 1024
     assert _second_run_peak(lambda: G.matvec(v, out=out, scratch=scratch)) <= v.nbytes + 1024
     assert np.array_equal(out, G.matvec(v))
+
+
+def test_a_second_solve_allocates_at_most_four_vectors_more(graph):
+    # The budget is a solve that steps on the rows alone: one basis block,
+    # three work vectors, the residual's two temporaries and 2,528 B of
+    # Python objects (numpy 2.4.6), plus four order-length vectors for the
+    # star-row product.
+    G = graph("CAG", 7)
+    vector = G.order * 8
+    before = (spectra.LANCZOS_BLOCK + 5) * vector + 2_528
+    assert _second_run_peak(lambda: spectra.lambda2_iterative(G)) <= before + 4 * vector + 1024
+
+
+@pytest.mark.parametrize("family", ["EAG", "CAG"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_star_matvec_equals_the_rows_exactly(graph, monkeypatch, family, n):
+    # Integers below 2^40 keep every partial sum of both products exact in
+    # float64, so the two must agree bit for bit; the rows are the reference.
+    G = graph(family, n)
+    product = cayley.star_matvec(G)
+    v = np.random.default_rng(n).integers(-(2**40), 2**40, G.order).astype(np.float64)
+    out, scratch = np.empty((2, G.order))
+    gathers, take = [], np.take
+
+    def counted(*args, **kwargs):
+        gathers.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counted)
+    assert product(v, out, scratch) is out
+    assert len(gathers) == (2 * (n - 1) if family == "EAG" else n * (n + 1) - 6)
+    monkeypatch.undo()
+    assert np.array_equal(out, G.matvec(v))
+
+
+def test_star_matvec_is_for_named_EAG_and_CAG_only(graph):
+    # AG_n's square sum would take 2(n-1) gathers, more than its 2(n-2) rows.
+    assert cayley.star_matvec(graph("AG", 6)) is None
+    assert cayley.star_matvec(Graph(graph("CAG", 6).perms)) is None
+    assert cayley.star_matvec(Graph(graph("CAG", 5).perms, n=6, family_tag="CAG")) is None

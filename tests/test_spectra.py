@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -12,7 +13,7 @@ from altspectra.errors import ConvergenceError, OrderCapError
 from altspectra.partition import EquitableWitness
 from altspectra import spectra
 from altspectra.perm import from_cycle
-from test_verify import _swap_arcs
+from test_verify import _doctorings, _random_swaps, _swap_arcs
 from altspectra.spectra import (
     SpectrumReport,
     certify_spectrum,
@@ -263,15 +264,53 @@ def test_report_json_schema(graph):
 
 
 def _count_matvecs(monkeypatch):
+    """Every product a solve makes, in order: "rows" for ``Graph.matvec``,
+    "stars" for the star-row product."""
     calls = []
-    matvec = Graph.matvec
+    matvec, star_matvec = Graph.matvec, spectra.star_matvec
 
     def counted(self, v, *args, **kwargs):
-        calls.append(1)
+        calls.append("rows")
         return matvec(self, v, *args, **kwargs)
 
+    def counted_stars(G):
+        product = star_matvec(G)
+        return product and (lambda *args: (calls.append("stars"), product(*args))[1])
+
     monkeypatch.setattr(Graph, "matvec", counted)
+    monkeypatch.setattr(spectra, "star_matvec", counted_stars)
     return calls
+
+
+def _solve_counts(monkeypatch, G):
+    """The value, the row products and the certificate products of one
+    solve: each Krylov step diagonalizes one tridiagonal matrix, and every
+    product that is no Krylov step is a certificate."""
+    calls, steps, eigh = _count_matvecs(monkeypatch), [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda T: (steps.append(1), eigh(T))[1])
+    value = lambda2_iterative(G)
+    monkeypatch.undo()
+    return value, calls.count("rows"), len(calls) - len(steps)
+
+
+def test_star_steps_leave_the_rows_to_the_certificate(monkeypatch):
+    # On CAG_6's own rows in another order, every Krylov step takes the
+    # star-row product and only the certificates read the rows.
+    G = build_family("CAG", 6)
+    control = Graph(_doctorings(G)["rows reordered"], n=6, family_tag="CAG")
+    value, rows, certificates = _solve_counts(monkeypatch, control)
+    assert value == pytest.approx(predicted("CAG", 6)[1], abs=1e-8)
+    assert rows == certificates >= 1
+
+
+def test_a_doctored_family_graph_is_solved_on_its_own_rows(monkeypatch):
+    # The star-row product is CAG_6's, not the doctored rows'; their
+    # certificate fails and the solve goes on with the rows, to the value
+    # of the same rows solved as a graph made by hand.
+    perms = _random_swaps(build_family("CAG", 6), random.Random(6), 20).perms
+    tagged, rows, certificates = _solve_counts(monkeypatch, Graph(perms, n=6, family_tag="CAG"))
+    assert rows > certificates
+    assert tagged == pytest.approx(lambda2_iterative(Graph(perms)), abs=1e-8)
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])

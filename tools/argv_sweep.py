@@ -15,8 +15,9 @@ since ``spectrum`` prints LAPACK round-off that changes with the thread
 count.  The list covers every verb (the keys of ``cli._HANDLERS`` in the
 imported ``src``, so a new verb joins the sweep) and family at n = 3..8
 (``spectrum`` at n <= 6) in each format with ``--block 1`` (and ``--block
-n`` for the verbs that read it), three ``--gens`` sets at n = 4..7, and the
-usage errors of ``tests/test_cli.py``.
+n`` for the verbs that read it), three ``--gens`` sets at n = 4..7, the
+n = 9 ``gap`` solves of EAG and CAG, and the usage errors of
+``tests/test_cli.py``.
 """
 
 import hashlib
@@ -37,6 +38,8 @@ GENS = (
     "(2,3,4),(2,4,3),(1,2)(3,4)",
     "(1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3)",
 )
+# The largest solves, where the star-row product of EAG and CAG saves most.
+LARGE = tuple(("gap", "--family", f, "--n", "9", "--format", "json") for f in ("EAG", "CAG"))
 USAGE_ERRORS = (
     ("gap", "--n", "4"),
     ("gap", "--family", "AG", "--gens", "(1,2,3)", "--n", "4"),
@@ -75,6 +78,7 @@ def argvs(verbs):
             for n in range(4, 7 if verb == "spectrum" else 8):
                 for fmt in FORMATS:
                     yield (verb, "--gens", gens, "--n", str(n), "--format", fmt)
+    yield from LARGE
     yield from USAGE_ERRORS
 
 
