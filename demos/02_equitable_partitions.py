@@ -10,7 +10,7 @@ the full graph spectrum.
 import numpy as np
 
 from altspectra import (
-    DivisorMatrix,
+    Quotient,
     VertexPartition,
     blocks_AG,
     blocks_Xij,
@@ -25,21 +25,21 @@ n = 5
 G = build_family("AG", n)
 P = blocks_AG(n, 1)
 print(f"AG_{n} split by the blocks {P.labels}, sizes {P.sizes()}")
-B = check_equitable(G, P)
-assert isinstance(B, DivisorMatrix)
+Q = check_equitable(G, P)
+assert isinstance(Q, Quotient)
 print("counted divisor matrix:")
-print(B.entries)
+print(np.array(Q.B))
 print("closed form:")
-print(divisor_closed_form("AG", n).entries)
-print("eigenvalues:", divisor_spectrum(B))
+print(np.array(divisor_closed_form("AG", n).B))
+print("eigenvalues:", divisor_spectrum(Q))
 
 print()
 E = build_family("EAG", 4)
-B = check_equitable(E, blocks_Xij(4, i=2))
-assert isinstance(B, DivisorMatrix)
+Q = check_equitable(E, blocks_Xij(4, i=2))
+assert isinstance(Q, Quotient)
 print("EAG_4 with the value 2 pinned per position:")
-print(B.entries)
-print("eigenvalues:", divisor_spectrum(B))
+print(np.array(Q.B))
+print("eigenvalues:", divisor_spectrum(Q))
 
 print()
 print("an arbitrary split is almost never equitable:")

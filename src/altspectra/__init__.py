@@ -35,8 +35,8 @@ from .cheeger import (
 )
 from .errors import ConvergenceError, OrderCapError
 from .partition import (
-    DivisorMatrix,
     EquitableWitness,
+    Quotient,
     VertexPartition,
     blocks_AG,
     blocks_Xij,
@@ -71,12 +71,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "CutReport",
-    "DivisorMatrix",
     "EquitableWitness",
     "GeneratingSet",
     "Graph",
     "OrderCapError",
     "Permutation",
+    "Quotient",
     "SpectrumReport",
     "VerificationReport",
     "VertexPartition",

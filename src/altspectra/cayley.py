@@ -127,8 +127,9 @@ class Graph:
     family_tag: str = "custom"
 
     def __post_init__(self):
-        if self.perms.ndim != 2:
-            raise ValueError(f"perms must be a (degree, order) array, got shape {self.perms.shape}")
+        p = self.perms
+        if not isinstance(p, np.ndarray) or p.ndim != 2 or p.dtype.kind not in "iu":
+            raise ValueError(f"perms must be a (degree, order) integer array, got {p!r:.60}")
         self.perms.setflags(write=False)
 
     @property

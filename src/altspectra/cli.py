@@ -189,12 +189,12 @@ def _run_gap(args) -> tuple[dict, int]:
 
 
 def _run_divisor(args) -> tuple[dict, int]:
-    B = divisor_closed_form(args.family, args.n)
+    Q = divisor_closed_form(args.family, args.n)
     return {
         "family": args.family,
         "n": args.n,
-        "entries": B.entries.tolist(),
-        "eigenvalues": divisor_spectrum(B),
+        "entries": Q.B,
+        "eigenvalues": divisor_spectrum(Q),
     }, 0
 
 

@@ -2,11 +2,11 @@
 
 A partition of the vertex set is stored as one block index per vertex
 (``VertexPartition.block_of``), the characteristic-matrix view of Godsil and
-Royle, *Algebraic Graph Theory*, ch. 9; such an array cannot express
-overlapping or uncovered vertices.  The partition is equitable when the
-number of neighbors a vertex has in each block depends only on the vertex's
-own block.  The k x k matrix of those counts is the divisor matrix; its
-eigenvalues are a subset of the graph's spectrum.
+Royle, *Algebraic Graph Theory*, ch. 9, which cannot express overlapping or
+uncovered vertices.  It is equitable when the number of neighbors a vertex
+has in each block depends only on the vertex's own block.  The k x k matrix
+B of those counts, kept with the block sizes in a :class:`Quotient`, is the
+divisor matrix: A C = C B, so each eigenvalue of B is one of the graph's.
 
 Block families used throughout, all read from the image tuples of the
 ranked vertices of A_n:
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class VertexPartition:
 
     def __post_init__(self):
         b = np.asarray(self.block_of)
-        if b.ndim != 1:
-            raise ValueError("block_of must hold one block index per vertex")
+        if b.ndim != 1 or b.dtype.kind not in "biu":
+            raise ValueError("block_of must hold one block index per vertex, as integers")
         if b.size and (b.min() < 0 or b.max() >= self.k):
             raise ValueError(f"block index outside 0..{self.k - 1}")
         if np.bincount(b, minlength=self.k).min(initial=1) == 0:
@@ -57,19 +57,35 @@ class VertexPartition:
 
 
 @dataclass(frozen=True)
-class DivisorMatrix:
-    entries: np.ndarray
+class Quotient:
+    """An equitable partition's block sizes and divisor matrix B, in Python ints: a
+    vertex of block r has ``B[r][c]`` neighbors in block c.  ``root`` is the
+    index of vertex 0's block when that block is {0} alone, else None."""
+
+    sizes: tuple[int, ...]
+    B: tuple[tuple[int, ...], ...]
+    root: int | None = None
 
     def __post_init__(self):
-        e = np.asarray(self.entries)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("divisor matrix must be square")
-        object.__setattr__(self, "entries", e)
-        self.entries.setflags(write=False)
+        B = tuple(tuple(map(int, row)) for row in self.B)
+        if any(len(row) != len(B) for row in B) or len(self.sizes) != len(B):
+            raise ValueError("a quotient needs a square B with one size per block")
+        object.__setattr__(self, "sizes", tuple(map(int, self.sizes)))
+        object.__setattr__(self, "B", B)
 
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
+    def certify(self, spectrum: dict[int, int]) -> dict[str, bool]:
+        """``annihilated``: prod (A - theta) e_0 = 0; ``moments_match``: N (A^k)_00
+        = sum m theta^k for k < len(spectrum), N = sum(sizes).  Both read
+        A^k e_0 = C B^k e_root off B alone, in Python ints; with no root, neither holds."""
+        if self.root is None:
+            return {"annihilated": False, "moments_match": False}
+        B, e, N = np.array(self.B, dtype=object), self.root, sum(self.sizes)
+        killed = walk = np.eye(len(B), dtype=object)[e]
+        moments_match = True
+        for power, theta in enumerate(spectrum):
+            moments_match &= N * walk[e] == sum(x * t**power for t, x in spectrum.items())
+            killed, walk = B @ killed - theta * killed, B @ walk
+        return {"annihilated": not killed.any(), "moments_match": moments_match}
 
 
 @dataclass(frozen=True)
@@ -121,8 +137,8 @@ def blocks_Xij(n: int, *, i: int) -> VertexPartition:
     )
 
 
-def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWitness:
-    """Divisor matrix when P is equitable, else the first counterexample.
+def check_equitable(G: Graph, P: VertexPartition) -> Quotient | EquitableWitness:
+    """The quotient by P when P is equitable, else the first counterexample.
 
     A vertex's count of neighbors in block t is one base-(degree+1) digit
     of an int64 code summed by :meth:`Graph.gather_sum`, with more codes
@@ -158,33 +174,27 @@ def check_equitable(G: Graph, P: VertexPartition) -> DivisorMatrix | EquitableWi
             count_a=int(reference[bi, tj]),
             count_b=int(count_v[tj]),
         )
-    return DivisorMatrix(entries=reference)
+    sizes, b0 = P.sizes(), int(block_of[0])
+    return Quotient(sizes, reference.tolist(), b0 if sizes[b0] == 1 else None)
 
 
-def divisor_closed_form(family: str, n: int) -> DivisorMatrix:
-    """The block neighbor-count matrix of each family, as a formula in n (AG from n = 4)."""
+def divisor_closed_form(family: str, n: int) -> Quotient:
+    """Each family's quotient by its defining blocks as a formula in n (AG from
+    n = 4): (n-1)!/2 vertices a block, (n-3) times that in AG's W."""
     check_family(family, n, PARTITION_LEAST)
+    size = factorial(n - 1) // 2
     if family == "AG":
-        entries = np.array(
-            [
-                [2 * n - 6, 1, 1, 0],
-                [1, 0, n - 2, n - 3],
-                [1, n - 2, 0, n - 3],
-                [0, 1, 1, 2 * n - 6],
-            ],
-            dtype=np.int64,
-        )
-    elif family == "EAG":
-        entries = np.full((n, n), 1, dtype=np.int64)
-        entries[0, :] = n - 2
-        entries[:, 0] = n - 2
-        entries[0, 0] = 0
-        for a in range(1, n):
-            entries[a, a] = (n - 2) * (n - 3)
+        B = [2 * n - 6, 1, 1, 0], [1, 0, n - 2, n - 3], [1, n - 2, 0, n - 3], [0, 1, 1, 2 * n - 6]
+        return Quotient((size, size, size, (n - 3) * size), B)
+    if family == "EAG":
+        B = np.full((n, n), 1)
+        B[0] = B[:, 0] = n - 2
+        np.fill_diagonal(B, (n - 2) * (n - 3))
+        B[0, 0] = 0
     else:
-        entries = np.full((n, n), n - 2, dtype=np.int64)
-        np.fill_diagonal(entries, 2 * comb(n - 1, 3))
-    return DivisorMatrix(entries=entries)
+        B = np.full((n, n), n - 2)
+        np.fill_diagonal(B, 2 * comb(n - 1, 3))
+    return Quotient((size,) * n, B)
 
 
 def divisor_eigenvalues_closed_form(family: str, n: int) -> list[int]:
@@ -198,20 +208,20 @@ def divisor_eigenvalues_closed_form(family: str, n: int) -> list[int]:
     return [2 * comb(n, 3)] + [n * (n - 2) * (n - 4) // 3] * (n - 1)
 
 
-def divisor_spectrum(B: DivisorMatrix) -> list[int]:
-    """The integer eigenvalues of B, descending with multiplicity.
+def divisor_spectrum(Q: Quotient) -> list[int]:
+    """The integer eigenvalues of Q's divisor matrix B, descending with multiplicity.
 
     det(xI - B) comes from Faddeev-LeVerrier in Python ints (each division
     is exact); its integer roots are divided out by Horner, scanning from
     the largest absolute row sum r (Gershgorin) down to -r.  A root that is
     not an integer is left out, so the list is then shorter than k.
     """
-    A, eye = B.entries.astype(object), np.eye(B.k, dtype=object)
+    A, eye = np.array(Q.B, dtype=object), np.eye(len(Q.B), dtype=object)
     poly, AM = [1], 0 * eye
-    for m in range(1, B.k + 1):
+    for m in range(1, len(Q.B) + 1):
         AM = A @ (AM + poly[-1] * eye)
         poly.append(-AM.trace() // m)
-    r = int(np.abs(B.entries).sum(axis=1).max(initial=0))
+    r = max((sum(map(abs, row)) for row in Q.B), default=0)
     roots, theta = [], r
     while len(poly) > 1 and theta >= -r:
         *quotient, remainder = accumulate(poly, lambda acc, c: acc * theta + c)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cayley import Graph, check_family, is_connected, star_matvec
 from .errors import ConvergenceError, OrderCapError
-from .partition import DivisorMatrix, VertexPartition, check_equitable
+from .partition import Quotient, VertexPartition, check_equitable
 from .perm import alternating_images, alternating_ranks, from_cycle
 
 # Fixed work caps: A_n orders jump 2,520 -> 20,160 (3.25 GB as a dense matrix).
@@ -303,12 +303,9 @@ def certify_spectrum(G: Graph, spectrum: dict[int, int]) -> dict[str, bool]:
 
     ``left_invariant``: each row commutes with right translation by (1 2 3)
     and (1 2 ... n) (odd n) or (2 3 ... n) (even n), generators of A_n, so
-    p(A) e_0 = 0 gives p(A) = 0.  ``annihilated``: prod (A - theta) e_0 = 0.
-    ``moments_match``: N (A^k)_00 = sum m theta^k for k < m.  Colour
-    refinement of {{0}, rest}, keyed by hashed block weights, finds an
-    equitable partition; :func:`check_equitable` certifies it and gives
-    its divisor matrix B, and {0} must be a block.  Then A C = C B (C the
-    characteristic matrix), so A^k e_0 = C B^k e_[0], run in Python ints.
+    p(A) e_0 = 0 gives p(A) = 0.  :meth:`Quotient.certify` tests p(A) e_0 on
+    the colour refinement of {{0}, rest} (keyed by hashed block weights),
+    which :func:`check_equitable` certifies equitable.
     """
     N, n = G.order, G.n
     verts = alternating_images(n)
@@ -324,17 +321,9 @@ def certify_spectrum(G: Graph, spectrum: dict[int, int]) -> dict[str, bool]:
         if keys.size <= k:
             break
         k = keys.size
-    B = check_equitable(G, VertexPartition(block_of, tuple(map(str, range(keys.size)))))
-    if not isinstance(B, DivisorMatrix) or np.count_nonzero(block_of == block_of[0]) > 1:
-        return {"left_invariant": left_invariant, "annihilated": False, "moments_match": False}
-    B, e = B.entries.astype(object), block_of[0]
-    killed = walk = np.eye(len(B), dtype=object)[e]
-    moments_match = True
-    for power, theta in enumerate(spectrum):
-        moments_match &= N * walk[e] == sum(x * t**power for t, x in spectrum.items())
-        killed, walk = B @ killed - theta * killed, B @ walk
-    return {"left_invariant": left_invariant, "annihilated": not killed.any(),
-            "moments_match": moments_match}
+    Q = check_equitable(G, VertexPartition(block_of, tuple(map(str, range(keys.size)))))
+    Q = Q if isinstance(Q, Quotient) else Quotient((), ())  # no root, so no proof
+    return {"left_invariant": left_invariant, **Q.certify(spectrum)}
 
 
 def integrality_check(report: SpectrumReport, tol: float = 1e-8) -> tuple[bool, float]:

@@ -39,7 +39,7 @@ from .cayley import (
     phi_isomorphism,
 )
 from .partition import (
-    DivisorMatrix,
+    Quotient,
     blocks_AG,
     blocks_Xij,
     check_equitable,
@@ -355,12 +355,12 @@ def verify_family(
         nonlocal measured
         P = blocks_AG(n, block_index) if family == "AG" else blocks_Xij(n, i=block_index)
         result = check_equitable(G, P)
-        B = divisor_closed_form(family, n)
-        if not isinstance(result, DivisorMatrix):
-            return B.entries.tolist(), str(result), None, False
+        closed = divisor_closed_form(family, n)
+        if not isinstance(result, Quotient):
+            return closed.B, str(result), None, False
         measured = result
-        ok = np.array_equal(result.entries, B.entries)
-        return B.entries.tolist(), result.entries.tolist(), None, ok
+        ok = (result.sizes, result.B) == (closed.sizes, closed.B)  # roots differ at n = 3
+        return closed.B, result.B, None, ok
 
     @_check("divisor_spectrum", "quotient matrix eigenvalues")
     def divisor_eigs():

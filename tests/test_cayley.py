@@ -469,8 +469,9 @@ def test_induced_subgraph_rejects_bad_subsets(graph):
     with pytest.raises(ValueError, match="only part"):
         # every row maps vertex 0 inside and some neighbor of 0 outside
         induced_subgraph(g, [0, *g.perms[:, 0]])
-    with pytest.raises(ValueError):
-        Graph(perms=np.array([1, 0], dtype=np.int32))
+    for perms in (np.array([1, 0], dtype=np.int32), [[1, 0]], np.array([[1.0, 0.0]])):
+        with pytest.raises(ValueError, match="integer array"):
+            Graph(perms=perms)
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from altspectra.partition import (
-    DivisorMatrix,
     EquitableWitness,
+    Quotient,
     VertexPartition,
     blocks_AG,
     blocks_Xij,
@@ -81,38 +81,41 @@ def test_blocks_Xij_selector_validation():
 
 
 def test_check_equitable_AG4_matches_printed_matrix(graph):
-    B = check_equitable(graph("AG", 4), blocks_AG(4, 1))
-    assert isinstance(B, DivisorMatrix)
-    assert B.entries.tolist() == [[2, 1, 1, 0], [1, 0, 2, 1], [1, 2, 0, 1], [0, 1, 1, 2]]
+    Q = check_equitable(graph("AG", 4), blocks_AG(4, 1))
+    assert isinstance(Q, Quotient)
+    assert Q.B == ((2, 1, 1, 0), (1, 0, 2, 1), (1, 2, 0, 1), (0, 1, 1, 2))
+    assert Q.sizes == (3, 3, 3, 3) and Q.root is None
 
 
 def test_check_equitable_EAG4_first_row(graph):
-    B = check_equitable(graph("EAG", 4), blocks_Xij(4, i=2))
-    assert isinstance(B, DivisorMatrix)
-    assert B.entries[0].tolist() == [0, 2, 2, 2]
+    Q = check_equitable(graph("EAG", 4), blocks_Xij(4, i=2))
+    assert isinstance(Q, Quotient)
+    assert Q.B[0] == (0, 2, 2, 2)
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_equitable_equals_closed_form_for_every_block_value(graph, family, n):
     G = graph(family, n)
-    expected = divisor_closed_form(family, n).entries
+    closed = divisor_closed_form(family, n)
     for i in range(1, n + 1):
         P = blocks_AG(n, i) if family == "AG" else blocks_Xij(n, i=i)
-        B = check_equitable(G, P)
-        assert isinstance(B, DivisorMatrix)
-        assert np.array_equal(B.entries, expected)
+        Q = check_equitable(G, P)
+        assert isinstance(Q, Quotient)
+        assert (Q.sizes, Q.B) == (closed.sizes, closed.B)
 
 
 def reference_equitable(G, P):
-    """Divisor matrix or witness from plain per-block neighbor counts."""
+    """Quotient or witness from plain per-block neighbor counts."""
     nbr_blocks = P.block_of[G.perms]
     counts = np.stack([(nbr_blocks == b).sum(axis=0) for b in range(P.k)], axis=1)
     _, lowest = np.unique(P.block_of, return_index=True)
     diff = counts != counts[lowest][P.block_of]
     bad = np.flatnonzero(diff.any(axis=1))
     if not bad.size:
-        return DivisorMatrix(entries=counts[lowest].astype(np.int64))
+        sizes = [int((P.block_of == b).sum()) for b in range(P.k)]
+        alone = np.flatnonzero(P.block_of == P.block_of[0]).tolist() == [0]
+        return Quotient(sizes, counts[lowest].tolist(), int(P.block_of[0]) if alone else None)
     v = int(bad[0])
     bi = int(P.block_of[v])
     tj = int(np.argmax(diff[v]))
@@ -129,13 +132,21 @@ def reference_equitable(G, P):
     )
 
 
-def assert_same_result(got, want):
+def assert_same_result(got, want, G):
     assert type(got) is type(want)
-    if isinstance(want, DivisorMatrix):
-        assert got.entries.dtype == np.int64
-        assert np.array_equal(got.entries, want.entries)
-    else:
-        assert got == want
+    assert got == want
+    if isinstance(got, Quotient):
+        assert_quotient_invariants(got, G.order)
+
+
+def assert_quotient_invariants(Q, order):
+    """Python ints, sizes summing to the order, and sizes[r] B[r][c] = sizes[c] B[c][r]
+    (both count the arcs between blocks r and c)."""
+    assert all(type(x) is int for x in (*Q.sizes, *(x for row in Q.B for x in row)))
+    assert sum(Q.sizes) == order
+    k = len(Q.B)
+    assert all(Q.sizes[r] * Q.B[r][c] == Q.sizes[c] * Q.B[c][r] for r in range(k) for c in range(k))
+    assert Q.root is None or Q.sizes[Q.root] == 1
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
@@ -149,7 +160,7 @@ def test_check_equitable_matches_per_block_counts(graph, family, n):
     witnesses = 0
     for P in partitions:
         got, want = check_equitable(G, P), reference_equitable(G, P)
-        assert_same_result(got, want)
+        assert_same_result(got, want, G)
         witnesses += isinstance(want, EquitableWitness)
     # CAG's generating set is closed under conjugation, so all nine are
     # equitable; AG and EAG each have a position partition that is not.
@@ -157,7 +168,26 @@ def test_check_equitable_matches_per_block_counts(graph, family, n):
     # The position of i in t*g is t^-1 of its position in g, so the blocks
     # by where a value sits are equitable for every generating set.
     for i in range(1, n + 1):
-        assert isinstance(check_equitable(G, blocks_Xij(n, i=i)), DivisorMatrix)
+        assert isinstance(check_equitable(G, blocks_Xij(n, i=i)), Quotient)
+    # The defining blocks each hold many vertices, so no root, and the
+    # closed form predicts their measured sizes.
+    closed = divisor_closed_form(family, n)
+    for P in partitions[:3] if family == "AG" else partitions[3:6]:
+        Q = check_equitable(G, P)
+        assert Q.root is None and Q.sizes == closed.sizes
+
+
+@pytest.mark.parametrize("family", ["EAG", "CAG"])
+def test_quotient_root_at_n3(graph, family):
+    # Order 3: each block X_i(j) is one vertex, so vertex 0's block is {0}.
+    G, closed = graph(family, 3), divisor_closed_form(family, 3)
+    assert closed.root is None
+    for i in (1, 2, 3):
+        P = blocks_Xij(3, i=i)
+        Q = check_equitable(G, P)
+        assert_same_result(Q, reference_equitable(G, P), G)
+        assert Q.root == P.block_of[0] == i - 1
+        assert (Q.sizes, Q.B) == (closed.sizes, closed.B)
 
 
 def first_two_values_partition(n):
@@ -175,9 +205,9 @@ def test_check_equitable_with_several_codes(graph, family):
     P = first_two_values_partition(7)
     assert P.k == 42
     got, want = check_equitable(G, P), reference_equitable(G, P)
-    assert_same_result(got, want)
+    assert_same_result(got, want, G)
     if family == "CAG":  # base 71 packs 10 blocks per 62-bit code: 42 blocks take 5
-        assert isinstance(got, DivisorMatrix)
+        assert isinstance(got, Quotient)
 
 
 def test_check_equitable_witness_in_a_later_code(graph):
@@ -190,16 +220,16 @@ def test_check_equitable_witness_in_a_later_code(graph):
     P = VertexPartition(block_of=block_of, labels=first_two_values_partition(7).labels)
     got = check_equitable(G, P)
     assert isinstance(got, EquitableWitness) and got.target_index in (40, 41)
-    assert_same_result(got, reference_equitable(G, P))
+    assert_same_result(got, reference_equitable(G, P), G)
 
 
 @pytest.mark.parametrize("family", ["EAG", "CAG"])
 def test_check_equitable_powers_do_not_wrap_at_n8(graph, family):
     # Base 43 (EAG_8) and 113 (CAG_8) put the top digit of 8 blocks past
     # 2^31, so the place values must be int64.
-    B = check_equitable(graph(family, 8), blocks_Xij(8, i=1))
-    assert isinstance(B, DivisorMatrix)
-    assert np.array_equal(B.entries, divisor_closed_form(family, 8).entries)
+    Q = check_equitable(graph(family, 8), blocks_Xij(8, i=1))
+    assert isinstance(Q, Quotient)
+    assert Q.B == divisor_closed_form(family, 8).B
 
 
 def test_unbalanced_split_yields_witness(graph):
@@ -237,8 +267,9 @@ def test_partition_validation(graph):
             VertexPartition(block_of=np.array(bad), labels=("A", "B"))
     with pytest.raises(ValueError, match="empty block"):
         VertexPartition(block_of=np.array([0, 0, 2]), labels=("A", "B", "C"))
-    with pytest.raises(ValueError, match="one block index per vertex"):
-        VertexPartition(block_of=np.zeros((3, 4), dtype=int), labels=("A",))
+    for bad in (np.zeros((3, 4), dtype=int), np.array([0.5, 1.2])):
+        with pytest.raises(ValueError, match="one block index per vertex"):
+            VertexPartition(block_of=bad, labels=("A", "B"))
 
 
 @pytest.mark.parametrize(
@@ -249,11 +280,11 @@ def test_partition_validation(graph):
     ],
 )
 def test_divisor_closed_form_AG(family, n, expected):
-    assert divisor_closed_form(family, n).entries.tolist() == expected
+    assert divisor_closed_form(family, n).B == tuple(map(tuple, expected))
 
 
 def test_divisor_closed_form_EAG4():
-    B = divisor_closed_form("EAG", 4).entries
+    B = np.array(divisor_closed_form("EAG", 4).B)
     assert np.diag(B).tolist() == [0, 2, 2, 2]
     assert B[0, 1:].tolist() == [2, 2, 2]
     assert B[1:, 0].tolist() == [2, 2, 2]
@@ -262,7 +293,7 @@ def test_divisor_closed_form_EAG4():
 
 
 def test_divisor_closed_form_CAG4():
-    B = divisor_closed_form("CAG", 4).entries
+    B = np.array(divisor_closed_form("CAG", 4).B)
     assert np.diag(B).tolist() == [2, 2, 2, 2]
     assert B[~np.eye(4, dtype=bool)].tolist() == [2] * 12
 
@@ -271,8 +302,8 @@ def test_divisor_closed_form_CAG4():
 def test_divisor_rows_sum_to_degree(family, n):
     from altspectra.spectra import predicted
 
-    B = divisor_closed_form(family, n)
-    assert (B.entries.sum(axis=1) == predicted(family, n)[0]).all()
+    Q = divisor_closed_form(family, n)
+    assert {sum(row) for row in Q.B} == {predicted(family, n)[0]}
 
 
 @pytest.mark.parametrize(
@@ -300,7 +331,7 @@ def test_divisor_spectrum_is_the_closed_form_exactly(family):
 
 
 def spectrum_of(rows):
-    return divisor_spectrum(DivisorMatrix(entries=np.array(rows, dtype=np.int64)))
+    return divisor_spectrum(Quotient((1,) * len(rows), rows))
 
 
 def test_divisor_spectrum_leaves_out_roots_that_are_not_integers():

@@ -10,9 +10,10 @@ import pytest
 from altspectra.cayley import GeneratingSet, Graph, build_cayley, build_family, export_edges
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
-from altspectra.partition import EquitableWitness
+from altspectra.partition import EquitableWitness, Quotient
 from altspectra import spectra
 from altspectra.perm import from_cycle
+from test_partition import assert_quotient_invariants
 from test_verify import _doctorings, _random_swaps, _swap_arcs
 from altspectra.spectra import (
     SpectrumReport,
@@ -469,3 +470,34 @@ def test_certify_spectrum_fails_on_swapped_arcs(graph):
     _swap_arcs(perms, 0, 0, x)
     certificate = certify_spectrum(Graph(perms=perms, n=5), exact_spectrum("AG", 5))
     assert certificate["left_invariant"] is False
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_certify_spectrum_refines_to_a_rooted_quotient(graph, family, n, monkeypatch):
+    # The refinement keeps {0} a block of its own, so its quotient has a
+    # root, and that quotient alone gives the certificate's exact fields.
+    quotients = []
+    check_equitable = spectra.check_equitable
+
+    def recorded(G, P):
+        quotients.append((check_equitable(G, P), P))
+        return quotients[-1][0]
+
+    monkeypatch.setattr(spectra, "check_equitable", recorded)
+    G, spectrum = graph(family, n), exact_spectrum(family, n)
+    certificate = certify_spectrum(G, spectrum)
+    [(Q, P)] = quotients
+    assert isinstance(Q, Quotient) and Q.root == P.block_of[0]
+    assert_quotient_invariants(Q, G.order)
+    assert Q.certify(spectrum) == {k: certificate[k] for k in ("annihilated", "moments_match")}
+
+
+def test_quotient_certify_needs_no_graph():
+    # K_4 split into {0} and the rest: sizes (1, 3), spectrum 3, -1, -1, -1.
+    Q = Quotient((1, 3), ((0, 3), (1, 2)), root=0)
+    assert Q.certify({3: 1, -1: 3}) == {"annihilated": True, "moments_match": True}
+    assert Q.certify({3: 4}) == {"annihilated": False, "moments_match": True}  # one moment only
+    assert Q.certify({3: 2, -1: 2}) == {"annihilated": True, "moments_match": False}
+    unrooted = Quotient((1, 3), ((0, 3), (1, 2)))
+    assert unrooted.certify({3: 1, -1: 3}) == {"annihilated": False, "moments_match": False}

@@ -521,3 +521,33 @@ def test_verify_makes_no_dense_solve(monkeypatch, family, n):
     if n <= 4:
         assert checks["isoperimetric_bracket"].observed["lower"] == predicted(family, n)[2] / 2
     assert checks["lambda2_exact"].observed["lambda2"] == predicted(family, n)[1]
+
+
+@pytest.mark.parametrize(
+    "family,n,certify,battery",
+    [
+        ("AG", 6, 7, 20),
+        ("EAG", 6, 5, 19),
+        ("CAG", 6, 4, 9),
+        ("AG", 7, 10, 26),
+        ("EAG", 7, 7, 24),
+        ("CAG", 7, 5, 10),
+    ],
+)
+def test_gather_sum_passes(graph, monkeypatch, family, n, certify, battery):
+    # Every neighbour-count pass (colour refinement, equitable codes,
+    # matchings, cuts) is one Graph.gather_sum call: pin how many one
+    # certificate and one battery make at the default seed and block.
+    calls = []
+    gather_sum = Graph.gather_sum
+
+    def counted(G, *args, **kwargs):
+        calls.append(G.order)
+        return gather_sum(G, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "gather_sum", counted)
+    spectra.certify_spectrum(graph(family, n), spectra.exact_spectrum(family, n))
+    assert len(calls) == certify
+    calls.clear()
+    assert verify_family(family, n).overall
+    assert len(calls) == battery
