@@ -208,12 +208,6 @@ class Graph:
         :meth:`gather_sum` and its ``out`` and ``scratch`` buffers."""
         return self.gather_sum(np.asarray(v, dtype=np.float64), out, scratch)
 
-    def adjacency_dense(self) -> np.ndarray:
-        A = np.zeros((self.order, self.order))
-        for row in self.perms:
-            A[np.arange(self.order), row] = 1.0
-        return A
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and np.array_equal(self.perms, other.perms)
 

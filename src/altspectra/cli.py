@@ -9,8 +9,10 @@ pass, 1 verification failure, 2 usage error or unwritable edge file, 3
 computational failure (non-convergence or a size cap was hit).
 
 All configuration is explicit flags; no environment variables are read, so
-identical argv plus seed reproduces identical bytes on stdout with one BLAS
-thread (the thread count changes the LAPACK round-off ``spectrum`` prints).
+identical argv plus seed reproduces identical bytes on stdout.  ``spectrum``
+prints a LAPACK solve of the k x k refinement quotient (k <= 28 for the named
+families); the BLAS thread count changes its round-off only for quotients of
+hundreds of blocks (low-symmetry ``--gens`` sets, 1,272 for one at n = 7).
 """
 
 from __future__ import annotations

@@ -149,6 +149,8 @@ def check_equitable(G: Graph, P: VertexPartition) -> Quotient | EquitableWitness
     block_of = P.block_of
     if block_of.size != G.order:
         raise ValueError(f"partition labels {block_of.size} vertices, graph has {G.order}")
+    if not P.k:
+        raise ValueError("partition has no blocks")
     base = G.degree + 1
     per_code = max(b for b in range(1, 63) if base**b <= 2**62)
     digit, power = np.divmod(np.arange(P.k, dtype=np.int64), per_code)

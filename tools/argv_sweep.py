@@ -10,10 +10,13 @@ two runs checks that a change leaves the CLI byte-identical:
     diff parent.jsonl change.jsonl
 
 The optional argument is the ``src`` directory to import ``altspectra``
-from; the default is the one next to this file.  BLAS runs on one thread,
-since ``spectrum`` prints LAPACK round-off that changes with the thread
-count.  The list covers every verb (the keys of ``cli._HANDLERS`` in the
-imported ``src``, so a new verb joins the sweep) and family at n = 3..8
+from; the default is the one next to this file.  BLAS runs on one thread.
+``spectrum`` prints the LAPACK round-off of its quotient solve: for the swept
+argv (quotients of at most 17 blocks) it is the same under any thread count,
+but a quotient of hundreds of blocks, or an older ``src`` that solved the
+order x order adjacency matrix, prints round-off that changes with it.  The
+list covers every verb (the keys of ``cli._HANDLERS`` in the imported
+``src``, so a new verb joins the sweep) and family at n = 3..8
 (``spectrum`` at n <= 6) in each format with ``--block 1`` (and ``--block
 n`` for the verbs that read it), three ``--gens`` sets at n = 4..7, the
 n = 9 ``gap`` solves of EAG and CAG, and the usage errors of
