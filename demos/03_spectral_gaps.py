@@ -2,9 +2,10 @@
 """Spectral gaps: computed two ways, compared against the closed forms.
 
 The gaps are 2 (AG_n, n >= 4), 2n-3 (EAG_n) and n^2-2n (CAG_n).  The dense
-solver diagonalizes the full adjacency matrix; the iterative one only ever
-touches the (degree, order) array of generator rows, so it scales to much larger
-orders.
+solver diagonalizes the small divisor matrix of the graph's colour-refinement
+quotient (k x k, k <= 28 at n = 7), never the order x order adjacency matrix,
+and stops at the dense cap (n <= 7); the iterative one only ever touches the
+(degree, order) array of generator rows, so it scales to much larger orders.
 """
 
 from altspectra import build_family, dense_spectrum, lambda2_iterative, predicted

@@ -11,11 +11,12 @@ shared freely across threads.
 
 Every pass over the rows runs in O(order) scratch memory: it gathers one
 row at a time with ``ndarray.take`` (:meth:`Graph.gather_sum` sums over
-neighbors into one output and one scratch buffer), or sorts the rows one
-block of about order/degree columns at a time (:func:`graph_invariant_violations`,
-:meth:`Graph.edges_array`).  ``x.take(row)`` is about twice as fast as
-``x[row]`` for an int32 row, while ``x[perms]`` fills a (degree, order)
-temporary and ``x.take(perms)`` first copies every index.
+neighbors along the first, vertex axis into one output and one scratch
+buffer), or sorts the rows one block of about order/degree columns at a time
+(:func:`graph_invariant_violations`, :meth:`Graph.edges_array`).
+``x.take(row)`` is about twice as fast as ``x[row]`` for an int32 row, while
+``x[perms]`` fills a (degree, order) temporary and ``x.take(perms)`` first
+copies every index.
 
 A build writes each generator as a word of star transpositions (1 a)
 (:func:`altspectra.perm.star_word`) and gathers its row from the longest
@@ -177,20 +178,21 @@ class Graph:
     def gather_sum(
         self, values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
     ) -> np.ndarray:
-        """Neighbor sums of ``values`` on its last axis, added row by row, in its
-        dtype, into ``out``; each row is gathered into ``scratch``.  Either
-        buffer is allocated when not given; neither may overlap ``values``.
+        """Neighbor sums of ``values`` along its first (vertex) axis, added row by
+        row in its dtype into ``out``; each row gathers one record ``values[u]``
+        per neighbor u into ``scratch``.  Either buffer is allocated when not
+        given; neither may overlap ``values``.
 
         ``take(mode="wrap")`` writes each gather straight into ``scratch``,
         where ``mode="raise"`` would gather into a temporary first, so an
         index that ``take`` would reject raises ``IndexError`` before the
         first row, judged from :attr:`index_range`.
         """
-        size = values.shape[-1]
+        size = len(values)
         low, high = self.index_range
         if low < -size or high >= size:
             raise IndexError(f"neighbor index out of range for {size} values")
-        shape = (*values.shape[:-1], self.order)
+        shape = (self.order, *values.shape[1:])
         if out is None:
             out = np.zeros(shape, dtype=values.dtype)
         else:
@@ -198,7 +200,7 @@ class Graph:
         if scratch is None:
             scratch = np.empty(shape, dtype=values.dtype)
         for row in self.perms:
-            out += values.take(row, axis=-1, out=scratch, mode="wrap")
+            out += values.take(row, axis=0, out=scratch, mode="wrap")
         return out
 
     def matvec(

@@ -52,11 +52,11 @@ def _subset_mask(G: Graph, S) -> np.ndarray:
 
 
 def _mask_boundary(G: Graph, masks: np.ndarray) -> np.ndarray:
-    """Arcs out of each 0/1 mask on the last axis: its degrees minus its
-    neighbors inside, counted in the smallest signed type that holds the
+    """Arcs out of each 0/1 mask on the first (vertex) axis: its degrees minus
+    its neighbors inside, counted in the smallest signed type that holds the
     degree."""
     masks = masks.astype(np.min_scalar_type(-1 - G.degree), copy=False)
-    return G.degree * masks.sum(-1) - (G.gather_sum(masks) * masks).sum(-1)
+    return G.degree * masks.sum(0) - (G.gather_sum(masks) * masks).sum(0)
 
 
 def boundary_size(G: Graph, S) -> int:
@@ -135,15 +135,15 @@ def brute_force_h(G: Graph) -> tuple[Fraction, tuple[int, ...]]:
     _check_brute_order(order)
     if order < 2:
         raise ValueError("isoperimetric number needs at least two vertices")
-    # Row r holds vertex 0 and the binary digits of r on vertices 1.., the
-    # last row (every vertex) dropped; int8 keeps the rows at order bytes each.
-    masks = np.ones((2 ** (order - 1) - 1, order), dtype=np.int8)
-    masks[:, 1:] = np.indices((2,) * (order - 1), dtype=np.int8).reshape(order - 1, -1).T[:-1]
+    # Column r holds vertex 0 and the binary digits of r on vertices 1.., the
+    # last column (every vertex) dropped; int8 keeps the masks at one byte an entry.
+    masks = np.ones((order, 2 ** (order - 1) - 1), dtype=np.int8)
+    masks[1:] = np.indices((2,) * (order - 1), dtype=np.int8).reshape(order - 1, -1)[:, :-1]
     boundary = _mask_boundary(G, masks)
-    size = masks.sum(-1)
+    size = masks.sum(0)
     side = np.minimum(size, order - size)
     h = min(Fraction(int(boundary[side == d].min()), d) for d in range(1, order // 2 + 1))
-    ties = masks[boundary * h.denominator == h.numerator * side] == 1
+    ties = masks[:, boundary * h.denominator == h.numerator * side].T == 1
     members = np.sort(np.where(ties, np.arange(order), order), axis=-1)
     members[members == order] = -1  # a tuple's proper prefix sorts before it
     witness = members[np.lexsort(members.T[::-1])[0]]

@@ -177,7 +177,7 @@ def _run_spectrum(args) -> tuple[dict, int]:
     _check_dense_order(alternating_order(args.n))  # the fixed cap, before the build
     G = _build(args)
     rep = dense_spectrum(G, tol=args.tol)
-    integral, worst = integrality_check(rep, tol=max(args.tol, 1e-8))
+    integral, worst = integrality_check(rep)
     out = rep.to_dict()
     out["integral"] = integral
     out["worst_integer_offset"] = worst

@@ -7,6 +7,8 @@ uncovered vertices.  It is equitable when the number of neighbors a vertex
 has in each block depends only on the vertex's own block.  The k x k matrix
 B of those counts, kept with the block sizes in a :class:`Quotient`, is the
 divisor matrix: A C = C B, so each eigenvalue of B is one of the graph's.
+:func:`check_equitable` counts those neighbors from one-hot block rows in
+one pass over the graph's rows, whatever the number of blocks.
 
 Block families used throughout, all read from the image tuples of the
 ranked vertices of A_n:
@@ -140,10 +142,11 @@ def blocks_Xij(n: int, *, i: int) -> VertexPartition:
 def check_equitable(G: Graph, P: VertexPartition) -> Quotient | EquitableWitness:
     """The quotient by P when P is equitable, else the first counterexample.
 
-    A vertex's count of neighbors in block t is one base-(degree+1) digit
-    of an int64 code summed by :meth:`Graph.gather_sum`, with more codes
-    when the blocks overflow 62 bits.  The counterexample is the lowest
-    vertex whose codes differ from the lowest vertex of its own block; ties
+    Each vertex holds the one-hot row of its block, padded with zero columns
+    to a multiple of 8 (a record size numpy's take copies fast), and one
+    :meth:`Graph.gather_sum` pass adds those rows over its neighbors: v's
+    count in block t is ``counts[v, t]``.  The counterexample is the lowest
+    vertex whose counts differ from the lowest vertex of its own block; ties
     on the vertex break by the lowest target block.
     """
     block_of = P.block_of
@@ -151,33 +154,18 @@ def check_equitable(G: Graph, P: VertexPartition) -> Quotient | EquitableWitness
         raise ValueError(f"partition labels {block_of.size} vertices, graph has {G.order}")
     if not P.k:
         raise ValueError("partition has no blocks")
-    base = G.degree + 1
-    per_code = max(b for b in range(1, 63) if base**b <= 2**62)
-    digit, power = np.divmod(np.arange(P.k, dtype=np.int64), per_code)
-    place = base**power
-    code, weight = digit.take(block_of), place.take(block_of)
-    codes = np.stack([G.gather_sum(np.where(code == q, weight, 0)) for q in range(digit[-1] + 1)])
+    width = -(-P.k // 8) * 8
+    onehot = np.eye(P.k, width, dtype=np.min_scalar_type(G.degree))
+    counts = G.gather_sum(onehot.take(block_of, axis=0))
     _, lowest = np.unique(block_of, return_index=True)
-    reference = (codes[:, lowest][digit] // place[:, None] % base).T
-    bad = np.flatnonzero((codes != codes[:, lowest.take(block_of)]).any(axis=0))
-    if bad.size:
-        v = int(bad[0])
-        bi = int(block_of[v])
-        u = int(lowest[bi])
-        count_v = codes[digit, v] // place % base
-        tj = int(np.argmax(reference[bi] != count_v))
-        return EquitableWitness(
-            block_index=bi,
-            block_label=P.labels[bi],
-            target_index=tj,
-            target_label=P.labels[tj],
-            vertex_a=u,
-            vertex_b=v,
-            count_a=int(reference[bi, tj]),
-            count_b=int(count_v[tj]),
-        )
+    differs = (counts != counts.take(lowest.take(block_of), axis=0)).ravel()
+    first = int(differs.argmax())  # row-major: the lowest vertex, then its lowest block
+    if differs[first]:
+        v, t = divmod(first, width)
+        b, u = int(block_of[v]), int(lowest[block_of[v]])
+        return EquitableWitness(b, P.labels[b], t, P.labels[t], u, v, *counts[[u, v], t].tolist())
     sizes, b0 = P.sizes(), int(block_of[0])
-    return Quotient(sizes, reference.tolist(), b0 if sizes[b0] == 1 else None)
+    return Quotient(sizes, counts[lowest, : P.k].tolist(), b0 if sizes[b0] == 1 else None)
 
 
 def divisor_closed_form(family: str, n: int) -> Quotient:

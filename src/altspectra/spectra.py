@@ -45,6 +45,10 @@ ITERATION_CAP = 200_000
 # not in 2 MB ones.
 LANCZOS_BASIS = 32
 LANCZOS_BLOCK = 16
+# The dense solve's resolution, whatever its residual bound (tol): clusters of
+# eigenvalues break at gaps of CLUSTER_GAP, and each multiplicity must lie
+# within MULTIPLICITY_TOL of a positive integer.
+CLUSTER_GAP, MULTIPLICITY_TOL = 1e-6, 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,13 @@ def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
     k x k S = D^1/2 B D^-1/2 of its refinement quotient (B, block sizes D),
     not of the order x order A.  Right translations are automorphisms, so
     theta's multiplicity is N (E_theta)_00 = N sum u_root^2 over its cluster
-    (values within 100 tol) of S's unit eigenvectors u; each eigenvalue of S
-    is listed N u_root^2 times, rounded along the running sum.  The achieved
-    tolerance, S's largest eigenpair residual (that of the lifted pairs
-    C D^-1/2 u of A) over the degree, must be under ``tol``, and each
-    multiplicity within ``tol`` of a positive integer.  Refuses orders above
-    ``DENSE_ORDER_CAP`` (n <= 7) and rows that are not left translations.
+    (values within ``CLUSTER_GAP``) of S's unit eigenvectors u; each
+    eigenvalue of S is listed N u_root^2 times, rounded along the running
+    sum.  The achieved tolerance, S's largest eigenpair residual (that of the
+    lifted pairs C D^-1/2 u of A) over the degree, must be under ``tol``, and
+    each multiplicity within ``MULTIPLICITY_TOL`` of a positive integer.
+    Refuses orders above ``DENSE_ORDER_CAP`` (n <= 7) and rows that are not
+    left translations, out-of-range vertices included.
     """
     _check_dense_order(G.order)
     if not _left_invariant(G):
@@ -107,13 +112,13 @@ def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
         raise ConvergenceError(
             f"dense solve residual {achieved:.3e} above tolerance {tol:.3e}", achieved
         )
-    # A cluster of eigenvalues starts wherever a value is not within 100*tol
-    # of the one before.
-    starts = np.flatnonzero(np.r_[True, ~(vals[:-1] - vals[1:] < 100 * tol)])
+    # A cluster of eigenvalues starts wherever a value is not within
+    # CLUSTER_GAP of the one before.
+    starts = np.flatnonzero(np.r_[True, ~(vals[:-1] - vals[1:] < CLUSTER_GAP)])
     share = G.order * vecs[Q.root] ** 2
     counts = np.add.reduceat(share, starts)
     mult = np.rint(counts).astype(int)
-    if np.abs(counts - mult).max() > tol or mult.min() < 1:
+    if np.abs(counts - mult).max() > MULTIPLICITY_TOL or mult.min() < 1:
         raise ConvergenceError(f"multiplicities {counts} are not positive integers", achieved)
     desc = np.repeat(vals, np.diff(np.rint(np.cumsum(share)), prepend=0).astype(int))
     return SpectrumReport.of(G, "dense", achieved, None, desc.tolist(), tuple(mult.tolist()))
@@ -292,11 +297,11 @@ def exact_spectrum(family: str, n: int) -> dict[int, int]:
 
 
 def _left_invariant(G: Graph) -> bool:
-    """Whether G's order is n!/2 and each row commutes with right translation by
-    (1 2 3) and (1 2 ... n) (odd n) or (2 3 ... n) (even n), generators of A_n:
-    then the rows are left translations, and right translations automorphisms."""
+    """Whether G's order is n!/2, its rows hold vertices only, and each commutes with
+    right translation by (1 2 3) and (1 2 ... n) (odd n) or (2 3 ... n) (even n),
+    generators of A_n: then rows are left translations, right translations automorphisms."""
     n = next((m for m in range(3, MAX_POINTS + 1) if alternating_order(m) == G.order), None)
-    if n is None:
+    if n is None or G.index_range[0] < 0 or G.index_range[1] >= G.order:
         return False
     verts = alternating_images(n)
     rights = (
@@ -308,7 +313,10 @@ def _left_invariant(G: Graph) -> bool:
 
 def _refine(G: Graph) -> Quotient:
     """The quotient by the colour refinement of {{0}, rest} (keyed by hashed block
-    weights) if :func:`check_equitable` certifies it, else the empty one, with no root."""
+    weights) if :func:`check_equitable` certifies it, else the empty one, with no
+    root; rows that hold a non-vertex give the empty one before any gather."""
+    if G.index_range[0] < 0 or G.index_range[1] >= G.order:
+        return Quotient((), ())
     block_of, k = np.minimum(np.arange(G.order), 1), 2
     while True:  # own-block and neighbour weights are drawn apart, so the two cannot trade
         weight = (_start_vector(2 * k, k) * 2**51).astype(np.int64)

@@ -649,11 +649,12 @@ def test_graph_equality_is_canonical(graph):
 @pytest.mark.parametrize("family", ["AG", "CAG"])
 @pytest.mark.parametrize("dtype", [np.int8, np.float64])
 def test_gather_sum_on_a_batch_matches_row_by_row(graph, family, dtype):
+    # A batch puts vertices first: column j of the sums is the sum of column j.
     G = graph(family, 5)
-    X = np.random.default_rng(3).integers(0, 2, size=(7, G.order)).astype(dtype)
+    X = np.random.default_rng(3).integers(0, 2, size=(G.order, 7)).astype(dtype)
     out = G.gather_sum(X)
-    assert out.dtype == dtype
-    assert np.array_equal(out, np.stack([G.gather_sum(x) for x in X]))
+    assert out.dtype == dtype and out.shape == X.shape
+    assert np.array_equal(out, np.stack([G.gather_sum(x) for x in X.T], axis=1))
 
 
 # Scratch-memory budget of each pass over CAG_7 (degree 70, order 2,520), as

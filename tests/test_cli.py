@@ -87,6 +87,22 @@ def test_spectrum_verb(capsys):
     assert data["lambda1"] == 8.0
 
 
+@pytest.mark.parametrize(
+    "source",
+    [("--family", "AG"), ("--family", "CAG"), ("--gens", "(1,2,3),(1,3,2),(1,2,3,4,5),(1,5,4,3,2)")],
+)
+def test_spectrum_tol_bounds_only_the_residual(capsys, source):
+    # Clusters, multiplicities and the integral flag keep their fixed
+    # resolution: a fine or a coarse --tol prints the default bytes.  The
+    # 3-cycle plus 5-cycle set has irrational eigenvalues, so not integral.
+    argv = ("spectrum", *source, "--n", "6", "--format", "json")
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(default)["integral"] is (source[0] == "--family")
+    for tol in ("1e-13", "0.02", "0.5"):
+        assert run(capsys, *argv, "--tol", tol) == (0, default, "")
+
+
 def test_divisor_verb(capsys):
     code, out, _ = run(capsys, "divisor", "--family", "EAG", "--n", "4", "--format", "json")
     assert code == 0

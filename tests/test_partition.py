@@ -207,15 +207,34 @@ def test_check_equitable_with_several_codes(graph, family):
     assert P.k == 42
     got, want = check_equitable(G, P), reference_equitable(G, P)
     assert_same_result(got, want, G)
-    if family == "CAG":  # base 71 packs 10 blocks per 62-bit code: 42 blocks take 5
+    if family == "CAG":  # 42 one-hot columns, every count up to the degree 70
         assert isinstance(got, Quotient)
+
+
+def test_check_equitable_makes_one_gather_whatever_the_block_count(graph, monkeypatch):
+    # All 42 blocks of the (g_1, g_2) partition are counted in one pass over
+    # CAG_7's rows, as are the 7 of blocks_Xij.
+    G = graph("CAG", 7)
+    calls = []
+    gather_sum = Graph.gather_sum
+
+    def counted(G, values, *args):
+        calls.append(len(values))
+        return gather_sum(G, values, *args)
+
+    monkeypatch.setattr(Graph, "gather_sum", counted)
+    assert isinstance(check_equitable(G, first_two_values_partition(7)), Quotient)
+    assert calls == [G.order]
+    calls.clear()
+    assert isinstance(check_equitable(G, blocks_Xij(7, i=1)), Quotient)
+    assert calls == [G.order]
 
 
 def test_check_equitable_witness_in_a_later_code(graph):
     G = graph("CAG", 7)
     block_of = first_two_values_partition(7).block_of.copy()
     # Move one vertex of block 41 (g_1, g_2 = 7, 6) into block 40: counts
-    # toward blocks 40 and 41, both in the fifth code, change.
+    # toward blocks 40 and 41, the last two columns, change.
     v = int(np.flatnonzero(block_of == 41)[1])
     block_of[v] = 40
     P = VertexPartition(block_of=block_of, labels=first_two_values_partition(7).labels)
@@ -226,11 +245,24 @@ def test_check_equitable_witness_in_a_later_code(graph):
 
 @pytest.mark.parametrize("family", ["EAG", "CAG"])
 def test_check_equitable_powers_do_not_wrap_at_n8(graph, family):
-    # Base 43 (EAG_8) and 113 (CAG_8) put the top digit of 8 blocks past
-    # 2^31, so the place values must be int64.
+    # The counts of CAG_8 (degree 112) fill most of a uint8, and the 8
+    # blocks' counts come from one pass at order 20,160.
     Q = check_equitable(graph(family, 8), blocks_Xij(8, i=1))
     assert isinstance(Q, Quotient)
     assert Q.B == divisor_closed_form(family, 8).B
+
+
+def test_check_equitable_counts_past_a_byte(graph):
+    # AG_4's rows repeated 75 times: degree 300, so counts need more than a byte.
+    G = Graph(perms=np.tile(graph("AG", 4).perms, (75, 1)))
+    assert check_equitable(G, VertexPartition(np.zeros(12, int), ("all",))).B == ((300,),)
+    # Vertex 0 and the non-neighbour 1 form one block, 0's four neighbours another.
+    block_of = np.full(12, 2)
+    block_of[[0, 1]], block_of[graph("AG", 4).perms[:, 0]] = 0, 1
+    P = VertexPartition(block_of, ("A", "N(0)", "rest"))
+    got = check_equitable(G, P)
+    assert_same_result(got, reference_equitable(G, P), G)
+    assert (got.vertex_a, got.vertex_b, got.target_index, got.count_a) == (0, 1, 1, 300)
 
 
 def test_unbalanced_split_yields_witness(graph):

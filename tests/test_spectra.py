@@ -55,10 +55,12 @@ def _clusters_by_loop(values_desc, threshold):
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
-@pytest.mark.parametrize("n,tol", [(3, 1e-8), (4, 1e-8), (5, 1e-8), (5, 0.02)])
+@pytest.mark.parametrize("n,tol", [(3, 1e-8), (4, 1e-8), (5, 1e-8), (5, 0.02), (5, 1e-13)])
 def test_dense_multiplicities_match_loop_clustering(graph, family, n, tol):
+    # tol bounds only the residual: the clusters break at the fixed gap.
     rep = dense_spectrum(graph(family, n), tol=tol)
-    assert list(rep.multiplicities) == _clusters_by_loop(rep.eigenvalues, 100 * tol)
+    assert list(rep.multiplicities) == _clusters_by_loop(rep.eigenvalues, spectra.CLUSTER_GAP)
+    assert rep.multiplicities == dense_spectrum(graph(family, n)).multiplicities
     # Clusters that merge distinct values still list each value itself.
     expected = np.linalg.eigvalsh(adjacency(graph(family, n)))[::-1]
     assert np.abs(np.array(rep.eigenvalues) - expected).max() < 1e-9
@@ -120,6 +122,30 @@ def test_dense_spectrum_fails_loudly(graph, monkeypatch):
     monkeypatch.setattr(spectra, "_refine", lambda G: Quotient((1, 3), ((0, 3), (1, 2)), root=0))
     with pytest.raises(ConvergenceError, match="not positive integers"):
         dense_spectrum(graph("AG", 3))
+
+
+def _AG4_with_entry(value):
+    """AG_4's rows made by hand, with one entry set to ``value``."""
+    perms = build_family("AG", 4).perms.copy()
+    perms[0, 5] = value
+    return Graph(perms=perms)
+
+
+@pytest.mark.parametrize("value", [99, 12, -1, -13])
+def test_rows_that_hold_a_non_vertex_fail_typed(monkeypatch, value):
+    # An entry outside 0..order-1 is no vertex: no left translation, no
+    # certificate, and the dense solve refuses the graph, all before a gather.
+    G = _AG4_with_entry(value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no gather on rows that hold a non-vertex")
+
+    monkeypatch.setattr(Graph, "gather_sum", refuse)
+    assert spectra._left_invariant(G) is False
+    certificate = certify_spectrum(G, exact_spectrum("AG", 4))
+    assert certificate == {"left_invariant": False, "annihilated": False, "moments_match": False}
+    with pytest.raises(ValueError, match="left translations"):
+        dense_spectrum(G)
 
 
 def test_dense_order_cap(graph):

@@ -522,19 +522,36 @@ def test_verify_makes_no_dense_solve(monkeypatch, family, n):
     assert checks["lambda2_exact"].observed["lambda2"] == predicted(family, n)[1]
 
 
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+@pytest.mark.parametrize("n", [4, 5, 7, 8])
+def test_verify_computes_the_exact_spectrum_once(monkeypatch, family, n):
+    # lambda2_exact and, at n = 4, the isoperimetric bracket share one spectrum;
+    # past the dense cap no check reads it.
+    calls = []
+    exact_spectrum = verify.exact_spectrum
+
+    def counted(*args):
+        calls.append(args)
+        return exact_spectrum(*args)
+
+    monkeypatch.setattr(verify, "exact_spectrum", counted)
+    assert verify_family(family, n).overall
+    assert calls == ([(family, n)] if n <= 7 else [])
+
+
 @pytest.mark.parametrize(
     "family,n,certify,battery",
     [
         ("AG", 6, 7, 20),
         ("EAG", 6, 5, 19),
         ("CAG", 6, 4, 9),
-        ("AG", 7, 10, 26),
-        ("EAG", 7, 7, 24),
+        ("AG", 7, 9, 25),
+        ("EAG", 7, 6, 23),
         ("CAG", 7, 5, 10),
     ],
 )
 def test_gather_sum_passes(graph, monkeypatch, family, n, certify, battery):
-    # Every neighbour-count pass (colour refinement, equitable codes,
+    # Every neighbour-count pass (colour refinement, equitable counts,
     # matchings, cuts) is one Graph.gather_sum call: pin how many one
     # certificate and one battery make at the default seed and block.
     calls = []

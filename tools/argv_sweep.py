@@ -19,8 +19,9 @@ list covers every verb (the keys of ``cli._HANDLERS`` in the imported
 ``src``, so a new verb joins the sweep) and family at n = 3..8
 (``spectrum`` at n <= 6) in each format with ``--block 1`` (and ``--block
 n`` for the verbs that read it), three ``--gens`` sets at n = 4..7, the
-n = 9 ``gap`` solves of EAG and CAG, and the usage errors of
-``tests/test_cli.py``.
+n = 9 ``gap`` solves of EAG and CAG, ``spectrum`` of AG_6 at a fine and a
+coarse ``--tol`` (which bounds only the residual, so both print the
+default-tol bytes), and the usage errors of ``tests/test_cli.py``.
 """
 
 import hashlib
@@ -43,6 +44,10 @@ GENS = (
 )
 # The largest solves, where the star-row product of EAG and CAG saves most.
 LARGE = tuple(("gap", "--family", f, "--n", "9", "--format", "json") for f in ("EAG", "CAG"))
+TOLS = tuple(
+    ("spectrum", "--family", "AG", "--n", "6", "--format", "json", "--tol", t)
+    for t in ("1e-13", "0.02")
+)
 USAGE_ERRORS = (
     ("gap", "--n", "4"),
     ("gap", "--family", "AG", "--gens", "(1,2,3)", "--n", "4"),
@@ -82,6 +87,7 @@ def argvs(verbs):
                 for fmt in FORMATS:
                     yield (verb, "--gens", gens, "--n", str(n), "--format", fmt)
     yield from LARGE
+    yield from TOLS
     yield from USAGE_ERRORS
 
 
