@@ -204,6 +204,22 @@ def test_invariant_violations_are_reported(defect):
     assert len(problems) == 1 and defect in problems[0], problems
 
 
+def test_rows_too_narrow_to_name_every_vertex_are_refused():
+    # 300 vertices: v <-> v ^ 1 below 256, and 256 + j -> j.  As uint8 the
+    # row cannot name vertex 256, and an arange of that dtype would wrap
+    # 256 + j onto j and find self-loops that are not there.
+    row = np.arange(300) ^ 1
+    row[256:] = np.arange(44)
+    wide = Graph(perms=row[None].astype(np.int32))
+    assert graph_invariant_violations(wide) == ["adjacency is not symmetric"]
+    with pytest.raises(ValueError, match="uint8 cannot name all 300 vertices"):
+        Graph(perms=row[None].astype(np.uint8))
+    for dtype, fits in ((np.uint8, 256), (np.int8, 128), (np.uint16, 65_536)):
+        assert Graph(perms=np.zeros((1, fits), dtype)).order == fits
+        with pytest.raises(ValueError, match="cannot name all"):
+            Graph(perms=np.zeros((1, fits + 1), dtype))
+
+
 def _with_repeated_neighbor(G, v):
     """G's rows with the second neighbor of vertex v replaced by its first."""
     perms = G.perms.copy()
@@ -285,6 +301,37 @@ def test_star_rows_match_per_generator_ranks_custom(gens, n):
     assert np.array_equal(build_cayley(n, gset).perms, reference_rows(n, gset))
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_rows_take_the_smallest_unsigned_dtype_that_holds_the_order(graph, n):
+    compact = np.min_scalar_type(alternating_order(n) - 1)
+    assert compact == (np.uint8 if n <= 5 else np.uint16)
+    assert cayley._star_rows(n).dtype == compact
+    for family in FAMILIES:
+        assert graph(family, n).perms.dtype == compact
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=PAPER_SET)
+@pytest.mark.parametrize("n", range(5, 9))
+def test_compact_rows_give_the_results_of_signed_rows(graph, family, n):
+    # The rows are only ever indices, so int64 copies of them must give the
+    # same bytes from every pass over them.
+    G = graph(family, n)
+    wide = Graph(G.perms.astype(np.int64), n=G.n, family_tag=G.family_tag)
+    v = np.random.default_rng(n).standard_normal(G.order)
+    P = blocks_Xij(n, i=1)
+    assert G.matvec(v).tobytes() == wide.matvec(v).tobytes()
+    assert spectra.lambda2_iterative(G) == spectra.lambda2_iterative(wide)
+    assert check_equitable(G, P) == check_equitable(wide, P)
+    assert graph_invariant_violations(G) == graph_invariant_violations(wide) == []
+    assert is_connected(G) and is_connected(wide)
+    edges = G.edges_array()
+    assert edges.dtype == np.int64 and edges.tobytes() == wide.edges_array().tobytes()
+    if n <= 7:
+        spectrum = exact_spectrum(family, n)
+        certificate = certify_spectrum(G, spectrum)
+        assert all(certificate.values()) and certificate == certify_spectrum(wide, spectrum)
+
+
 def test_a_3_cycle_avoiding_1_splits_into_two_through_1():
     word = {c: star_word(from_cycle(6, c)) for c in [(1, 2, 3), (1, 3, 4), (2, 3, 4)]}
     assert word[(2, 3, 4)] == word[(1, 3, 4)] + word[(1, 2, 3)]
@@ -307,7 +354,7 @@ def test_star_rows_are_ranked_once_per_n(monkeypatch):
     assert ranked == []
     star = cayley._star_rows(6)
     assert cayley._star_rows.cache_info().currsize == 1
-    assert star.shape == (5, alternating_order(6)) and star.dtype == np.int32
+    assert star.shape == (5, alternating_order(6)) and star.dtype == np.uint16
     with pytest.raises(ValueError, match="read-only"):
         star[0, 0] = 0
     # Row a - 2 holds rank((1 a) * g_v * s), s the swap of the values 1 and 2.
@@ -663,7 +710,7 @@ def test_gather_sum_on_a_batch_matches_row_by_row(graph, family, dtype):
 # rows, or an intp copy of them, does not fit.  The invariant check sorts
 # one column block at a time; the quarter-size test below holds it tighter.
 # The build writes the rows themselves and, from a cleared star-row cache, fills one
-# (6, order) int32 array of star rows from a value-swapped uint8 copy of
+# (6, order) uint16 array of star rows from a value-swapped uint8 copy of
 # the columns of A_7, freed when the star rows are done.
 ROW_PASS_BUDGETS = {
     "build_family": 1.2,

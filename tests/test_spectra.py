@@ -125,8 +125,8 @@ def test_dense_spectrum_fails_loudly(graph, monkeypatch):
 
 
 def _AG4_with_entry(value):
-    """AG_4's rows made by hand, with one entry set to ``value``."""
-    perms = build_family("AG", 4).perms.copy()
+    """AG_4's rows made by hand, as int32, with one entry set to ``value``."""
+    perms = build_family("AG", 4).perms.astype(np.int32)
     perms[0, 5] = value
     return Graph(perms=perms)
 

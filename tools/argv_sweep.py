@@ -1,9 +1,12 @@
 """Run the altspectra CLI in-process over a fixed argv list.
 
 Prints one JSON line per argv: the argv, the exit code, and the sha256 of
-what it wrote to stdout and to stderr.  Two checkouts that print the same
-lines give every argv the same bytes and the same exit code, so a diff of
-two runs checks that a change leaves the CLI byte-identical:
+what it wrote to stdout and to stderr, plus that of the file an argv with
+``--export-edges`` wrote, if it wrote one.  Each argv runs in a fresh
+temporary working directory, so the relative export path names the same
+file in every run.  Two checkouts that print the same lines give every argv
+the same bytes and the same exit code, so a diff of two runs checks that a
+change leaves the CLI byte-identical:
 
     python tools/argv_sweep.py > change.jsonl
     python tools/argv_sweep.py ../parent/src > parent.jsonl
@@ -21,7 +24,8 @@ list covers every verb (the keys of ``cli._HANDLERS`` in the imported
 n`` for the verbs that read it), three ``--gens`` sets at n = 4..7, the
 n = 9 ``gap`` solves of EAG and CAG, ``spectrum`` of AG_6 at a fine and a
 coarse ``--tol`` (which bounds only the residual, so both print the
-default-tol bytes), and the usage errors of ``tests/test_cli.py``.
+default-tol bytes), ``build --export-edges`` of each family at n = 3..7,
+and the usage errors of ``tests/test_cli.py``.
 """
 
 import hashlib
@@ -29,9 +33,10 @@ import io
 import json
 import os
 import sys
+import tempfile
 import traceback
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 FAMILIES = ("AG", "EAG", "CAG")
@@ -47,6 +52,12 @@ LARGE = tuple(("gap", "--family", f, "--n", "9", "--format", "json") for f in ("
 TOLS = tuple(
     ("spectrum", "--family", "AG", "--n", "6", "--format", "json", "--tol", t)
     for t in ("1e-13", "0.02")
+)
+# The one pass that writes row values out: each edge list, by file digest.
+EXPORTS = tuple(
+    ("build", "--family", f, "--n", str(n), "--export-edges", "edges.txt")
+    for f in FAMILIES
+    for n in range(3, 8)
 )
 USAGE_ERRORS = (
     ("gap", "--n", "4"),
@@ -88,26 +99,32 @@ def argvs(verbs):
                     yield (verb, "--gens", gens, "--n", str(n), "--format", fmt)
     yield from LARGE
     yield from TOLS
+    yield from EXPORTS
     yield from USAGE_ERRORS
 
 
 def run(main, argv) -> dict:
-    """Exit code and output digests of one in-process ``main(argv)``."""
+    """Exit code and output digests of one in-process ``main(argv)``, run in a
+    fresh temporary directory."""
     out, err = io.StringIO(), io.StringIO()
     # A fresh filter set per argv shows each warning as a new process would.
-    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, chdir(tmp), warnings.catch_warnings(), \
+            redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("default")
         try:
             code = main(list(argv))
         except Exception as exc:  # recorded, so one crash does not end the sweep
             code = "raised"
             err.write("".join(traceback.format_exception_only(exc)))
-    stdout, stderr = out.getvalue(), err.getvalue()
-    return {"argv": list(argv), "exit": code, "stdout": _sha256(stdout), "stderr": _sha256(stderr)}
+        written = os.listdir()  # an exported edge list, if any
+        file = {"file": _sha256(Path(written[0]).read_bytes())} if written else {}
+    stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
+    return {"argv": list(argv), "exit": code, "stdout": _sha256(stdout), "stderr": _sha256(stderr),
+            **file}
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main() -> None:
