@@ -377,11 +377,12 @@ def block_labels(family: str, n: int) -> np.ndarray:
     """Defining-block label of every vertex: the value at the position the
     family pins, n (AG), 2 (EAG) or 1 (CAG).
 
-    Block X(i) of the family is the set of vertices labelled i.
+    Block X(i) of the family is the set of vertices labelled i.  The labels
+    are a contiguous copy of the column, which gathers read in place.
     """
     check_family(family, n)
     position = {"AG": n, "EAG": 2, "CAG": 1}[family]
-    return alternating_images(n)[:, position - 1]
+    return np.ascontiguousarray(alternating_images(n)[:, position - 1])
 
 
 def phi_isomorphism(n: int, i: int, family: str) -> tuple[np.ndarray, np.ndarray]:

@@ -30,10 +30,13 @@ from .cayley import (
     DEFAULT_MAX_ORDER,
     PARTITION_LEAST,
     SPANNING,
+    GeneratingSet,
     Graph,
     block_labels,
+    build_cayley,
     build_family,
     check_family,
+    generating_set,
     graph_invariant_violations,
     is_connected,
     phi_isomorphism,
@@ -121,7 +124,10 @@ def _check(name: str, ref: str):
 
 class _GraphCache:
     """Family graphs within ``max_order`` and their second eigenvalues, each
-    made once; every solve runs to the battery's ``tol`` from its ``seed``."""
+    made once; every solve runs to the battery's ``tol`` from its ``seed``.
+    A held EAG_n or CAG_n serves its spanning graph (:data:`SPANNING`) as a
+    view of its first rows once each generator pair, built alone, equals its
+    pair of rows; a doctored, reordered or hand-made graph gets a full build."""
 
     def __init__(self, max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-8, seed: int = 42):
         self.max_order, self.tol, self.seed = max_order, tol, seed
@@ -131,8 +137,21 @@ class _GraphCache:
     def get(self, family: str, n: int) -> Graph:
         key = (family, n)
         if key not in self._graphs:
-            self._graphs[key] = build_family(family, n, max_order=self.max_order)
+            view = self._prefix_view(family, n)
+            self._graphs[key] = view or build_family(family, n, max_order=self.max_order)
         return self._graphs[key]
+
+    def _prefix_view(self, family: str, n: int) -> Graph | None:
+        """The first rows of a held graph that ``family``'s graph spans, once proved; else None."""
+        whole = next((self._graphs.get((f, n)) for f, s in SPANNING.items() if s == family), None)
+        if whole is None:
+            return None
+        gens = generating_set(family, n)
+        for c in range(0, gens.size, 2):
+            pair = build_cayley(n, GeneratingSet(n, gens.elements[c : c + 2]), self.max_order)
+            if not np.array_equal(pair.perms, whole.perms[c : c + 2]):
+                return None
+        return Graph(whole.perms[: gens.size], n=n, family_tag=family)
 
     def lambda2(self, family: str, n: int) -> float:
         key = (family, n)
@@ -185,14 +204,15 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     vertex 0 to the same place; no such row may have an arc inside a block,
     and every other row must stay inside the blocks at every vertex.  The
     edge count of the graph and the sum of the parts' edge counts must both
-    equal the closed form n!/2 * d/2, with d the family degree.
+    equal the closed form n!/2 * d/2, with d the family degree.  Both graphs
+    come from the cache, the spanning one as a proved view of G's first rows.
     """
     check_family(family, n, 4, families=tuple(SPANNING))
     cache = cache or _GraphCache()
     G = cache.get(family, n)
     spanning = cache.get(SPANNING[family], n)
     label = block_labels(family, n)
-    inside_count = np.zeros(G.order, dtype=np.int64)
+    inside_count = np.zeros(G.order, dtype=np.min_scalar_type(G.degree))
     row_any, row_all = np.zeros((2, G.degree), dtype=bool)
     for c, row in enumerate(G.perms):
         inside = label.take(row) == label
@@ -318,10 +338,11 @@ def verify_family(
     ``cheeger.BRUTE_ORDER_CAP``), then the structural checks and the bound
     between them, run in that order.  Every check reads the built graph, so
     each can fail.  A battery builds each graph, the (n-1)-point ones
-    included, once and within ``max_order``, and solves each second
-    eigenvalue once.  The exact check proves the exact spectrum on the graph
-    (:func:`~altspectra.spectra.certify_spectrum`) and the isoperimetric
-    bracket reads its gap from it; no dense matrix is formed.
+    included, once and within ``max_order``, but takes the spanning graph of
+    EAG_n or CAG_n as a proved view of its first rows (:class:`_GraphCache`);
+    it solves each second eigenvalue once.  The exact check proves the exact
+    spectrum on the graph (:func:`~altspectra.spectra.certify_spectrum`) and
+    the isoperimetric bracket reads its gap from it; no dense matrix is formed.
     """
     check_family(family, n, block=block_index)
     if not 0 < tol < 0.5:

@@ -138,8 +138,9 @@ def test_decompose_verb(capsys):
     "family,built",
     [
         ("AG", [("AG", 6), ("AG", 5)]),
-        ("EAG", [("EAG", 6), ("AG", 6), ("EAG", 5)]),
-        ("CAG", [("CAG", 6), ("EAG", 6), ("CAG", 5)]),
+        # The spanning AG_6 or EAG_6 is a view of the family graph's first rows.
+        ("EAG", [("EAG", 6), ("EAG", 5)]),
+        ("CAG", [("CAG", 6), ("CAG", 5)]),
     ],
 )
 def test_decompose_builds_each_graph_once(capsys, monkeypatch, family, built):

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from altspectra.cayley import (
     FAMILIES,
+    SPANNING,
     GeneratingSet,
     Graph,
     block_labels,
@@ -21,6 +23,7 @@ from altspectra.spectra import predicted
 from altspectra.verify import (
     CheckResult,
     VerificationReport,
+    _GraphCache,
     check_decomposition_bound,
     check_edge_decomposition,
     check_matchings,
@@ -414,6 +417,64 @@ def test_every_check_fails_on_some_doctored_graph(monkeypatch):
                 assert report.overall == (label == "rows reordered"), (family, n, label)
             del served[(family, n)]
     assert names - failed == set()
+
+
+@pytest.mark.parametrize("family", list(SPANNING))
+def test_spanning_generators_are_the_family_generators_first(family):
+    # The cache serves the spanning graph as the family graph's first rows;
+    # if the generator order changes, it falls back to a build and this fails.
+    for n in range(4, 13):
+        spanning = generating_set(SPANNING[family], n).elements
+        assert spanning == generating_set(family, n).elements[: len(spanning)]
+        if n <= 7:
+            rows = build_family(family, n).perms[: len(spanning)]
+            assert np.array_equal(build_family(SPANNING[family], n).perms, rows)
+
+
+@pytest.mark.parametrize("family", list(SPANNING))
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_cache_serves_the_spanning_graph_as_a_view(family, n):
+    cache = _GraphCache()
+    G = cache.get(family, n)
+    H = cache.get(SPANNING[family], n)
+    assert np.shares_memory(H.perms, G.perms)
+    assert (H.n, H.family_tag) == (n, SPANNING[family])
+    assert np.array_equal(H.perms, build_family(SPANNING[family], n).perms)
+
+
+@pytest.mark.parametrize("family", list(SPANNING))
+def test_cache_builds_the_spanning_graph_of_a_doctored_graph(monkeypatch, family):
+    # A doctored family graph whose first rows differ from the spanning
+    # graph's gets an independent build; one whose first rows are intact
+    # (an arc swapped in a later row) still serves them.
+    served = {}
+    monkeypatch.setattr(
+        verify, "build_family", lambda f, n, **kw: served.get((f, n)) or build_family(f, n, **kw)
+    )
+    n = 5
+    spanning = build_family(SPANNING[family], n)
+    for label, perms in _doctorings(build_family(family, n)).items():
+        served[(family, n)] = Graph(perms=perms, n=n, family_tag=family)
+        cache = _GraphCache()
+        cache.get(family, n)
+        H = cache.get(SPANNING[family], n)
+        intact = np.array_equal(perms[: spanning.degree], spanning.perms)
+        assert intact == (label == "one arc swap"), label
+        assert np.shares_memory(H.perms, perms) == intact, label
+        assert H == spanning, label
+
+
+def test_spanning_view_holds_no_second_copy_of_the_rows():
+    cache = _GraphCache()
+    cache.get("CAG", 7)  # also ranks A_7's star rows, which the proof reuses
+    tracemalloc.start()
+    try:
+        H = cache.get("EAG", 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.perms.nbytes == 151_200  # 30 rows of 2,520 uint16
+    assert peak < H.perms.nbytes
 
 
 def test_verify_family_every_check_names_a_source():

@@ -22,10 +22,10 @@ list covers every verb (the keys of ``cli._HANDLERS`` in the imported
 ``src``, so a new verb joins the sweep) and family at n = 3..8
 (``spectrum`` at n <= 6) in each format with ``--block 1`` (and ``--block
 n`` for the verbs that read it), three ``--gens`` sets at n = 4..7, the
-n = 9 ``gap`` solves of EAG and CAG, ``spectrum`` of AG_6 at a fine and a
-coarse ``--tol`` (which bounds only the residual, so both print the
-default-tol bytes), ``build --export-edges`` of each family at n = 3..7,
-and the usage errors of ``tests/test_cli.py``.
+n = 9 ``gap`` solves and ``decompose`` checks of EAG and CAG, ``spectrum``
+of AG_6 at a fine and a coarse ``--tol`` (which bounds only the residual,
+so both print the default-tol bytes), ``build --export-edges`` of each
+family at n = 3..7, and the usage errors of ``tests/test_cli.py``.
 """
 
 import hashlib
@@ -47,8 +47,13 @@ GENS = (
     "(2,3,4),(2,4,3),(1,2)(3,4)",
     "(1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3)",
 )
-# The largest solves, where the star-row product of EAG and CAG saves most.
-LARGE = tuple(("gap", "--family", f, "--n", "9", "--format", "json") for f in ("EAG", "CAG"))
+# The largest solves, where the star-row product of EAG and CAG saves most, and
+# the largest structural checks, where the spanning graph is a view of their rows.
+LARGE = tuple(
+    (verb, "--family", f, "--n", "9", "--format", "json")
+    for verb in ("gap", "decompose")
+    for f in ("EAG", "CAG")
+)
 TOLS = tuple(
     ("spectrum", "--family", "AG", "--n", "6", "--format", "json", "--tol", t)
     for t in ("1e-13", "0.02")
