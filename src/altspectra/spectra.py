@@ -95,7 +95,7 @@ def dense_spectrum(G: Graph, tol: float = 1e-8) -> SpectrumReport:
     lifted pairs C D^-1/2 u of A) over the degree, must be under ``tol``, and
     each multiplicity within ``MULTIPLICITY_TOL`` of a positive integer.
     Refuses orders above ``DENSE_ORDER_CAP`` (n <= 7) and rows that are not
-    left translations, out-of-range vertices included.
+    left translations.
     """
     _check_dense_order(G.order)
     if not _left_invariant(G):
@@ -297,11 +297,11 @@ def exact_spectrum(family: str, n: int) -> dict[int, int]:
 
 
 def _left_invariant(G: Graph) -> bool:
-    """Whether G's order is n!/2, its rows hold vertices only, and each commutes with
-    right translation by (1 2 3) and (1 2 ... n) (odd n) or (2 3 ... n) (even n),
-    generators of A_n: then rows are left translations, right translations automorphisms."""
+    """Whether G's order is n!/2 and each row commutes with right translation by
+    (1 2 3) and (1 2 ... n) (odd n) or (2 3 ... n) (even n), generators of A_n:
+    then rows are left translations, right translations automorphisms."""
     n = next((m for m in range(3, MAX_POINTS + 1) if alternating_order(m) == G.order), None)
-    if n is None or G.index_range[0] < 0 or G.index_range[1] >= G.order:
+    if n is None:
         return False
     verts = alternating_images(n)
     rights = (
@@ -314,9 +314,7 @@ def _left_invariant(G: Graph) -> bool:
 def _refine(G: Graph) -> Quotient:
     """The quotient by the colour refinement of {{0}, rest} (keyed by hashed block
     weights) if :func:`check_equitable` certifies it, else the empty one, with no
-    root; rows that hold a non-vertex give the empty one before any gather."""
-    if G.index_range[0] < 0 or G.index_range[1] >= G.order:
-        return Quotient((), ())
+    root."""
     block_of, k = np.minimum(np.arange(G.order), 1), 2
     while True:  # own-block and neighbour weights are drawn apart, so the two cannot trade
         weight = (_start_vector(2 * k, k) * 2**51).astype(np.int64)

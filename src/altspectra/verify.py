@@ -4,9 +4,11 @@ Every check is one function in one shape: decorated with ``@_check(name,
 ref)``, it returns the predicted value, the observed value, the tolerance
 it was judged at, and a pass flag, and the decorator times the call and
 wraps those in a :class:`CheckResult`.  A report is the ordered list of
-checks plus their conjunction.  Check failures are recorded, never raised;
-infrastructure failures (a solver that does not converge, a cap that is
-exceeded) propagate as exceptions since no meaningful report exists then.
+checks plus their conjunction.  Check failures are recorded, never raised
+(a :class:`~altspectra.cayley.Graph` refuses rows that name a non-vertex
+when it is built, so no check meets one); infrastructure failures (a solver
+that does not converge, a cap that is exceeded) propagate as exceptions
+since no meaningful report exists then.
 The structural checks take a family's defining blocks from per-vertex
 labels (:func:`altspectra.cayley.block_labels`) and compare the graphs'
 generator rows; they build no subgraphs, so a doctored graph fails a check.

@@ -200,6 +200,10 @@ def _four_cycle_with(defect):
 )
 def test_invariant_violations_are_reported(defect):
     assert graph_invariant_violations(_four_cycle_with(None)) == []
+    if defect == "out of range":  # no graph at all: refused when built
+        with pytest.raises(ValueError, match=r"outside 0\.\.3$"):
+            _four_cycle_with(defect)
+        return
     problems = graph_invariant_violations(_four_cycle_with(defect))
     assert len(problems) == 1 and defect in problems[0], problems
 
@@ -242,12 +246,42 @@ def test_repeated_neighbors_are_found_at_every_column_block_edge(graph, family, 
 
 @pytest.mark.parametrize("entry", [4, -5])
 def test_matvec_rejects_an_out_of_range_neighbor(entry):
+    # A row that names a non-vertex never reaches matvec: the graph is refused.
     perms = _four_cycle_with(None).perms.copy()
     perms[0, 2] = entry
-    with pytest.raises(IndexError):
-        Graph(perms=perms).matvec(np.ones(4))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="outside 0..3"):
+        Graph(perms=perms)
+    with pytest.raises(IndexError, match="3 values for 4 vertices"):
         _four_cycle_with(None).matvec(np.ones(3))  # a vector shorter than the order
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16])
+@pytest.mark.parametrize("value", ["-1", "-order", "order"])
+def test_rows_that_name_a_non_vertex_are_refused_when_built(graph, dtype, value):
+    G = graph("AG", 5)  # order 60: every entry and the order fit in int8
+    entry = {"-1": -1, "-order": -G.order, "order": G.order}[value]
+    for c, v in [(0, 0), (2, 17), (G.degree - 1, G.order - 1)]:
+        perms = G.perms.astype(np.int64)
+        perms[c, v] = entry  # uint16 holds -1 and -order as 65535 and 65476
+        with pytest.raises(ValueError, match=f"perms name a vertex outside 0..{G.order - 1}$"):
+            Graph(perms=perms.astype(dtype))
+    rows = G.perms.astype(dtype)
+    for perms in (rows, rows[: G.degree // 2], rows[::-1].copy()):
+        assert np.array_equal(Graph(perms=perms).perms, perms)
+
+
+@pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
+def test_built_rows_pass_the_vertex_check_without_a_copy(graph, family):
+    G = graph(family, 7)
+    Graph(G.perms)  # warm
+    tracemalloc.start()
+    try:
+        views = [Graph(G.perms, n=7, family_tag=family), Graph(perms=G.perms[: G.degree // 2])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.shares_memory(H.perms, G.perms) for H in views)
+    assert peak < 4096  # Python objects only: no copy of the rows' 50-350 kB
 
 
 def _edges_by_whole_sort(G):

@@ -14,6 +14,7 @@ from altspectra.cayley import (
     build_family,
     generating_set,
     induced_subgraph,
+    phi_isomorphism,
 )
 from altspectra.cheeger import canonical_cut
 from altspectra.partition import blocks_AG
@@ -268,6 +269,31 @@ def test_subgraph_isomorphism_fails_when_a_row_enters_the_block(graph):
     assert not result.passed
     assert result.observed["mapped_edges"] == 25
     assert result.observed["edge_sets_equal"] is False
+
+
+@pytest.mark.parametrize("broken", ["verify.phi_isomorphism", "cayley.alternating_ranks"])
+def test_subgraph_isomorphism_records_a_map_that_is_no_bijection(monkeypatch, broken):
+    # The block map sends two members to one vertex, whether the check's map
+    # or the ranking inside phi breaks: the check records it, not raises.
+    def phi(n, i, family):
+        block, image = phi_isomorphism(n, i, family)
+        return block, collapse(image)
+
+    def collapse(image):
+        image[1] = image[0]
+        return image
+
+    cache = _GraphCache()
+    cache.get("AG", 5), cache.get("AG", 4)  # built before the map breaks
+    ranks = cayley.alternating_ranks
+    patch = {
+        "verify.phi_isomorphism": (verify, "phi_isomorphism", phi),
+        "cayley.alternating_ranks": (cayley, "alternating_ranks", lambda a: collapse(ranks(a))),
+    }[broken]
+    monkeypatch.setattr(*patch)
+    result = check_subgraph_isomorphism("AG", 5, 1, cache=cache)
+    assert not result.passed
+    assert result.observed["bijective"] is False and result.predicted["bijective"] is True
 
 
 @pytest.mark.parametrize(
