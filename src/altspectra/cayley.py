@@ -35,7 +35,7 @@ Three families are provided, AG_n, EAG_n and CAG_n, each generated by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -115,22 +115,28 @@ class Graph:
     """Immutable undirected regular graph as a (degree, order) array.
 
     ``perms[c, v]`` is the c-th neighbor of vertex v.  A built graph carries
-    its point count ``n`` and family (AG, EAG, CAG or ``"custom"``); one made
-    by hand has ``n`` None and family ``"custom"``.  A build stores the rows in
-    the star rows' dtype (:func:`_star_rows`); rows made by hand keep theirs.
-    Construction raises ``ValueError`` unless the dtype holds order - 1 and
-    every entry names a vertex in 0..order-1, so no reader of the rows checks
-    their range again.  Each row is meant to be a bijection whose inverse is
+    its point count ``n``, family (AG, EAG, CAG or ``"custom"``) and the
+    generating set ``gens`` whose c-th element made row c; one made by hand
+    has ``n`` None, family ``"custom"`` and ``gens`` None.  A build stores the
+    rows in the star rows' dtype (:func:`_star_rows`); rows made by hand keep
+    theirs.  Construction raises ``ValueError`` unless the dtype holds
+    order - 1, every entry names a vertex in 0..order-1 (so no reader of the
+    rows checks their range again) and ``gens``, if given, has the graph's
+    ``n``, degree and family; it does not rebuild the rows from ``gens``, so
+    a caller who passes it (``dataclasses.replace`` of a built graph does)
+    vouches for them.  Each row is meant to be a bijection whose inverse is
     also a row (an involution is its own inverse);
     :func:`graph_invariant_violations` reports self-loops, repeated neighbours
     and asymmetry.  Two graphs are equal iff their arrays match entry for
-    entry, whatever their dtypes.  Passes over ``perms`` go row by row, or
-    column block by column block, in O(order) scratch memory.
+    entry, whatever their dtypes or generating sets.  Passes over ``perms``
+    go row by row, or column block by column block, in O(order) scratch
+    memory.
     """
 
     perms: np.ndarray
     n: int | None = None
     family_tag: str = "custom"
+    gens: GeneratingSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
         p = self.perms
@@ -140,6 +146,9 @@ class Graph:
             raise ValueError(f"perms of dtype {p.dtype} cannot name all {p.shape[1]} vertices")
         if p.size and (p.max() >= p.shape[1] or (p.dtype.kind == "i" and p.min() < 0)):
             raise ValueError(f"perms name a vertex outside 0..{p.shape[1] - 1}")
+        g = self.gens
+        if g is not None and (g.n, g.size, g.family_tag) != (self.n, self.degree, self.family_tag):
+            raise ValueError(f"{g.family_tag} generators on {g.n} points cannot make these rows")
         self.perms.setflags(write=False)
 
     @property
@@ -235,15 +244,17 @@ def _star_rows(n: int) -> np.ndarray:
 
 def star_matvec(G: Graph):
     """A @ v of a named EAG_n or CAG_n from its n-1 star rows, as a function
-    ``(v, out, scratch) -> out`` with two order-length buffers; None for any
-    other graph (AG_n: 2(n-1) gathers for 2(n-2) rows).  Q_a, the star-row
-    gather of a, is an involution; Q_a Q_b is (1 a)(1 b) or its inverse.  With
-    S_k = Q_2 + ... + Q_k, EAG_n is S_n^2 - (n-1)I (2(n-1) gathers) and CAG_n,
-    by the Jucys-Murphy sums X_k = Q_k S_k Q_k (X_2^2 = I), is (1 - C(n,2))I +
-    sum over k = 3..n of Q_k S_k^2 Q_k (n(n+1)-6).  It reads no ``G.perms``."""
+    ``(v, out, scratch) -> out`` with one order-length buffer (EAG_n) or two
+    (CAG_n); None for any other graph (AG_n: 2(n-1) gathers for 2(n-2) rows).
+    Q_a, the star-row gather of a, is an involution; Q_a Q_b is (1 a)(1 b) or
+    its inverse.  With S_k = Q_2 + ... + Q_k, EAG_n is S_n^2 - (n-1)I (2(n-1)
+    gathers) and CAG_n, by the Jucys-Murphy sums X_k = Q_k S_k Q_k
+    (X_2^2 = I), is (1 - C(n,2))I + sum over k = 3..n of Q_k S_k^2 Q_k
+    (n(n+1)-6).  It reads no ``G.perms``."""
     if G.family_tag not in ("EAG", "CAG") or G.n is None or G.order != alternating_order(G.n):
         return None
-    n, Q, (u, y) = G.n, _star_rows(G.n), np.empty((2, G.order))
+    n, Q, buffers = G.n, _star_rows(G.n), np.empty((1 + (G.family_tag == "CAG"), G.order))
+    u, y = buffers[0], buffers[-1]  # the EAG product reads only u
 
     def S(k, x, out, scratch):  # S_k x into out
         np.take(x, Q[0], out=out, mode="wrap")
@@ -274,7 +285,8 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
     multiplication and s*s = 1, so following the star row of b and then
     that of a gives rank((1 a)(1 b)*g_v); each generator is an even star
     word, so its row is the rows of the word's pieces chained by gathers.
-    The n-1 star rows are ranked once per n, by :func:`_star_rows`.
+    The n-1 star rows are ranked once per n, by :func:`_star_rows`.  The
+    graph keeps ``gens``, so a reader can tell which generator made each row.
     """
     if gens.n != n:
         raise ValueError(f"generating set is on {gens.n} points, graph wants {n}")
@@ -297,7 +309,7 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
             j = i
         perms[c] = row
         rows[word] = perms[c]
-    return Graph(perms, n=n, family_tag=gens.family_tag)
+    return Graph(perms, n=n, family_tag=gens.family_tag, gens=gens)
 
 
 def check_block(n: int, i: int) -> None:

@@ -32,10 +32,8 @@ from .cayley import (
     DEFAULT_MAX_ORDER,
     PARTITION_LEAST,
     SPANNING,
-    GeneratingSet,
     Graph,
     block_labels,
-    build_cayley,
     build_family,
     check_family,
     generating_set,
@@ -128,8 +126,11 @@ class _GraphCache:
     """Family graphs within ``max_order`` and their second eigenvalues, each
     made once; every solve runs to the battery's ``tol`` from its ``seed``.
     A held EAG_n or CAG_n serves its spanning graph (:data:`SPANNING`) as a
-    view of its first rows once each generator pair, built alone, equals its
-    pair of rows; a doctored, reordered or hand-made graph gets a full build."""
+    view by generator prefix: its first rows, when the generating set it was
+    built from starts with the spanning graph's.  Each built row maps every
+    vertex g to rank(t*g) for its own generator t, so those rows are the
+    spanning graph's; a hand-made (doctored or reordered) graph, or one built
+    from other generators first, gets a full build."""
 
     def __init__(self, max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-8, seed: int = 42):
         self.max_order, self.tol, self.seed = max_order, tol, seed
@@ -144,16 +145,14 @@ class _GraphCache:
         return self._graphs[key]
 
     def _prefix_view(self, family: str, n: int) -> Graph | None:
-        """The first rows of a held graph that ``family``'s graph spans, once proved; else None."""
+        """The first rows of a held graph that ``family``'s graph spans, when
+        its generators start with ``family``'s; else None."""
         whole = next((self._graphs.get((f, n)) for f, s in SPANNING.items() if s == family), None)
-        if whole is None:
+        if whole is None or whole.gens is None:
             return None
         gens = generating_set(family, n)
-        for c in range(0, gens.size, 2):
-            pair = build_cayley(n, GeneratingSet(n, gens.elements[c : c + 2]), self.max_order)
-            if not np.array_equal(pair.perms, whole.perms[c : c + 2]):
-                return None
-        return Graph(whole.perms[: gens.size], n=n, family_tag=family)
+        if whole.gens.elements[: gens.size] == gens.elements:
+            return Graph(whole.perms[: gens.size], n=n, family_tag=family, gens=gens)
 
     def lambda2(self, family: str, n: int) -> float:
         key = (family, n)
@@ -207,7 +206,8 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     and every other row must stay inside the blocks at every vertex.  The
     edge count of the graph and the sum of the parts' edge counts must both
     equal the closed form n!/2 * d/2, with d the family degree.  Both graphs
-    come from the cache, the spanning one as a proved view of G's first rows.
+    come from the cache, the spanning one as a view of G's first rows by
+    generator prefix.
     """
     check_family(family, n, 4, families=tuple(SPANNING))
     cache = cache or _GraphCache()
@@ -251,8 +251,9 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     the same place (as :func:`check_edge_decomposition` matches them), each
     matched once and every one matched.  A row that leaves the block part
     way keeps a -1 and equals none.  Both edge counts are held to
-    (n-1)!/2 * d/2, d the (n-1)-point degree.  A doctored graph yields a
-    failed check, not an exception.
+    (n-1)!/2 * d/2, d the (n-1)-point degree.  A doctored graph, or a map
+    that is no bijection onto the smaller graph's vertices, yields a failed
+    check, not an exception: no row is compared through such a map.
     """
     check_family(family, n, 4, block=i)
     cache = cache or _GraphCache()
@@ -260,11 +261,12 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     H = cache.get(family, n - 1)
     edges = _edges(family, n - 1)
     block, image = phi_isomorphism(n, i, family)
+    bijective = np.array_equal(np.sort(image), np.arange(H.order))
     rename = np.full(G.order, -1, dtype=np.int32)
     rename[block] = image
     zero = np.argmin(image)  # the block member renamed to vertex 0
     unmatched = {v: m for m, v in enumerate(H.perms[:, 0].tolist())}  # H's rows by image of 0
-    arcs, matched, equal = 0, 0, True
+    arcs, matched, equal = 0, 0, bijective
     for row in G.perms:
         mapped = rename.take(row.take(block))
         inside = np.count_nonzero(mapped >= 0)
@@ -277,7 +279,7 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
         "mapped_edges": arcs // 2,
         "target_edges": H.edge_count,
         "edge_sets_equal": equal and matched == H.degree,
-        "bijective": np.array_equal(np.sort(image), np.arange(H.order)),
+        "bijective": bijective,
     }
     predicted_value = {
         "block_size": H.order,
@@ -341,10 +343,11 @@ def verify_family(
     between them, run in that order.  Every check reads the built graph, so
     each can fail.  A battery builds each graph, the (n-1)-point ones
     included, once and within ``max_order``, but takes the spanning graph of
-    EAG_n or CAG_n as a proved view of its first rows (:class:`_GraphCache`);
-    it solves each second eigenvalue once.  The exact check proves the exact
-    spectrum on the graph (:func:`~altspectra.spectra.certify_spectrum`) and
-    the isoperimetric bracket reads its gap from it; no dense matrix is formed.
+    EAG_n or CAG_n as a view of its first rows by generator prefix
+    (:class:`_GraphCache`); it solves each second eigenvalue once.  The exact
+    check proves the exact spectrum on the graph
+    (:func:`~altspectra.spectra.certify_spectrum`) and the isoperimetric
+    bracket reads its gap from it; no dense matrix is formed.
     """
     check_family(family, n, block=block_index)
     if not 0 < tol < 0.5:

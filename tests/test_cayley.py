@@ -270,6 +270,34 @@ def test_rows_that_name_a_non_vertex_are_refused_when_built(graph, dtype, value)
         assert np.array_equal(Graph(perms=perms).perms, perms)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_a_build_keeps_its_generating_set(family, n):
+    G = build_family(family, n)
+    assert G.gens == generating_set(family, n)
+    custom = GeneratingSet(n, generating_set(family, n).elements[::-1])
+    assert build_cayley(n, custom).gens is custom
+    # The generating set is neither printed nor compared.
+    assert "gens" not in repr(G)
+    assert Graph(G.perms) == G
+
+
+def test_graph_refuses_a_generating_set_that_cannot_make_its_rows():
+    G = build_family("EAG", 5)
+    as_cag = GeneratingSet(5, G.gens.elements, family_tag="CAG")
+    wrong = {
+        "n": dict(perms=G.perms, n=6, family_tag="EAG", gens=G.gens),
+        "hand-made": dict(perms=G.perms, gens=G.gens),
+        "degree": dict(perms=G.perms[:4], n=5, family_tag="EAG", gens=G.gens),
+        "family": dict(perms=G.perms, n=5, family_tag="EAG", gens=as_cag),
+    }
+    for fields in wrong.values():
+        with pytest.raises(ValueError, match="generators on"):
+            Graph(**fields)
+    assert Graph(G.perms, n=5, family_tag="EAG", gens=G.gens) == G
+    assert Graph(G.perms[:6], n=5, family_tag="AG", gens=generating_set("AG", 5)) == build_family("AG", 5)
+
+
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
 def test_built_rows_pass_the_vertex_check_without_a_copy(graph, family):
     G = graph(family, 7)
@@ -851,6 +879,19 @@ def test_star_matvec_equals_the_rows_exactly(graph, monkeypatch, family, n):
     assert len(gathers) == (2 * (n - 1) if family == "EAG" else n * (n + 1) - 6)
     monkeypatch.undo()
     assert np.array_equal(out, G.matvec(v))
+
+
+def test_star_matvec_allocates_one_buffer_for_EAG(graph):
+    # The EAG product S_n(S_n v) reads one buffer; only CAG's needs a second.
+    G = graph("EAG", 7)
+    cayley.star_matvec(G)  # warm: ranks A_7's star rows
+    tracemalloc.start()
+    try:
+        cayley.star_matvec(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * G.order * 8
 
 
 def test_star_matvec_is_for_named_EAG_and_CAG_only(graph):

@@ -296,6 +296,23 @@ def test_subgraph_isomorphism_records_a_map_that_is_no_bijection(monkeypatch, br
     assert result.observed["bijective"] is False and result.predicted["bijective"] is True
 
 
+@pytest.mark.parametrize("entry", [12, 10**6])
+def test_subgraph_isomorphism_records_a_map_that_names_a_non_vertex(monkeypatch, graph, entry):
+    # AG_4 has 12 vertices: a block map that names 12 or more is no
+    # bijection onto them and must not index its rows.
+    def phi(n, i, family):
+        block, image = phi_isomorphism(n, i, family)
+        image[3] = entry
+        return block, image
+
+    monkeypatch.setattr(verify, "phi_isomorphism", phi)
+    cache = _FixedGraphs({("AG", 5): graph("AG", 5), ("AG", 4): graph("AG", 4)})
+    result = check_subgraph_isomorphism("AG", 5, 1, cache=cache)
+    assert not result.passed
+    assert result.observed["bijective"] is False
+    assert result.observed["edge_sets_equal"] is False
+
+
 @pytest.mark.parametrize(
     "family,n,spanning,blocks",
     [("EAG", 4, 24, [3, 3, 3, 3]), ("CAG", 4, 36, [3, 3, 3, 3]), ("EAG", 5, 180, [36] * 5)],
@@ -465,14 +482,48 @@ def test_cache_serves_the_spanning_graph_as_a_view(family, n):
     H = cache.get(SPANNING[family], n)
     assert np.shares_memory(H.perms, G.perms)
     assert (H.n, H.family_tag) == (n, SPANNING[family])
+    assert H.gens == generating_set(SPANNING[family], n)
     assert np.array_equal(H.perms, build_family(SPANNING[family], n).perms)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_a_battery_builds_two_graphs(monkeypatch, family, n):
+    # F_n and F_{n-1}; the spanning graph of EAG_n or CAG_n is no build.
+    calls, build = [], cayley.build_cayley
+
+    def counted(n, gens, *args, **kwargs):
+        calls.append((gens.family_tag, n))
+        return build(n, gens, *args, **kwargs)
+
+    monkeypatch.setattr(cayley, "build_cayley", counted)
+    # Also count the calls of a verify module that imports build_cayley by name.
+    monkeypatch.setattr(verify, "build_cayley", counted, raising=False)
+    assert verify_family(family, n).overall
+    assert calls == [(family, n), (family, n - 1)]
+
+
+def test_cache_builds_the_spanning_graph_of_a_graph_with_other_generators_first(monkeypatch):
+    # A CAG graph built from CAG's generators in reverse order is a true
+    # CAG_6, but its first rows are not EAG_6's: the spanning graph is built.
+    n = 6
+    gens = GeneratingSet(n, generating_set("CAG", n).elements[::-1], family_tag="CAG")
+    F = build_cayley(n, gens)
+    monkeypatch.setattr(
+        verify, "build_family", lambda f, n, **kw: F if f == "CAG" else build_family(f, n, **kw)
+    )
+    cache = _GraphCache()
+    assert cache.get("CAG", n) is F
+    H = cache.get("EAG", n)
+    assert H == build_family("EAG", n) and H.gens == generating_set("EAG", n)
+    assert not np.shares_memory(H.perms, F.perms)
 
 
 @pytest.mark.parametrize("family", list(SPANNING))
 def test_cache_builds_the_spanning_graph_of_a_doctored_graph(monkeypatch, family):
-    # A doctored family graph whose first rows differ from the spanning
-    # graph's gets an independent build; one whose first rows are intact
-    # (an arc swapped in a later row) still serves them.
+    # A hand-made family graph carries no generating set, so its spanning
+    # graph gets an independent build, even when its first rows are intact
+    # (an arc swapped in a later row).
     served = {}
     monkeypatch.setattr(
         verify, "build_family", lambda f, n, **kw: served.get((f, n)) or build_family(f, n, **kw)
@@ -486,13 +537,13 @@ def test_cache_builds_the_spanning_graph_of_a_doctored_graph(monkeypatch, family
         H = cache.get(SPANNING[family], n)
         intact = np.array_equal(perms[: spanning.degree], spanning.perms)
         assert intact == (label == "one arc swap"), label
-        assert np.shares_memory(H.perms, perms) == intact, label
+        assert not np.shares_memory(H.perms, perms), label
         assert H == spanning, label
 
 
 def test_spanning_view_holds_no_second_copy_of_the_rows():
     cache = _GraphCache()
-    cache.get("CAG", 7)  # also ranks A_7's star rows, which the proof reuses
+    cache.get("CAG", 7)  # whose first rows, by generator prefix, are EAG_7
     tracemalloc.start()
     try:
         H = cache.get("EAG", 7)
