@@ -117,14 +117,15 @@ class Graph:
     ``perms[c, v]`` is the c-th neighbor of vertex v.  A built graph carries
     its point count ``n``, family (AG, EAG, CAG or ``"custom"``) and the
     generating set ``gens`` whose c-th element made row c; one made by hand
-    has ``n`` None, family ``"custom"`` and ``gens`` None.  A build stores the
-    rows in the star rows' dtype (:func:`_star_rows`); rows made by hand keep
-    theirs.  Construction raises ``ValueError`` unless the dtype holds
-    order - 1, every entry names a vertex in 0..order-1 (so no reader of the
-    rows checks their range again) and ``gens``, if given, has the graph's
-    ``n``, degree and family; it does not rebuild the rows from ``gens``, so
-    a caller who passes it (``dataclasses.replace`` of a built graph does)
-    vouches for them.  Each row is meant to be a bijection whose inverse is
+    has ``n`` None and family ``"custom"`` unless given.  ``gens`` is no
+    constructor argument: only :func:`build_cayley` and the cache's view of
+    a built graph's first rows set it, so a graph made by hand, or by
+    ``dataclasses.replace``, never has it and rows with ``gens`` are always
+    a build's.  A build stores the rows in the star rows' dtype
+    (:func:`_star_rows`); rows made by hand keep theirs.  Construction
+    raises ``ValueError`` unless the dtype holds order - 1 and every entry
+    names a vertex in 0..order-1 (so no reader of the rows checks their
+    range again).  Each row is meant to be a bijection whose inverse is
     also a row (an involution is its own inverse);
     :func:`graph_invariant_violations` reports self-loops, repeated neighbours
     and asymmetry.  Two graphs are equal iff their arrays match entry for
@@ -136,7 +137,7 @@ class Graph:
     perms: np.ndarray
     n: int | None = None
     family_tag: str = "custom"
-    gens: GeneratingSet | None = field(default=None, repr=False)
+    gens: GeneratingSet | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         p = self.perms
@@ -146,10 +147,15 @@ class Graph:
             raise ValueError(f"perms of dtype {p.dtype} cannot name all {p.shape[1]} vertices")
         if p.size and (p.max() >= p.shape[1] or (p.dtype.kind == "i" and p.min() < 0)):
             raise ValueError(f"perms name a vertex outside 0..{p.shape[1] - 1}")
-        g = self.gens
-        if g is not None and (g.n, g.size, g.family_tag) != (self.n, self.degree, self.family_tag):
-            raise ValueError(f"{g.family_tag} generators on {g.n} points cannot make these rows")
         self.perms.setflags(write=False)
+
+    @classmethod
+    def _built(cls, perms: np.ndarray, gens: GeneratingSet) -> Graph:
+        """The graph whose row c is t_c*g for the c-th element t_c of ``gens``;
+        the caller, a build or a view of one's first rows, vouches for that."""
+        G = cls(perms, n=gens.n, family_tag=gens.family_tag)
+        object.__setattr__(G, "gens", gens)
+        return G
 
     @property
     def order(self) -> int:
@@ -226,34 +232,62 @@ class Graph:
 
 
 @lru_cache(maxsize=1)
-def _star_rows(n: int) -> np.ndarray:
-    """Read-only (n-1, order) star rows of A_n; one n is kept.  Row a-2 holds
-    rank((1 a)*g_v*s) at v, with s the swap of the values 1 and 2 applied last.
-    Their dtype, which every built graph's rows share, is the smallest unsigned
-    one that holds order - 1: uint8 for n <= 5, uint16 to n = 8, uint32 beyond."""
+def _star_rows(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Read-only (n-1, order) star rows of A_n and, for n >= 4, the pairs
+    ``(coset_of, reps)`` of the vertices {g, g*k}, k = (1 2)(3 4); one n is
+    kept.  Row a-2 holds rank((1 a)*g_v*s) at v, with s the swap of the
+    values 1 and 2 applied last.  ``coset_of[v]`` is the pair of v, numbered
+    by its lower vertex ``reps[p]``.  All three take the dtype that every
+    built graph's rows share: the smallest unsigned one that holds
+    order - 1, uint8 for n <= 5, uint16 to n = 8 and uint32 beyond."""
     # The columns of A_n with the values 1 and 2 swapped (h -> h*s), freed
     # on return; (1 a)*g sends point i to g[(1 a)_i]: swap the first and a-th.
     cols = alternating_images(n).T.copy()
     cols ^= (cols < 3) * np.uint8(3)
-    star = np.empty((n - 1, cols.shape[1]), dtype=np.min_scalar_type(cols.shape[1] - 1))
+    order, dtype = cols.shape[1], np.min_scalar_type(cols.shape[1] - 1)
+    star = np.empty((n - 1, order), dtype=dtype)
     for a in range(2, n + 1):
         star[a - 2] = alternating_ranks(cols[np.r_[a - 1, 1 : a - 1, 0, a:n]].T)
     star.setflags(write=False)
-    return star
+    if n < 4:
+        return star, None
+    # g*k = g*s*(3 4): swap the values 3 and 4 in the columns too.
+    partner = alternating_ranks(np.r_[0:3, 4, 3, 5 : n + 1].astype(np.uint8).take(cols).T)
+    reps = np.flatnonzero(partner > np.arange(order)).astype(dtype)
+    coset_of = np.empty(order, dtype)
+    coset_of[reps] = coset_of[partner[reps]] = np.arange(reps.size)
+    reps.setflags(write=False)
+    coset_of.setflags(write=False)
+    return star, (coset_of, reps)
 
 
-def star_matvec(G: Graph):
+def _fold(rows: np.ndarray, coset_of: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """``rows`` on the pairs, one row at a time: row c takes pair p to the pair
+    of row c at p's lower vertex, ``coset_of[row[reps]]``."""
+    folded = np.empty((len(rows), reps.size), coset_of.dtype)
+    for row, out in zip(rows, folded):
+        coset_of.take(row.take(reps), out=out)
+    return folded
+
+
+def star_matvec(G: Graph, fold: bool = False):
     """A @ v of a named EAG_n or CAG_n from its n-1 star rows, as a function
-    ``(v, out, scratch) -> out`` with one order-length buffer (EAG_n) or two
-    (CAG_n); None for any other graph (AG_n: 2(n-1) gathers for 2(n-2) rows).
-    Q_a, the star-row gather of a, is an involution; Q_a Q_b is (1 a)(1 b) or
-    its inverse.  With S_k = Q_2 + ... + Q_k, EAG_n is S_n^2 - (n-1)I (2(n-1)
-    gathers) and CAG_n, by the Jucys-Murphy sums X_k = Q_k S_k Q_k
-    (X_2^2 = I), is (1 - C(n,2))I + sum over k = 3..n of Q_k S_k^2 Q_k
-    (n(n+1)-6).  It reads no ``G.perms``."""
+    ``(v, out, scratch) -> out`` with one buffer (EAG_n) or two (CAG_n) of
+    v's length; None for any other graph (AG_n: 2(n-1) gathers for 2(n-2)
+    rows).  Q_a, the star-row gather of a, is an involution; Q_a Q_b is
+    (1 a)(1 b) or its inverse.  With S_k = Q_2 + ... + Q_k, EAG_n is
+    S_n^2 - (n-1)I (2(n-1) gathers) and CAG_n, by the Jucys-Murphy sums
+    X_k = Q_k S_k Q_k (X_2^2 = I), is (1 - C(n,2))I + sum over k = 3..n of
+    Q_k S_k^2 Q_k (n(n+1)-6).  With ``fold`` (n >= 4) it takes the star rows
+    folded onto the pairs {g, g*k} (:func:`folded_matvec`) and acts on
+    vectors of order/2 values: s commutes with k = (1 2)(3 4), so each Q_a
+    maps pairs to pairs.  It reads no ``G.perms``."""
     if G.family_tag not in ("EAG", "CAG") or G.n is None or G.order != alternating_order(G.n):
         return None
-    n, Q, buffers = G.n, _star_rows(G.n), np.empty((1 + (G.family_tag == "CAG"), G.order))
+    n, (Q, pairs) = G.n, _star_rows(G.n)
+    if fold:
+        Q = _fold(Q, *pairs)
+    buffers = np.empty((1 + (G.family_tag == "CAG"), Q.shape[1]))
     u, y = buffers[0], buffers[-1]  # the EAG product reads only u
 
     def S(k, x, out, scratch):  # S_k x into out
@@ -273,6 +307,25 @@ def star_matvec(G: Graph):
         return out
 
     return product
+
+
+def folded_matvec(G: Graph):
+    """``(product, coset_of)``: A restricted to the vectors constant on each
+    pair {g, g*k}, k = (1 2)(3 4), as a product on the n!/4 pairs
+    (``coset_of``, from :func:`_star_rows`, maps each vertex to its pair).
+    It is the star-row product of a named EAG_n or CAG_n, else the rows of a
+    built graph (one that carries ``gens``) folded by ``coset_of[row[reps]]``;
+    None at n = 3 (A_3 has no involution) and for rows made by hand.
+    Right translations commute with the rows of a Cayley graph and with the
+    star rows, so the vectors constant on the pairs are invariant and the
+    fold is a symmetric matrix; that it keeps every eigenvalue is shown in
+    :func:`altspectra.spectra.lambda2_iterative`."""
+    if (G.n or 0) < 4:
+        return None
+    product = star_matvec(G, fold=True)
+    if product is None and G.gens is not None:
+        product = Graph(_fold(G.perms, *_star_rows(G.n)[1])).matvec
+    return product and (product, _star_rows(G.n)[1][0])
 
 
 def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER) -> Graph:
@@ -297,7 +350,7 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
         raise OrderCapError(
             f"order {order} exceeds cap {max_order}; raise max_order (--max-order) to build it"
         )
-    star = _star_rows(n)
+    star = _star_rows(n)[0]
     rows = {(a,): row for a, row in enumerate(star, 2)}
     perms = np.empty((gens.size, order), dtype=star.dtype)
     for c, word in enumerate(map(star_word, gens.elements)):
@@ -309,7 +362,7 @@ def build_cayley(n: int, gens: GeneratingSet, max_order: int = DEFAULT_MAX_ORDER
             j = i
         perms[c] = row
         rows[word] = perms[c]
-    return Graph(perms, n=n, family_tag=gens.family_tag, gens=gens)
+    return Graph._built(perms, gens)
 
 
 def check_block(n: int, i: int) -> None:

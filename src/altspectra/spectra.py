@@ -15,8 +15,12 @@ A result is certified by the explicit eigenpair residual of the returned
 Ritz pair.  A solve allocates its work vectors once (the restart vector,
 the product and one scratch vector, which the matvec reuses as its own
 buffers) and its basis in blocks of 16 rows, each when it first reaches it.
-EAG_n's and CAG_n's Krylov steps take star-row square sums (two more work
-vectors, :func:`~altspectra.cayley.star_matvec`); the certificate, ``G.matvec``.
+At n >= 4 the Krylov steps of a named EAG_n or CAG_n (star-row square sums,
+:func:`~altspectra.cayley.star_matvec`) and of a built graph (its rows) run
+on the n!/4 pairs {g, g*(1 2)(3 4)} (:func:`~altspectra.cayley.folded_matvec`):
+half-length vectors and basis, every eigenvalue kept.  The top Ritz vector
+is lifted back to the vertices by one gather, and the certificate is always
+``G.matvec`` on the full rows.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .cayley import Graph, check_family, star_matvec
+from .cayley import Graph, check_family, folded_matvec, star_matvec
 from .errors import ConvergenceError, OrderCapError
 from .partition import Quotient, VertexPartition, check_equitable
 from .perm import MAX_POINTS, alternating_images, alternating_order, alternating_ranks, from_cycle
@@ -144,24 +148,41 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
     caps the matrix-vector products over all restarts.  A Ritz pair is
     accepted only when its explicit eigenpair residual ||A x - rho x|| is
     below tol; for a symmetric matrix that residual bounds the eigenvalue
-    error directly.  It is always taken on ``G``'s own rows; the Krylov steps
-    of EAG_n and CAG_n read the family's star rows until it first fails.  A
-    result whose certified interval (within tol) holds the degree is flagged
-    with a warning: it usually means the graph was not connected.
+    error directly.  It is always taken on ``G``'s own rows.  A result whose
+    certified interval (within tol) holds the degree is flagged with a
+    warning: it usually means the graph was not connected.
+
+    The Krylov steps run on the pairs {g, g*k}, k = (1 2)(3 4), where that
+    is proved to keep every eigenvalue: at n >= 4, for a named EAG_n or
+    CAG_n (the steps read the family's star rows, folded) and for a graph
+    that carries ``gens`` (a build, so its rows fold); n = 3 and rows made
+    by hand step on the full rows (or the star rows) as before.  The proof:
+    with left multiplication, every right translation g -> g*h is an
+    automorphism, so each eigenspace of A on the complement of the all-ones
+    vector is a right A_n-module.  k acts as -1 on no irreducible A_n-module
+    for n >= 4: for n >= 5 A_n is simple, so a nontrivial module is
+    faithful, and -1 is central while A_n's centre is trivial; the
+    1-dimensional modules of A_4 hold V_4, and k, in their kernel.  So every eigenvalue, lambda_2
+    included, has an eigenvector constant on the pairs, and on those
+    vectors A is the symmetric n!/4 x n!/4 matrix of the fold.  The
+    converged Ritz vector is lifted by ``x.take(coset_of)`` and certified on
+    G's rows; should that certificate fail (the star rows are the family's,
+    not G's), the solve goes on from the lifted vector on G's full rows.
     """
     if G.order < 2:
         raise ValueError("graph must have at least two vertices")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    size = min(LANCZOS_BASIS, G.order - 1)
-    blocks: list[np.ndarray] = []  # the basis, LANCZOS_BLOCK rows per block
+    # The Krylov steps' product and, when it acts on the pairs, each vertex's pair.
+    steps, coset_of = folded_matvec(G) or (star_matvec(G) or G.matvec, None)
     # The work vectors: the start or restart vector, the product, a scratch.
-    x = _start_vector(G.order, seed)
+    x = _start_vector(G.order if coset_of is None else G.order // 2, seed)
     x -= x.mean()
-    w, tmp = np.empty((2, G.order))
+    w, tmp = np.empty((2, len(x)))
+    size = min(LANCZOS_BASIS, len(x) - 1)
+    blocks: list[np.ndarray] = []  # the basis, LANCZOS_BLOCK rows per block
     matvecs = 0
     resid = np.inf
-    steps = star_matvec(G) or G.matvec  # the Krylov steps' product
 
     def product(v, multiply):
         nonlocal matvecs
@@ -174,7 +195,7 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
 
     def row(k):  # basis row k, its block allocated when first reached
         if k == len(blocks) * LANCZOS_BLOCK:
-            blocks.append(np.empty((min(LANCZOS_BLOCK, size - k), G.order)))
+            blocks.append(np.empty((min(LANCZOS_BLOCK, size - k), len(x))))
         return blocks[k // LANCZOS_BLOCK][k % LANCZOS_BLOCK]
 
     def spans(k):  # (first row, rows) of basis rows 0..k-1, block by block
@@ -210,6 +231,12 @@ def lambda2_iterative(G: Graph, tol: float = 1e-8, seed: int = 42) -> float:
             x += np.dot(s[i : i + len(rows), -1], rows, out=tmp)
         x -= x.mean()
         if converged:
+            if coset_of is not None:  # free the pairs' basis, then lift it
+                del V, rows
+                blocks.clear()
+                x, coset_of, steps = x.take(coset_of), None, G.matvec
+                w, tmp = np.empty((2, G.order))
+                size = min(LANCZOS_BASIS, G.order - 1)
             x /= np.linalg.norm(x)
             ax = product(x, G.matvec)
             rq = float(x @ ax)

@@ -152,7 +152,7 @@ class _GraphCache:
             return None
         gens = generating_set(family, n)
         if whole.gens.elements[: gens.size] == gens.elements:
-            return Graph(whole.perms[: gens.size], n=n, family_tag=family, gens=gens)
+            return Graph._built(whole.perms[: gens.size], gens)
 
     def lambda2(self, family: str, n: int) -> float:
         key = (family, n)
@@ -299,8 +299,8 @@ def check_decomposition_bound(family: str, n: int, cache=None) -> CheckResult:
     check_family(family, n, 4, families=tuple(SPANNING))
     cache = cache or _GraphCache()
     whole = cache.lambda2(family, n)
-    if family == "EAG":
-        part1, part2 = cache.lambda2("EAG", n - 1), cache.lambda2("AG", n)
+    if family == "EAG":  # AG_n first: the pairs at n are held until the (n-1)-point build
+        part2, part1 = cache.lambda2("AG", n), cache.lambda2("EAG", n - 1)
         label = ("EAG_{n-1}", "AG_n")
     else:
         part1, part2 = cache.lambda2("EAG", n), cache.lambda2("CAG", n - 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -291,11 +292,15 @@ def test_graph_refuses_a_generating_set_that_cannot_make_its_rows():
         "degree": dict(perms=G.perms[:4], n=5, family_tag="EAG", gens=G.gens),
         "family": dict(perms=G.perms, n=5, family_tag="EAG", gens=as_cag),
     }
+    # Only a build, or the cache's view of a build's first rows, sets gens:
+    # the constructor takes none, not even the set that made the rows, and
+    # dataclasses.replace, which goes through it, drops the one it copies.
+    wrong["its own"] = dict(perms=G.perms, n=5, family_tag="EAG", gens=G.gens)
     for fields in wrong.values():
-        with pytest.raises(ValueError, match="generators on"):
+        with pytest.raises(TypeError, match="gens"):
             Graph(**fields)
-    assert Graph(G.perms, n=5, family_tag="EAG", gens=G.gens) == G
-    assert Graph(G.perms[:6], n=5, family_tag="AG", gens=generating_set("AG", 5)) == build_family("AG", 5)
+    assert dataclasses.replace(G, perms=G.perms[::-1].copy()).gens is None
+    assert dataclasses.replace(G) == G and dataclasses.replace(G).gens is None
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
@@ -367,7 +372,8 @@ def test_star_rows_match_per_generator_ranks_custom(gens, n):
 def test_rows_take_the_smallest_unsigned_dtype_that_holds_the_order(graph, n):
     compact = np.min_scalar_type(alternating_order(n) - 1)
     assert compact == (np.uint8 if n <= 5 else np.uint16)
-    assert cayley._star_rows(n).dtype == compact
+    star, pairs = cayley._star_rows(n)
+    assert star.dtype == compact and all(a.dtype == compact for a in pairs or ())
     for family in FAMILIES:
         assert graph(family, n).perms.dtype == compact
 
@@ -376,9 +382,10 @@ def test_rows_take_the_smallest_unsigned_dtype_that_holds_the_order(graph, n):
 @pytest.mark.parametrize("n", range(5, 9))
 def test_compact_rows_give_the_results_of_signed_rows(graph, family, n):
     # The rows are only ever indices, so int64 copies of them must give the
-    # same bytes from every pass over them.
+    # same bytes from every pass over them.  The copies keep the generating
+    # set, so the lambda2 solve folds both onto the same pairs.
     G = graph(family, n)
-    wide = Graph(G.perms.astype(np.int64), n=G.n, family_tag=G.family_tag)
+    wide = Graph._built(G.perms.astype(np.int64), G.gens)
     v = np.random.default_rng(n).standard_normal(G.order)
     P = blocks_Xij(n, i=1)
     assert G.matvec(v).tobytes() == wide.matvec(v).tobytes()
@@ -409,27 +416,34 @@ def test_star_rows_are_ranked_once_per_n(monkeypatch):
     monkeypatch.setattr(cayley, "alternating_ranks", counted)
     cayley._star_rows.cache_clear()
     build_family("EAG", 6)
-    assert ranked == [(6, alternating_order(6))] * 5
+    # The five star rows, then the partner g*k of every vertex g for the pairs.
+    assert ranked == [(6, alternating_order(6))] * 6
     ranked.clear()
     build_family("CAG", 6)
     build_family("AG", 6)
     assert ranked == []
-    star = cayley._star_rows(6)
+    star, (coset_of, reps) = cayley._star_rows(6)
     assert cayley._star_rows.cache_info().currsize == 1
     assert star.shape == (5, alternating_order(6)) and star.dtype == np.uint16
-    with pytest.raises(ValueError, match="read-only"):
-        star[0, 0] = 0
+    for rows in (star, coset_of, reps):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
     # Row a - 2 holds rank((1 a) * g_v * s), s the swap of the values 1 and 2.
     s = Permutation((2, 1, 3, 4, 5, 6))
+    k = Permutation((2, 1, 4, 3, 5, 6))
+    assert np.all(reps[1:] > reps[:-1]) and coset_of.take(reps).tolist() == list(range(180))
     for v in (0, 1, 200, alternating_order(6) - 1):
         g = unrank(6, v)
         want = [rank(compose(compose(from_cycle(6, (1, a)), g), s)) for a in range(2, 7)]
         assert star[:, v].tolist() == want
+        # v and rank(g_v * k), k = (1 2)(3 4), make one pair, named by the lower.
+        partner = rank(compose(g, k))
+        assert coset_of[v] == coset_of[partner] and reps[coset_of[v]] == min(v, partner)
     # A set that moves two of the five points still ranks every star row, once.
     gens = GeneratingSet(5, tuple(parse_generator_list("(1,2,3),(1,3,2)", 5)))
     build_cayley(5, gens)
     build_cayley(5, gens)
-    assert ranked == [(5, 60)] * 4
+    assert ranked == [(5, 60)] * 5
     assert cayley._star_rows.cache_info().currsize == 1
 
 
@@ -857,6 +871,20 @@ def test_a_second_solve_allocates_at_most_four_vectors_more(graph):
     vector = G.order * 8
     before = (spectra.LANCZOS_BLOCK + 5) * vector + 2_528
     assert _second_run_peak(lambda: spectra.lambda2_iterative(G)) <= before + 4 * vector + 1024
+
+
+def test_the_folded_solve_holds_half_a_basis_block(graph):
+    # The steps run on the order/2 pairs, so the basis block of 16 rows is 8
+    # vectors' worth; the three half-length work vectors, the two star-row
+    # buffers and take's intp copy of one folded index row add 3 more, the
+    # six folded uint16 star rows 6 * order B.  The basis is freed before
+    # the Ritz vector is lifted and certified at full length.  An
+    # order-length basis block alone (16 vectors) would not fit.
+    G = graph("CAG", 7)
+    vector = G.order * 8
+    budget = (spectra.LANCZOS_BLOCK // 2 + 3) * vector + 6 * G.order + 8192
+    assert _second_run_peak(lambda: spectra.lambda2_iterative(G)) <= budget
+    assert spectra.LANCZOS_BLOCK * vector > budget
 
 
 @pytest.mark.parametrize("family", ["EAG", "CAG"])

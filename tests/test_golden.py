@@ -12,7 +12,9 @@ recorded before the graph build moved to star-transposition rows, which
 must leave them alone.  The double-transposition gap digest was re-recorded
 when the Lanczos start vector became a SplitMix64 hash: that graph is
 disconnected, so its gap is a zero made of round-off, +4.44e-16 before and
--4.44e-16 after.  The n = 7 verify digests, the one battery size not pinned
+-4.44e-16 after.  It was re-recorded again when the Lanczos steps moved
+onto the pairs {g, g*(1 2)(3 4)}, which put it back at +4.44e-16.  The
+n = 7 verify digests, the one battery size not pinned
 until then, were recorded before the passes over the generator rows
 switched to one ``take`` per row, which must leave them alone.  The n = 4
 hmin and verify digests were recorded before the brute-force oracle became
@@ -113,7 +115,7 @@ GOLDEN = {
     "build --gens (2,3,4),(2,4,3),(1,2)(3,4) --n 6 --format json": (
         "95c8b54349d6be6675aebc3dc550bdbd7eef052c41ede178fa65e52eabcc6e40", 0),
     "gap --gens (2,3,4),(2,4,3),(1,2)(3,4) --n 6 --format json": (
-        "301c2e726272328bc5e57f537983df2b1cbb69b97d82ce14351dead30083d65a", 0),
+        "2c3b6e3a418926a91df290816ee62a6b0f80de63033609f43fda6a4f7136525f", 0),
     "hmin --family EAG --n 4": (
         "880568ac445430e2666fe5f19753e485765eb2a2ffd5bc4b55be4f19a7f49aa1", 0),
     "hmin --family CAG --n 4 --format json": (

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -8,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import adjacency
-from altspectra.cayley import GeneratingSet, Graph, build_cayley, build_family, export_edges
+from altspectra.cayley import FAMILIES, GeneratingSet, Graph, build_cayley, build_family, export_edges
 from altspectra.cheeger import canonical_cut
 from altspectra.errors import ConvergenceError, OrderCapError
 from altspectra.partition import EquitableWitness, Quotient
-from altspectra import spectra
-from altspectra.perm import from_cycle
+from altspectra import cayley, spectra
+from altspectra.perm import from_cycle, parse_generator_list
 from test_partition import assert_quotient_invariants
 from test_verify import _doctorings, _random_swaps, _swap_arcs
 from altspectra.spectra import (
@@ -169,11 +171,17 @@ def test_dense_and_iterative_agree(graph, family, n):
 
 
 def test_a_graph_made_by_hand_reports_family_custom(tmp_path):
+    # The built AG_4 is solved on the pairs {g, g*k} and its copy by hand on
+    # its vertices, so their lambda2 (the gap report's second eigenvalue)
+    # and gap may differ in the last bits.
     built = build_family("AG", 4)
     by_hand = Graph(perms=built.perms)
     for report in (gap_report, dense_spectrum):
         want = {**report(built).to_dict(), "family": "custom", "n": None}
-        assert report(by_hand).to_dict() == want
+        got = report(by_hand).to_dict()
+        for key in ("lambda2", "gap", "eigenvalues"):
+            assert got.pop(key) == pytest.approx(want.pop(key), abs=1e-12)
+        assert got == want
     export_edges(by_hand, tmp_path / "edges.txt")
     header = (tmp_path / "edges.txt").read_text().splitlines()[0]
     assert header == "# family=custom n=None order=12 degree=4"
@@ -323,21 +331,23 @@ def test_report_json_schema(graph):
 
 
 def _count_matvecs(monkeypatch):
-    """Every product a solve makes, in order: "rows" for ``Graph.matvec``,
-    "stars" for the star-row product."""
+    """Every product a solve makes, in order: "rows" for ``Graph.matvec`` (on
+    G's rows, or on a built graph's rows folded onto the pairs), "stars" for
+    the star-row product, folded or not."""
     calls = []
-    matvec, star_matvec = Graph.matvec, spectra.star_matvec
+    matvec, star_matvec = Graph.matvec, cayley.star_matvec
 
     def counted(self, v, *args, **kwargs):
         calls.append("rows")
         return matvec(self, v, *args, **kwargs)
 
-    def counted_stars(G):
-        product = star_matvec(G)
+    def counted_stars(G, **fold):
+        product = star_matvec(G, **fold)
         return product and (lambda *args: (calls.append("stars"), product(*args))[1])
 
     monkeypatch.setattr(Graph, "matvec", counted)
     monkeypatch.setattr(spectra, "star_matvec", counted_stars)
+    monkeypatch.setattr(cayley, "star_matvec", counted_stars)
     return calls
 
 
@@ -370,6 +380,77 @@ def test_a_doctored_family_graph_is_solved_on_its_own_rows(monkeypatch):
     tagged, rows, certificates = _solve_counts(monkeypatch, Graph(perms, n=6, family_tag="CAG"))
     assert rows > certificates
     assert tagged == pytest.approx(lambda2_iterative(Graph(perms)), abs=1e-8)
+
+
+# The --gens sets of tools/argv_sweep.py: all of A_n's generators lie in A_4
+# or A_3 for the first two, so at n >= 5 those graphs are disconnected.
+SWEEP_GENS = (
+    "(1,2,3),(1,3,2)",
+    "(2,3,4),(2,4,3),(1,2)(3,4)",
+    "(1,2,3),(1,3,2),(1,3,4),(1,4,3),(2,3,4),(2,4,3)",
+)
+
+
+def _distinct(values):
+    """The distinct values of a sorted array, clusters within 1e-6 merged."""
+    return np.array([c.mean() for c in np.split(values, np.flatnonzero(np.diff(values) > 1e-6) + 1)])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("name", [*FAMILIES, *SWEEP_GENS])
+def test_the_fold_keeps_every_distinct_eigenvalue(n, name):
+    # On the vectors constant on each pair {g, g*k}, k = (1 2)(3 4), A is the
+    # symmetric n!/4 x n!/4 matrix B, and every eigenvalue of A is one of B's.
+    if name in FAMILIES:
+        G = build_family(name, n)
+    else:
+        G = build_cayley(n, GeneratingSet(n, tuple(parse_generator_list(name, n))))
+    product, coset_of = cayley.folded_matvec(G)
+    m = G.order // 2
+    assert np.array_equal(np.bincount(coset_of), np.full(m, 2))
+    out, scratch = np.empty((2, m))
+    B = np.stack([product(e, out, scratch).copy() for e in np.eye(m)], axis=1)
+    assert np.array_equal(B, B.T)
+    x = np.random.default_rng(n).standard_normal(m)  # B x is A x on the pairs
+    assert np.allclose(G.matvec(x.take(coset_of)), (B @ x).take(coset_of))
+    folded, full = _distinct(np.linalg.eigvalsh(B)), _distinct(np.linalg.eigvalsh(adjacency(G)))
+    assert folded.shape == full.shape and np.allclose(folded, full, atol=1e-9)
+
+
+def _krylov_steps(monkeypatch, G):
+    """lambda2 and the Krylov steps of one solve, one tridiagonal eigh each."""
+    steps, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda T: (steps.append(1), eigh(T))[1])
+    value = lambda2_iterative(G)
+    monkeypatch.undo()
+    return value, len(steps)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_the_folded_solve_takes_the_steps_of_the_full_one(graph, monkeypatch, family, n):
+    # The Krylov space is spent at the number of distinct eigenvalues, and
+    # the fold keeps them all: half-length steps, as many of them.
+    G = graph(family, n)
+    assert cayley.folded_matvec(G)[1].size == G.order
+    assert cayley.folded_matvec(Graph(G.perms)) is None
+    folded, full = _krylov_steps(monkeypatch, G), _krylov_steps(monkeypatch, Graph(G.perms))
+    assert folded[1] == full[1]
+    assert folded[0] == pytest.approx(full[0], abs=1e-9)
+
+
+def test_doctored_AG5_rows_are_solved_unfolded(graph):
+    # Neither a replace of the build nor a hand-made copy with n set carries
+    # the generating set, so neither folds the doctored rows: each solve
+    # returns lambda2 of the rows it was given.
+    built = graph("AG", 5)
+    rows = _random_swaps(built, random.Random(5), 4).perms
+    for G in (dataclasses.replace(built, perms=rows), Graph(rows, n=5, family_tag="AG")):
+        assert G.gens is None and cayley.folded_matvec(G) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a doctored graph may fall apart
+            value = lambda2_iterative(G)
+        assert value == pytest.approx(np.linalg.eigvalsh(adjacency(G))[-2], abs=1e-9)
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -18,7 +19,7 @@ from altspectra.cayley import (
 )
 from altspectra.cheeger import canonical_cut
 from altspectra.partition import blocks_AG
-from altspectra.perm import parse_generator_list
+from altspectra.perm import alternating_order, parse_generator_list
 from altspectra import cayley, spectra, verify
 from altspectra.spectra import predicted
 from altspectra.verify import (
@@ -541,6 +542,30 @@ def test_cache_builds_the_spanning_graph_of_a_doctored_graph(monkeypatch, family
         assert H == spanning, label
 
 
+def test_a_graph_replaced_from_a_build_is_no_build(monkeypatch):
+    # One arc of CAG_6's row 0 rerouted, its reverse moved in row 1, and the
+    # rows put in through dataclasses.replace: the copy carries no generating
+    # set, so the cache builds EAG_6 instead of serving the doctored first
+    # rows as it, and the edge decomposition sees the rerouted arc.
+    F = build_family("CAG", 6)
+    perms = F.perms.copy()
+    x = next(
+        x for x in range(1, F.order)
+        if len({0, perms[0, 0], x, perms[0, x]}) == 4
+        and perms[0, x] not in perms[:, 0] and perms[0, 0] not in perms[:, x]
+    )
+    _swap_arcs(perms, 0, 0, x)
+    doctored = dataclasses.replace(F, perms=perms)
+    assert doctored.gens is None and F.gens is not None
+    monkeypatch.setattr(
+        verify, "build_family", lambda f, n, **kw: doctored if f == "CAG" else build_family(f, n, **kw)
+    )
+    cache = _GraphCache()
+    assert cache.get("CAG", 6) is doctored
+    assert not np.shares_memory(cache.get("EAG", 6).perms, perms)
+    assert not check_edge_decomposition("CAG", 6, cache).passed
+
+
 def test_spanning_view_holds_no_second_copy_of_the_rows():
     cache = _GraphCache()
     cache.get("CAG", 7)  # whose first rows, by generator prefix, are EAG_7
@@ -627,7 +652,8 @@ def test_a_battery_ranks_each_row_once(monkeypatch, family, n, calls, rows):
     # From a cleared star-row cache: the n - 1 star rows at n and the n - 2
     # at n - 1 (the n-point rows are not ranked again after the (n-1)-point
     # build evicts them), two right translations in the exact check and one
-    # block of (n-1)!/2 rows in the subgraph isomorphism.
+    # block of (n-1)!/2 rows in the subgraph isomorphism; then, with the star
+    # rows, the partners g*k of the pairs at n and at n - 1.
     ranked = []
     rank = cayley.alternating_ranks
 
@@ -639,7 +665,8 @@ def test_a_battery_ranks_each_row_once(monkeypatch, family, n, calls, rows):
     monkeypatch.setattr(spectra, "alternating_ranks", counted)
     cayley._star_rows.cache_clear()
     assert verify_family(family, n).overall
-    assert (len(ranked), sum(ranked)) == (calls, rows)
+    pairs = alternating_order(n) + alternating_order(n - 1)
+    assert (len(ranked), sum(ranked)) == (calls + 2, rows + pairs)
 
 
 @pytest.mark.parametrize("family", ["AG", "EAG", "CAG"])
