@@ -1,14 +1,19 @@
 """Verification harness: structural and spectral checks per family and n.
 
-Every check is one function in one shape: decorated with ``@_check(name,
-ref)``, it returns the predicted value, the observed value, the tolerance
-it was judged at, and a pass flag, and the decorator times the call and
-wraps those in a :class:`CheckResult`.  A report is the ordered list of
-checks plus their conjunction.  Check failures are recorded, never raised
-(a :class:`~altspectra.cayley.Graph` refuses rows that name a non-vertex
-when it is built, so no check meets one); infrastructure failures (a solver
-that does not converge, a cap that is exceeded) propagate as exceptions
-since no meaningful report exists then.
+Every check is one module-level function in one shape, ``check(family, n,
+i=1, cache=None)``: decorated with ``@_check(name, ref, families, least,
+cap)``, its body returns the predicted value, the observed value, the
+tolerance it was judged at, and a pass flag, and the decorator refuses a
+(family, n, block) outside the check's domain before any build, times the
+call and wraps those in a :class:`CheckResult`.  The decorator also appends
+the check to :data:`_BATTERY`, whose order is the report order, so every
+check runs standalone or in a battery from the same code.  A report is the
+ordered list of checks that apply plus their conjunction; ``decompose`` runs
+the structural subset (:func:`structural_checks`).  Check failures are
+recorded, never raised (a :class:`~altspectra.cayley.Graph` refuses rows
+that name a non-vertex when it is built, so no check meets one);
+infrastructure failures (a solver that does not converge, a cap that is
+exceeded) propagate as exceptions since no meaningful report exists then.
 The structural checks take a family's defining blocks from per-vertex
 labels (:func:`altspectra.cayley.block_labels`) and compare the graphs'
 generator rows; they build no subgraphs, so a doctored graph fails a check.
@@ -30,6 +35,7 @@ import numpy as np
 from . import cheeger as _cheeger
 from .cayley import (
     DEFAULT_MAX_ORDER,
+    FAMILIES,
     PARTITION_LEAST,
     SPANNING,
     Graph,
@@ -41,6 +47,7 @@ from .cayley import (
     is_connected,
     phi_isomorphism,
 )
+from .cheeger import BRUTE_ORDER_CAP
 from .partition import (
     Quotient,
     blocks_AG,
@@ -105,26 +112,55 @@ class VerificationReport:
         }
 
 
-def _check(name: str, ref: str):
-    """Make a function that returns (predicted, observed, tolerance, passed)
-    return that check's timed :class:`CheckResult` instead."""
+# Every check, in definition order, which is the report order.  The spectral
+# checks come before the structural ones: the star rows of one n are held at
+# a time, so every solve at n runs before any (n-1)-point build.
+_BATTERY = []
+
+
+def _check(name: str, ref: str, families=FAMILIES, least: int | dict = 3, cap: int | None = None):
+    """Make ``fn(family, n, i, cache)``, which returns (predicted, observed,
+    tolerance, passed), the check ``check(family, n, i=1, cache=None)``,
+    which returns its timed :class:`CheckResult`, and append it to
+    :data:`_BATTERY`.
+
+    The check's domain is written here once: ``families``, the least n
+    (an int, or a dict by family as :data:`PARTITION_LEAST`) and ``cap``,
+    the largest order the battery runs it at.  A call outside the family
+    and n range, or with a block value outside 1..n, raises ``ValueError``
+    before any build; ``check.applies(family, n)`` tells the battery
+    whether to run it.  Without a cache a check makes its own
+    :class:`_GraphCache`.
+    """
+
+    least = least if isinstance(least, dict) else dict.fromkeys(families, least)
 
     def decorate(fn):
         @wraps(fn)
-        def timed(*args, **kwargs) -> CheckResult:
+        def check(family: str, n: int, i: int = 1, cache=None) -> CheckResult:
+            check_family(family, n, least, block=i, families=families)
             t0 = time.perf_counter()
-            wanted, observed, tolerance, passed = fn(*args, **kwargs)
+            wanted, observed, tolerance, passed = fn(family, n, i, cache or _GraphCache())
             millis = (time.perf_counter() - t0) * 1000.0
             return CheckResult(name, ref, wanted, observed, tolerance, bool(passed), millis)
 
-        return timed
+        check.applies = lambda family, n: family in families and n >= least[family] and (
+            cap is None or alternating_order(n) <= cap
+        )
+        _BATTERY.append(check)
+        return check
 
     return decorate
 
 
 class _GraphCache:
-    """Family graphs within ``max_order`` and their second eigenvalues, each
-    made once; every solve runs to the battery's ``tol`` from its ``seed``.
+    """What one battery computes once: the family graphs within
+    ``max_order``, their second eigenvalues, each solved to ``tol`` from
+    ``seed``, the defining-block quotients and the exact spectra.  ``tol``
+    must lie in (0, 1/2): every named-family spectrum is integral, so a
+    residual under 1/2 ties lambda2 to a single integer, and a larger one
+    lets any value pass.
+
     A held EAG_n or CAG_n serves its spanning graph (:data:`SPANNING`) as a
     view by generator prefix: its first rows, when the generating set it was
     built from starts with the spanning graph's.  Each built row maps every
@@ -133,9 +169,10 @@ class _GraphCache:
     from other generators first, gets a full build."""
 
     def __init__(self, max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-8, seed: int = 42):
+        if not 0 < tol < 0.5:
+            raise ValueError(f"tol must be in (0, 0.5), got {tol}")
         self.max_order, self.tol, self.seed = max_order, tol, seed
-        self._graphs: dict[tuple[str, int], Graph] = {}
-        self._lambda2: dict[tuple[str, int], float] = {}
+        self._graphs, self._lambda2, self._quotients, self._spectra = {}, {}, {}, {}
 
     def get(self, family: str, n: int) -> Graph:
         key = (family, n)
@@ -160,20 +197,137 @@ class _GraphCache:
             self._lambda2[key] = lambda2_iterative(self.get(*key), tol=self.tol, seed=self.seed)
         return self._lambda2[key]
 
+    def quotient(self, family: str, n: int, i: int):
+        """The family graph's quotient by its blocks at value i (a
+        :class:`~altspectra.partition.Quotient`), or the first counterexample
+        to their being equitable."""
+        key = (family, n, i)
+        if key not in self._quotients:
+            P = blocks_AG(n, i) if family == "AG" else blocks_Xij(n, i=i)
+            self._quotients[key] = check_equitable(self.get(family, n), P)
+        return self._quotients[key]
+
+    def exact(self, family: str, n: int) -> dict[int, int]:
+        if (family, n) not in self._spectra:
+            self._spectra[family, n] = exact_spectrum(family, n)
+        return self._spectra[family, n]
+
 
 def _edges(family: str, n: int) -> int:
     """Closed-form edge count of the family graph on A_n: |A_n| * d / 2."""
     return alternating_order(n) * predicted(family, n)[0] // 2
 
 
-@_check("matchings", "one-to-one edges between adjacent blocks")
-def check_matchings(n: int, i: int, cache=None) -> CheckResult:
+@_check("graph_invariants", "regular Cayley graph structure")
+def check_graph_invariants(family: str, n: int, i: int, cache) -> CheckResult:
+    """Order, degree and edge count against the closed forms; no violation
+    of the undirected simple regular structure; connected."""
+    G = cache.get(family, n)
+    observed = {
+        "order": G.order,
+        "degree": G.degree,
+        "edges": G.edge_count,
+        "violations": graph_invariant_violations(G),
+        "connected": is_connected(G),
+    }
+    predicted_value = {
+        "order": alternating_order(n),
+        "degree": predicted(family, n)[0],
+        "edges": _edges(family, n),
+        "violations": [],
+        "connected": True,
+    }
+    return predicted_value, observed, None, observed == predicted_value
+
+
+@_check("equitable_partition", "block neighbor counts are constant", least=PARTITION_LEAST)
+def check_equitable_partition(family: str, n: int, i: int, cache) -> CheckResult:
+    """The defining blocks at value i are equitable, with the closed-form
+    sizes and divisor matrix."""
+    result = cache.quotient(family, n, i)
+    closed = divisor_closed_form(family, n)
+    if not isinstance(result, Quotient):
+        return closed.B, str(result), None, False
+    ok = (result.sizes, result.B) == (closed.sizes, closed.B)  # roots differ at n = 3
+    return closed.B, result.B, None, ok
+
+
+@_check("divisor_spectrum", "quotient matrix eigenvalues", least=PARTITION_LEAST)
+def check_divisor_spectrum(family: str, n: int, i: int, cache) -> CheckResult:
+    """The integer spectrum of the divisor matrix measured on the graph
+    against the closed form; none when the blocks are not equitable."""
+    measured = cache.quotient(family, n, i)
+    values = divisor_spectrum(measured) if isinstance(measured, Quotient) else None
+    target = divisor_eigenvalues_closed_form(family, n)
+    return target, values, None, values == target
+
+
+@_check("lambda2_iterative", "closed-form second-largest eigenvalue")
+def check_lambda2_iterative(family: str, n: int, i: int, cache) -> CheckResult:
+    """The solved second eigenvalue against the closed form."""
+    wanted, value = predicted(family, n)[1], cache.lambda2(family, n)
+    return wanted, value, cache.tol, abs(value - wanted) <= max(cache.tol, 1e-6)
+
+
+@_check("lambda2_exact", "closed-form second-largest eigenvalue", cap=DENSE_ORDER_CAP)
+def check_lambda2_exact(family: str, n: int, i: int, cache) -> CheckResult:
+    """The exact spectrum's second value against the closed form, with the
+    spectrum proved on the graph (:func:`~altspectra.spectra.certify_spectrum`);
+    no dense matrix is formed."""
+    exact = cache.exact(family, n)
+    certificate = certify_spectrum(cache.get(family, n), exact)
+    observed = {"lambda2": list(exact)[1], **certificate}
+    predicted_value = {"lambda2": predicted(family, n)[1], **dict.fromkeys(certificate, True)}
+    return predicted_value, observed, None, observed == predicted_value
+
+
+@_check("spectral_gap", "closed-form adjacency spectral gap")
+def check_spectral_gap(family: str, n: int, i: int, cache) -> CheckResult:
+    """The closed-form degree less the solved second eigenvalue against the
+    closed-form gap."""
+    degree, _, wanted = predicted(family, n)
+    value = degree - cache.lambda2(family, n)
+    return wanted, value, 2 * cache.tol, abs(value - wanted) <= max(2 * cache.tol, 2e-6)
+
+
+@_check("canonical_cut_ratio", "edge boundary of the defining block", least=PARTITION_LEAST)
+def check_canonical_cut_ratio(family: str, n: int, i: int, cache) -> CheckResult:
+    """The defining block at value i has the closed-form edge boundary, and
+    its cut ratio is the upper end of the corollary's bounds."""
+    cr = _cheeger.cut_ratio(cache.get(family, n), _cheeger.canonical_cut(family, n, i))
+    _, upper = _cheeger.corollary_bounds(family, n)
+    boundary_pred = _cheeger.canonical_boundary(family, n)
+    ok = cr.ratio == upper and cr.boundary == boundary_pred
+    predicted_value = {"ratio": str(upper), "boundary": boundary_pred}
+    return predicted_value, {"ratio": str(cr.ratio), "boundary": cr.boundary}, None, ok
+
+
+@_check("isoperimetric_bracket", "spectral bounds on the exact cut minimum", cap=BRUTE_ORDER_CAP)
+def check_isoperimetric_bracket(family: str, n: int, i: int, cache) -> CheckResult:
+    """The brute-force isoperimetric number lies within the Cheeger bounds
+    of the exact spectral gap."""
+    G = cache.get(family, n)
+    degree = predicted(family, n)[0]
+    h, witness = _cheeger.brute_force_h(G)
+    mu = degree - list(cache.exact(family, n))[1]
+    lower = mu / 2
+    ok = float(h) >= lower - 1e-9
+    observed = {"h": str(h), "witness": list(witness), "lower": lower}
+    predicted_value = {"h_at_least": lower}
+    if G.order > 3:
+        _, upper = _cheeger.cheeger_bounds(mu, degree)
+        predicted_value["h_at_most"] = observed["upper"] = upper
+        ok = ok and float(h) <= upper + 1e-9
+    return predicted_value, observed, 1e-9, ok
+
+
+@_check("matchings", "one-to-one edges between adjacent blocks", families=("AG",), least=4)
+def check_matchings(family: str, n: int, i: int, cache) -> CheckResult:
     """The edges between X(i), the vertices with the value i last, and each of
     Y(i) and Z(i), with i first and second, are perfect matchings: every X(i)
     vertex has exactly one neighbor in Y(i) and one in Z(i), and every Y(i)
     and Z(i) vertex exactly one in X(i).  Each matching size is its edge count."""
-    check_family("AG", n, 4, block=i)
-    G = (cache or _GraphCache()).get("AG", n)
+    G = cache.get(family, n)
     block_of = blocks_AG(n, i).block_of  # X(i), Y(i), Z(i), W(i) as 0..3
     # Each vertex's neighbors in the four blocks, one 4-byte record a vertex.
     counts = G.gather_sum(np.eye(4, dtype=np.uint8).take(block_of, axis=0))
@@ -195,10 +349,13 @@ def check_matchings(n: int, i: int, cache=None) -> CheckResult:
     return predicted_value, observed, None, observed == predicted_value
 
 
-@_check("edge_decomposition", "edge set splits into block subgraphs plus a spanning subgraph")
-def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
+@_check(
+    "edge_decomposition", "edge set splits into block subgraphs plus a spanning subgraph",
+    families=tuple(SPANNING), least=4,
+)
+def check_edge_decomposition(family: str, n: int, i: int, cache) -> CheckResult:
     """Exact edge-set split of EAG_n (resp. CAG_n) into the n block
-    subgraphs plus AG_n (resp. EAG_n).
+    subgraphs plus AG_n (resp. EAG_n); the block value i is not read.
 
     Block i's edges are the arcs whose ends both carry the block label i.
     Each spanning row must equal the row of the whole graph that sends
@@ -209,8 +366,6 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     come from the cache, the spanning one as a view of G's first rows by
     generator prefix.
     """
-    check_family(family, n, 4, families=tuple(SPANNING))
-    cache = cache or _GraphCache()
     G = cache.get(family, n)
     spanning = cache.get(SPANNING[family], n)
     label = block_labels(family, n)
@@ -241,8 +396,28 @@ def check_edge_decomposition(family: str, n: int, cache=None) -> CheckResult:
     return predicted_value, observed, None, passed
 
 
-@_check("subgraph_isomorphism", "defining block induces the next-smaller family graph")
-def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> CheckResult:
+@_check(
+    "decomposition_bound", "second eigenvalue is subadditive across the edge decomposition",
+    families=tuple(SPANNING), least=4,
+)
+def check_decomposition_bound(family: str, n: int, i: int, cache) -> CheckResult:
+    """Solver-level subadditivity of the second eigenvalue across the edge
+    decomposition (the induction step behind the closed forms), judged at
+    the cache's tolerance; the block value i is not read."""
+    whole = cache.lambda2(family, n)
+    if family == "EAG":  # AG_n first: the pairs at n are held until the (n-1)-point build
+        part2, part1 = cache.lambda2("AG", n), cache.lambda2("EAG", n - 1)
+        label = ("EAG_{n-1}", "AG_n")
+    else:
+        part1, part2 = cache.lambda2("EAG", n), cache.lambda2("CAG", n - 1)
+        label = ("EAG_n", "CAG_{n-1}")
+    bound = part1 + part2
+    observed = {"lambda2": whole, label[0]: part1, label[1]: part2, "bound": bound}
+    return {"lambda2_at_most": bound}, observed, cache.tol, whole <= bound + cache.tol
+
+
+@_check("subgraph_isomorphism", "defining block induces the next-smaller family graph", least=4)
+def check_subgraph_isomorphism(family: str, n: int, i: int, cache) -> CheckResult:
     """The defining block induces a graph isomorphic to the (n-1)-point
     family graph, via the explicit relabeling map.
 
@@ -255,8 +430,6 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     that is no bijection onto the smaller graph's vertices, yields a failed
     check, not an exception: no row is compared through such a map.
     """
-    check_family(family, n, 4, block=i)
-    cache = cache or _GraphCache()
     G = cache.get(family, n)
     H = cache.get(family, n - 1)
     edges = _edges(family, n - 1)
@@ -291,37 +464,15 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache=None) -> Check
     return predicted_value, observed, None, observed == predicted_value
 
 
-@_check("decomposition_bound", "second eigenvalue is subadditive across the edge decomposition")
-def check_decomposition_bound(family: str, n: int, cache=None) -> CheckResult:
-    """Solver-level subadditivity of the second eigenvalue across the edge
-    decomposition (the induction step behind the closed forms), judged at
-    the cache's tolerance."""
-    check_family(family, n, 4, families=tuple(SPANNING))
-    cache = cache or _GraphCache()
-    whole = cache.lambda2(family, n)
-    if family == "EAG":  # AG_n first: the pairs at n are held until the (n-1)-point build
-        part2, part1 = cache.lambda2("AG", n), cache.lambda2("EAG", n - 1)
-        label = ("EAG_{n-1}", "AG_n")
-    else:
-        part1, part2 = cache.lambda2("EAG", n), cache.lambda2("CAG", n - 1)
-        label = ("EAG_n", "CAG_{n-1}")
-    bound = part1 + part2
-    observed = {"lambda2": whole, label[0]: part1, label[1]: part2, "bound": bound}
-    return {"lambda2_at_most": bound}, observed, cache.tol, whole <= bound + cache.tol
-
-
-def _spanning_check(family: str, n: int, i: int, cache: _GraphCache) -> CheckResult:
-    """The matchings (AG) or edge-decomposition (EAG, CAG) check."""
-    if family == "AG":
-        return check_matchings(n, i, cache)
-    return check_edge_decomposition(family, n, cache)
+_STRUCTURAL = (check_matchings, check_edge_decomposition, check_subgraph_isomorphism)
 
 
 def structural_checks(family: str, n: int, i: int, cache: _GraphCache) -> list[CheckResult]:
-    """The matchings (AG) or edge-decomposition (EAG, CAG) check, then the
-    subgraph isomorphism check; ``verify`` runs the bound between them."""
+    """The battery's structural checks that apply: the matchings (AG) or the
+    edge decomposition (EAG, CAG), then the subgraph isomorphism; the
+    ``decompose`` verb runs them.  ``verify`` runs the bound between them."""
     check_family(family, n, 4, block=i)
-    return [_spanning_check(family, n, i, cache), check_subgraph_isomorphism(family, n, i, cache)]
+    return [check(family, n, i, cache) for check in _STRUCTURAL if check.applies(family, n)]
 
 
 def verify_family(
@@ -332,126 +483,29 @@ def verify_family(
     max_order: int = DEFAULT_MAX_ORDER,
     block_index: int = 1,
 ) -> VerificationReport:
-    """Run the full check battery for one family at one n.
+    """Run every check of :data:`_BATTERY` that applies to one family at one
+    n, in its order, on one :class:`_GraphCache`.
 
     Order: graph invariants, equitable partition vs the closed form, the
     integer spectrum of the divisor matrix that check measured on the graph
     vs the closed form, second eigenvalue (iterative always; exact when the
     order is within the fixed ``spectra.DENSE_ORDER_CAP``, n <= 7), spectral
     gap, canonical cut ratio, isoperimetric bracket (order within
-    ``cheeger.BRUTE_ORDER_CAP``), then the structural checks and the bound
-    between them, run in that order.  Every check reads the built graph, so
-    each can fail.  A battery builds each graph, the (n-1)-point ones
-    included, once and within ``max_order``, but takes the spanning graph of
-    EAG_n or CAG_n as a view of its first rows by generator prefix
-    (:class:`_GraphCache`); it solves each second eigenvalue once.  The exact
-    check proves the exact spectrum on the graph
-    (:func:`~altspectra.spectra.certify_spectrum`) and the isoperimetric
-    bracket reads its gap from it; no dense matrix is formed.
+    ``cheeger.BRUTE_ORDER_CAP``), then the matchings (AG) or the edge
+    decomposition (EAG, CAG), the decomposition bound (EAG, CAG) and the
+    subgraph isomorphism, from n = 4.  Each check, run alone on a cache
+    that has seen the same checks before it, gives the same row.  Every
+    check reads the built graph, so each can fail.  A battery builds F_n
+    before the first check, so no check is billed that build, and builds
+    each other graph, the (n-1)-point ones included, once and within
+    ``max_order``, but takes the spanning graph of EAG_n or CAG_n as a view
+    of its first rows by generator prefix (:class:`_GraphCache`); it solves
+    each second eigenvalue once and forms each quotient and exact spectrum
+    once.  The isoperimetric bracket reads its gap from the exact spectrum;
+    no dense matrix is formed.
     """
     check_family(family, n, block=block_index)
-    if not 0 < tol < 0.5:
-        # Every named-family spectrum is integral: a residual under 1/2 ties
-        # lambda2 to a single integer, a larger one lets any value pass.
-        raise ValueError(f"tol must be in (0, 0.5), got {tol}")
     cache = _GraphCache(max_order, tol, seed)
-    G = cache.get(family, n)
-    degree, lam2_pred, gap_pred = predicted(family, n)
-    exact = exact_spectrum(family, n) if G.order <= DENSE_ORDER_CAP else None
-    measured = None
-
-    @_check("graph_invariants", "regular Cayley graph structure")
-    def invariants():
-        observed = {
-            "order": G.order,
-            "degree": G.degree,
-            "edges": G.edge_count,
-            "violations": graph_invariant_violations(G),
-            "connected": is_connected(G),
-        }
-        predicted_value = {
-            "order": alternating_order(n),
-            "degree": degree,
-            "edges": _edges(family, n),
-            "violations": [],
-            "connected": True,
-        }
-        return predicted_value, observed, None, observed == predicted_value
-
-    @_check("equitable_partition", "block neighbor counts are constant")
-    def equitable():
-        nonlocal measured
-        P = blocks_AG(n, block_index) if family == "AG" else blocks_Xij(n, i=block_index)
-        result = check_equitable(G, P)
-        closed = divisor_closed_form(family, n)
-        if not isinstance(result, Quotient):
-            return closed.B, str(result), None, False
-        measured = result
-        ok = (result.sizes, result.B) == (closed.sizes, closed.B)  # roots differ at n = 3
-        return closed.B, result.B, None, ok
-
-    @_check("divisor_spectrum", "quotient matrix eigenvalues")
-    def divisor_eigs():
-        values = None if measured is None else divisor_spectrum(measured)
-        target = divisor_eigenvalues_closed_form(family, n)
-        return target, values, None, values == target
-
-    @_check("lambda2_iterative", "closed-form second-largest eigenvalue")
-    def lam2_iter():
-        value = cache.lambda2(family, n)
-        return lam2_pred, value, tol, abs(value - lam2_pred) <= max(tol, 1e-6)
-
-    @_check("lambda2_exact", "closed-form second-largest eigenvalue")
-    def lam2_exact():
-        certificate = certify_spectrum(G, exact)
-        observed = {"lambda2": list(exact)[1], **certificate}
-        predicted_value = {"lambda2": lam2_pred, **dict.fromkeys(certificate, True)}
-        return predicted_value, observed, None, observed == predicted_value
-
-    @_check("spectral_gap", "closed-form adjacency spectral gap")
-    def gap():
-        value = degree - cache.lambda2(family, n)
-        return gap_pred, value, 2 * tol, abs(value - gap_pred) <= max(2 * tol, 2e-6)
-
-    @_check("canonical_cut_ratio", "edge boundary of the defining block")
-    def cut():
-        cr = _cheeger.cut_ratio(G, _cheeger.canonical_cut(family, n, block_index))
-        _, upper = _cheeger.corollary_bounds(family, n)
-        boundary_pred = _cheeger.canonical_boundary(family, n)
-        ok = cr.ratio == upper and cr.boundary == boundary_pred
-        predicted_value = {"ratio": str(upper), "boundary": boundary_pred}
-        return predicted_value, {"ratio": str(cr.ratio), "boundary": cr.boundary}, None, ok
-
-    @_check("isoperimetric_bracket", "spectral bounds on the exact cut minimum")
-    def bracket():
-        h, witness = _cheeger.brute_force_h(G)
-        mu = degree - list(exact)[1]  # the brute-force cap is below the dense one
-        lower = mu / 2
-        ok = float(h) >= lower - 1e-9
-        observed = {"h": str(h), "witness": list(witness), "lower": lower}
-        predicted_value = {"h_at_least": lower}
-        if G.order > 3:
-            _, upper = _cheeger.cheeger_bounds(mu, degree)
-            predicted_value["h_at_most"] = upper
-            observed["upper"] = upper
-            ok = ok and float(h) <= upper + 1e-9
-        return predicted_value, observed, 1e-9, ok
-
-    partition_applies = n >= PARTITION_LEAST[family]
-    checks = [invariants()]
-    if partition_applies:
-        checks += [equitable(), divisor_eigs()]
-    checks.append(lam2_iter())
-    if G.order <= DENSE_ORDER_CAP:
-        checks.append(lam2_exact())
-    checks.append(gap())
-    if partition_applies:
-        checks.append(cut())
-    if G.order <= _cheeger.BRUTE_ORDER_CAP:
-        checks.append(bracket())
-    if n >= 4:  # in report order: EAG_n is solved before any (n-1)-point build
-        checks.append(_spanning_check(family, n, block_index, cache))
-        if family in SPANNING:
-            checks.append(check_decomposition_bound(family, n, cache))
-        checks.append(check_subgraph_isomorphism(family, n, block_index, cache))
+    cache.get(family, n)  # before the first check, so no check is billed the build
+    checks = [c(family, n, block_index, cache) for c in _BATTERY if c.applies(family, n)]
     return VerificationReport(family, n, seed, block_index, checks)

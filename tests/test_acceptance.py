@@ -202,7 +202,7 @@ def test_criterion_10_structural_suite(graph):
     failures = []
     for n in (4, 5, 6):
         for i in (1, n):
-            r = check_matchings(n, i)
+            r = check_matchings("AG", n, i)
             if not r.passed:
                 failures.append(f"matchings AG_{n} i={i}")
         for family in ("EAG", "CAG"):

@@ -627,6 +627,14 @@ DOMAIN_CHECKED = {
     "check_subgraph_isomorphism": (
         lambda family, n: verify.check_subgraph_isomorphism(family, n, 1), FROM_4
     ),
+    "check_graph_invariants": (verify.check_graph_invariants, {}),
+    "check_equitable_partition": (verify.check_equitable_partition, {"AG": 4}),
+    "check_divisor_spectrum": (verify.check_divisor_spectrum, {"AG": 4}),
+    "check_lambda2_iterative": (verify.check_lambda2_iterative, {}),
+    "check_lambda2_exact": (verify.check_lambda2_exact, {}),
+    "check_spectral_gap": (verify.check_spectral_gap, {}),
+    "check_canonical_cut_ratio": (verify.check_canonical_cut_ratio, {"AG": 4}),
+    "check_isoperimetric_bracket": (verify.check_isoperimetric_bracket, {}),
 }
 
 
@@ -656,7 +664,7 @@ def test_family_domain_is_checked_before_any_build(monkeypatch, name, family):
 @pytest.mark.parametrize(
     "check,family",
     [
-        pytest.param(lambda family, n: verify.check_matchings(n, 1), "AG", id="matchings-AG"),
+        pytest.param(lambda family, n: verify.check_matchings("AG", n, 1), "AG", id="matchings-AG"),
         (verify.check_edge_decomposition, "EAG"),
         (verify.check_edge_decomposition, "CAG"),
         (verify.check_decomposition_bound, "EAG"),
@@ -680,8 +688,16 @@ def test_decompositions_refuse_AG_before_any_build(monkeypatch, check):
 # with the families it takes (None: it takes none) and the least n it takes.
 BLOCK_CHECKED = {
     "verify_family": (lambda f, n, i: verify.verify_family(f, n, block_index=i), FAMILIES, 3),
-    "check_matchings": (lambda f, n, i: verify.check_matchings(n, i), ("AG",), 4),
+    "check_matchings": (lambda f, n, i: verify.check_matchings("AG", n, i), ("AG",), 4),
     "check_subgraph_isomorphism": (verify.check_subgraph_isomorphism, FAMILIES, 4),
+    "check_graph_invariants": (verify.check_graph_invariants, FAMILIES, 3),
+    "check_equitable_partition": (verify.check_equitable_partition, FAMILIES, 4),
+    "check_divisor_spectrum": (verify.check_divisor_spectrum, FAMILIES, 4),
+    "check_lambda2_iterative": (verify.check_lambda2_iterative, FAMILIES, 3),
+    "check_lambda2_exact": (verify.check_lambda2_exact, FAMILIES, 3),
+    "check_spectral_gap": (verify.check_spectral_gap, FAMILIES, 3),
+    "check_canonical_cut_ratio": (verify.check_canonical_cut_ratio, FAMILIES, 4),
+    "check_isoperimetric_bracket": (verify.check_isoperimetric_bracket, FAMILIES, 3),
     "structural_checks": (
         lambda f, n, i: list(verify.structural_checks(f, n, i, verify._GraphCache())), FAMILIES, 4
     ),
@@ -812,7 +828,7 @@ def test_row_passes_stay_below_the_rows_size(name):
         "matvec": lambda: G.matvec(v),
         "is_connected": lambda: is_connected(G),
         "boundary_size": lambda: boundary_size(G, S),
-        "check_edge_decomposition": lambda: check_edge_decomposition("CAG", 7, cache),
+        "check_edge_decomposition": lambda: check_edge_decomposition("CAG", 7, cache=cache),
         "check_equitable": lambda: check_equitable(G, P),
         "certify_spectrum": lambda: certify_spectrum(G, spectrum),
         "graph_invariant_violations": lambda: graph_invariant_violations(G),

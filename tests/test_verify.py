@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,7 +48,7 @@ def _swap_arcs(perms, c, a, x):
 
 @pytest.mark.parametrize("n,i,size", [(4, 1, 3), (5, 2, 12)])
 def test_matchings_pass(graph, n, i, size):
-    result = check_matchings(n, i)
+    result = check_matchings("AG", n, i)
     assert result.passed
     assert result.observed["matching_size_Y"] == size
     assert result.observed["matching_size_Z"] == size
@@ -69,7 +70,7 @@ def test_matchings_fail_after_swapping_edges(graph):
     )
     _swap_arcs(perms, c, a, v)
     doctored = Graph(perms=perms)
-    result = check_matchings(4, 1, cache=_FixedGraphs({("AG", 4): doctored}))
+    result = check_matchings("AG", 4, 1, cache=_FixedGraphs({("AG", 4): doctored}))
     assert not result.passed
     assert f"vertex {a} has 0 neighbors in Y(1)" in result.observed["problems"]
     assert f"vertex {b} of Y(1) has 0 neighbors in X(1)" in result.observed["problems"]
@@ -98,7 +99,7 @@ def test_matchings_agree_with_loops_after_random_swaps(graph):
         doctored = _random_swaps(graph("AG", 5), rng, 20)
         cache = _FixedGraphs({("AG", 5): doctored})
         for i in (1, 5):
-            observed = check_matchings(5, i, cache=cache).observed
+            observed = check_matchings("AG", 5, i, cache=cache).observed
             assert observed == _matchings_by_loops(doctored, 5, i)
             kinds.update(p.split(" ", 2)[2].split(" in ")[0] for p in observed["problems"])
     # Lines from the X side and from the Y and Z sides.
@@ -355,18 +356,92 @@ def _fields_but_millis(check):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_battery_structural_checks_equal_the_standalone_checks(family):
-    # The battery puts the bound between the two structural checks.
-    standalone = structural_checks(family, 5, 1, verify._GraphCache())
-    if family != "AG":
-        standalone.insert(1, check_decomposition_bound(family, 5, verify._GraphCache()))
-    battery = verify_family(family, 5).checks[-len(standalone):]
-    assert [_fields_but_millis(c) for c in battery] == [_fields_but_millis(c) for c in standalone]
+    # Every battery row equals its check called alone, by its module name,
+    # in report order on one shared cache; the structural checks equal the
+    # battery's rows around the bound.
+    for n in (3, 4, 5, 6):
+        battery = verify_family(family, n).checks
+        cache = verify._GraphCache()
+        standalone = [getattr(verify, f"check_{c.name}")(family, n, cache=cache) for c in battery]
+        assert [_fields_but_millis(c) for c in standalone] == [_fields_but_millis(c) for c in battery]
+        if n >= 4:
+            structural = structural_checks(family, n, 1, verify._GraphCache())
+            rows = [c for c in battery if c.name != "decomposition_bound"][-len(structural):]
+            assert [_fields_but_millis(c) for c in structural] == [_fields_but_millis(c) for c in rows]
+
+
+# The battery's check names in report order, by families and n.
+BATTERY_NAMES = {
+    (("AG",), 3): [
+        "graph_invariants", "lambda2_iterative", "lambda2_exact", "spectral_gap",
+        "isoperimetric_bracket",
+    ],
+    (("EAG", "CAG"), 3): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "lambda2_exact", "spectral_gap", "canonical_cut_ratio", "isoperimetric_bracket",
+    ],
+    (("AG",), 4): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "lambda2_exact", "spectral_gap", "canonical_cut_ratio", "isoperimetric_bracket",
+        "matchings", "subgraph_isomorphism",
+    ],
+    (("EAG", "CAG"), 4): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "lambda2_exact", "spectral_gap", "canonical_cut_ratio", "isoperimetric_bracket",
+        "edge_decomposition", "decomposition_bound", "subgraph_isomorphism",
+    ],
+    (("AG",), 5): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "lambda2_exact", "spectral_gap", "canonical_cut_ratio", "matchings",
+        "subgraph_isomorphism",
+    ],
+    (("EAG", "CAG"), 5): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "lambda2_exact", "spectral_gap", "canonical_cut_ratio", "edge_decomposition",
+        "decomposition_bound", "subgraph_isomorphism",
+    ],
+    (("AG",), 7): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "lambda2_exact", "spectral_gap", "canonical_cut_ratio", "matchings",
+        "subgraph_isomorphism",
+    ],
+    (("EAG", "CAG"), 7): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "lambda2_exact", "spectral_gap", "canonical_cut_ratio", "edge_decomposition",
+        "decomposition_bound", "subgraph_isomorphism",
+    ],
+    (("AG",), 8): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "spectral_gap", "canonical_cut_ratio", "matchings", "subgraph_isomorphism",
+    ],
+    (("EAG", "CAG"), 8): [
+        "graph_invariants", "equitable_partition", "divisor_spectrum", "lambda2_iterative",
+        "spectral_gap", "canonical_cut_ratio", "edge_decomposition", "decomposition_bound",
+        "subgraph_isomorphism",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "family,n,names",
+    [(f, n, names) for (families, n), names in BATTERY_NAMES.items() for f in families],
+)
+def test_battery_runs_its_checks_in_report_order(family, n, names):
+    assert [c.name for c in verify_family(family, n).checks] == names
 
 
 def test_decomposition_bound_judges_at_the_cache_tolerance():
     result = check_decomposition_bound("EAG", 5, cache=verify._GraphCache(tol=1e-6))
     assert result.tolerance == 1e-6
     assert result.passed
+
+
+def test_a_check_cache_refuses_tol_outside_open_half_unit():
+    # A standalone check reads tol from its cache.  At tol 0.9 the bound
+    # once passed on wrong numbers: EAG_4's lambda2 solved as 0.93 (it is 1),
+    # which put the bound below lambda2(EAG_5).
+    with pytest.raises(ValueError, match=re.escape("tol must be in (0, 0.5), got 0.9")):
+        check_decomposition_bound("EAG", 5, cache=verify._GraphCache(tol=0.9))
 
 
 @pytest.mark.parametrize(
@@ -563,7 +638,7 @@ def test_a_graph_replaced_from_a_build_is_no_build(monkeypatch):
     cache = _GraphCache()
     assert cache.get("CAG", 6) is doctored
     assert not np.shares_memory(cache.get("EAG", 6).perms, perms)
-    assert not check_edge_decomposition("CAG", 6, cache).passed
+    assert not check_edge_decomposition("CAG", 6, cache=cache).passed
 
 
 def test_spanning_view_holds_no_second_copy_of_the_rows():
