@@ -2,21 +2,22 @@
 
 Every check is one module-level function in one shape, ``check(family, n,
 i=1, cache=None)``: decorated with ``@_check(name, ref, families, least,
-cap)``, its body returns the predicted value, the observed value, the
-tolerance it was judged at, and a pass flag, and the decorator refuses a
-(family, n, block) outside the check's domain before any build, times the
-call and wraps those in a :class:`CheckResult`.  The decorator also appends
-the check to :data:`_BATTERY`, whose order is the report order, so every
-check runs standalone or in a battery from the same code.  A report is the
-ordered list of checks that apply plus their conjunction; ``decompose`` runs
-the structural subset (:func:`structural_checks`).  Check failures are
-recorded, never raised (a :class:`~altspectra.cayley.Graph` refuses rows
-that name a non-vertex when it is built, so no check meets one);
-infrastructure failures (a solver that does not converge, a cap that is
-exceeded) propagate as exceptions since no meaningful report exists then.
-The structural checks take a family's defining blocks from per-vertex
-labels (:func:`altspectra.cayley.block_labels`) and compare the graphs'
-generator rows; they build no subgraphs, so a doctored graph fails a check.
+cap, structural)``, its body returns the predicted value, the observed
+value, the tolerance it was judged at, and a pass flag, and the decorator
+refuses a (family, n, block) outside the check's domain, or an order above
+its cap, before any build, times the call and wraps those in a
+:class:`CheckResult`.  :data:`_BATTERY` lists every check in report order,
+so every check runs standalone or in a battery from the same code.  A
+report is the ordered list of checks that apply plus their conjunction;
+``decompose`` runs the structural subset (:func:`structural_checks`).
+Check failures are recorded, never raised (a
+:class:`~altspectra.cayley.Graph` refuses rows that name a non-vertex when
+it is built, so no check meets one); infrastructure failures (a solver that
+does not converge, a cap that is exceeded) propagate as exceptions since no
+meaningful report exists then.  The structural checks take a family's
+defining blocks from per-vertex labels
+(:func:`altspectra.cayley.block_labels`) and compare the graphs' generator
+rows; they build no subgraphs, so a doctored graph fails a check.
 
 Reports are deterministic: given the same seed, two runs produce identical
 values.  Wall-clock timings are measured and kept on the result objects but
@@ -47,8 +48,9 @@ from .cayley import (
     is_connected,
     phi_isomorphism,
 )
-from .cheeger import BRUTE_ORDER_CAP
+from .errors import OrderCapError
 from .partition import (
+    EquitableWitness,
     Quotient,
     blocks_AG,
     blocks_Xij,
@@ -59,7 +61,7 @@ from .partition import (
 )
 from .perm import alternating_order
 from .spectra import (
-    DENSE_ORDER_CAP,
+    _check_dense_order,
     certify_spectrum,
     exact_spectrum,
     lambda2_iterative,
@@ -112,42 +114,46 @@ class VerificationReport:
         }
 
 
-# Every check, in definition order, which is the report order.  The spectral
-# checks come before the structural ones: the star rows of one n are held at
-# a time, so every solve at n runs before any (n-1)-point build.
-_BATTERY = []
-
-
-def _check(name: str, ref: str, families=FAMILIES, least: int | dict = 3, cap: int | None = None):
+def _check(
+    name: str, ref: str, families=FAMILIES, least: int | dict = 3, cap=None, structural=False
+):
     """Make ``fn(family, n, i, cache)``, which returns (predicted, observed,
     tolerance, passed), the check ``check(family, n, i=1, cache=None)``,
-    which returns its timed :class:`CheckResult`, and append it to
-    :data:`_BATTERY`.
+    which returns its timed :class:`CheckResult`.
 
     The check's domain is written here once: ``families``, the least n
     (an int, or a dict by family as :data:`PARTITION_LEAST`) and ``cap``,
-    the largest order the battery runs it at.  A call outside the family
-    and n range, or with a block value outside 1..n, raises ``ValueError``
-    before any build; ``check.applies(family, n)`` tells the battery
-    whether to run it.  Without a cache a check makes its own
-    :class:`_GraphCache`.
+    the guard that raises :class:`~altspectra.errors.OrderCapError` on an
+    order above the check's fixed size cap.  A call outside the domain, or
+    with a block value outside 1..n, raises before any build;
+    ``check.applies(family, n)`` tells the battery whether to run it, and
+    ``check.structural`` whether the ``decompose`` verb runs it too.
+    Without a cache a check makes its own :class:`_GraphCache`.
     """
 
-    least = least if isinstance(least, dict) else dict.fromkeys(families, least)
+    def refuse(family: str, n: int, i: int | None = None) -> None:
+        check_family(family, n, least, block=i, families=families)
+        if cap is not None:
+            cap(alternating_order(n))
+
+    def applies(family: str, n: int) -> bool:
+        try:
+            refuse(family, n)
+        except (ValueError, OrderCapError):
+            return False
+        return True
 
     def decorate(fn):
         @wraps(fn)
         def check(family: str, n: int, i: int = 1, cache=None) -> CheckResult:
-            check_family(family, n, least, block=i, families=families)
+            refuse(family, n, i)
             t0 = time.perf_counter()
             wanted, observed, tolerance, passed = fn(family, n, i, cache or _GraphCache())
             millis = (time.perf_counter() - t0) * 1000.0
             return CheckResult(name, ref, wanted, observed, tolerance, bool(passed), millis)
 
-        check.applies = lambda family, n: family in families and n >= least[family] and (
-            cap is None or alternating_order(n) <= cap
-        )
-        _BATTERY.append(check)
+        check.applies = applies
+        check.structural = structural
         return check
 
     return decorate
@@ -172,7 +178,10 @@ class _GraphCache:
         if not 0 < tol < 0.5:
             raise ValueError(f"tol must be in (0, 0.5), got {tol}")
         self.max_order, self.tol, self.seed = max_order, tol, seed
-        self._graphs, self._lambda2, self._quotients, self._spectra = {}, {}, {}, {}
+        self._graphs: dict[tuple[str, int], Graph] = {}
+        self._lambda2: dict[tuple[str, int], float] = {}
+        self._quotients: dict[tuple[str, int, int], Quotient | EquitableWitness] = {}
+        self._spectra: dict[tuple[str, int], dict[int, int]] = {}
 
     def get(self, family: str, n: int) -> Graph:
         key = (family, n)
@@ -269,7 +278,7 @@ def check_lambda2_iterative(family: str, n: int, i: int, cache) -> CheckResult:
     return wanted, value, cache.tol, abs(value - wanted) <= max(cache.tol, 1e-6)
 
 
-@_check("lambda2_exact", "closed-form second-largest eigenvalue", cap=DENSE_ORDER_CAP)
+@_check("lambda2_exact", "closed-form second-largest eigenvalue", cap=_check_dense_order)
 def check_lambda2_exact(family: str, n: int, i: int, cache) -> CheckResult:
     """The exact spectrum's second value against the closed form, with the
     spectrum proved on the graph (:func:`~altspectra.spectra.certify_spectrum`);
@@ -302,7 +311,10 @@ def check_canonical_cut_ratio(family: str, n: int, i: int, cache) -> CheckResult
     return predicted_value, {"ratio": str(cr.ratio), "boundary": cr.boundary}, None, ok
 
 
-@_check("isoperimetric_bracket", "spectral bounds on the exact cut minimum", cap=BRUTE_ORDER_CAP)
+@_check(
+    "isoperimetric_bracket", "spectral bounds on the exact cut minimum",
+    cap=_cheeger._check_brute_order,
+)
 def check_isoperimetric_bracket(family: str, n: int, i: int, cache) -> CheckResult:
     """The brute-force isoperimetric number lies within the Cheeger bounds
     of the exact spectral gap."""
@@ -316,12 +328,16 @@ def check_isoperimetric_bracket(family: str, n: int, i: int, cache) -> CheckResu
     predicted_value = {"h_at_least": lower}
     if G.order > 3:
         _, upper = _cheeger.cheeger_bounds(mu, degree)
-        predicted_value["h_at_most"] = observed["upper"] = upper
+        predicted_value["h_at_most"] = upper
+        observed["upper"] = upper
         ok = ok and float(h) <= upper + 1e-9
     return predicted_value, observed, 1e-9, ok
 
 
-@_check("matchings", "one-to-one edges between adjacent blocks", families=("AG",), least=4)
+@_check(
+    "matchings", "one-to-one edges between adjacent blocks", families=("AG",), least=4,
+    structural=True,
+)
 def check_matchings(family: str, n: int, i: int, cache) -> CheckResult:
     """The edges between X(i), the vertices with the value i last, and each of
     Y(i) and Z(i), with i first and second, are perfect matchings: every X(i)
@@ -351,7 +367,7 @@ def check_matchings(family: str, n: int, i: int, cache) -> CheckResult:
 
 @_check(
     "edge_decomposition", "edge set splits into block subgraphs plus a spanning subgraph",
-    families=tuple(SPANNING), least=4,
+    families=tuple(SPANNING), least=4, structural=True,
 )
 def check_edge_decomposition(family: str, n: int, i: int, cache) -> CheckResult:
     """Exact edge-set split of EAG_n (resp. CAG_n) into the n block
@@ -416,7 +432,10 @@ def check_decomposition_bound(family: str, n: int, i: int, cache) -> CheckResult
     return {"lambda2_at_most": bound}, observed, cache.tol, whole <= bound + cache.tol
 
 
-@_check("subgraph_isomorphism", "defining block induces the next-smaller family graph", least=4)
+@_check(
+    "subgraph_isomorphism", "defining block induces the next-smaller family graph", least=4,
+    structural=True,
+)
 def check_subgraph_isomorphism(family: str, n: int, i: int, cache) -> CheckResult:
     """The defining block induces a graph isomorphic to the (n-1)-point
     family graph, via the explicit relabeling map.
@@ -464,7 +483,23 @@ def check_subgraph_isomorphism(family: str, n: int, i: int, cache) -> CheckResul
     return predicted_value, observed, None, observed == predicted_value
 
 
-_STRUCTURAL = (check_matchings, check_edge_decomposition, check_subgraph_isomorphism)
+# Every check in report order.  The spectral checks come before the
+# structural ones: the star rows of one n are held at a time, so every solve
+# at n runs before any (n-1)-point build.
+_BATTERY = (
+    check_graph_invariants,
+    check_equitable_partition,
+    check_divisor_spectrum,
+    check_lambda2_iterative,
+    check_lambda2_exact,
+    check_spectral_gap,
+    check_canonical_cut_ratio,
+    check_isoperimetric_bracket,
+    check_matchings,
+    check_edge_decomposition,
+    check_decomposition_bound,
+    check_subgraph_isomorphism,
+)
 
 
 def structural_checks(family: str, n: int, i: int, cache: _GraphCache) -> list[CheckResult]:
@@ -472,7 +507,7 @@ def structural_checks(family: str, n: int, i: int, cache: _GraphCache) -> list[C
     edge decomposition (EAG, CAG), then the subgraph isomorphism; the
     ``decompose`` verb runs them.  ``verify`` runs the bound between them."""
     check_family(family, n, 4, block=i)
-    return [check(family, n, i, cache) for check in _STRUCTURAL if check.applies(family, n)]
+    return [c(family, n, i, cache) for c in _BATTERY if c.structural and c.applies(family, n)]
 
 
 def verify_family(
@@ -493,10 +528,10 @@ def verify_family(
     gap, canonical cut ratio, isoperimetric bracket (order within
     ``cheeger.BRUTE_ORDER_CAP``), then the matchings (AG) or the edge
     decomposition (EAG, CAG), the decomposition bound (EAG, CAG) and the
-    subgraph isomorphism, from n = 4.  Each check, run alone on a cache
-    that has seen the same checks before it, gives the same row.  Every
-    check reads the built graph, so each can fail.  A battery builds F_n
-    before the first check, so no check is billed that build, and builds
+    subgraph isomorphism, from n = 4.  Each check run alone, on a fresh
+    cache or on one that has seen the checks before it, gives the same row.
+    Every check reads the built graph, so each can fail.  A battery builds
+    F_n before the first check, so no check is billed that build, and builds
     each other graph, the (n-1)-point ones included, once and within
     ``max_order``, but takes the spanning graph of EAG_n or CAG_n as a view
     of its first rows by generator prefix (:class:`_GraphCache`); it solves

@@ -661,6 +661,23 @@ def test_family_domain_is_checked_before_any_build(monkeypatch, name, family):
     fn(family, least)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(
+    "check,n,message",
+    [
+        (verify.check_lambda2_exact, 8, "order 20160 above the fixed dense cap 3000"),
+        (verify.check_isoperimetric_bracket, 5, "order 60 above the fixed brute-force cap 20"),
+    ],
+)
+def test_capped_checks_refuse_an_order_above_the_cap_before_any_build(
+    monkeypatch, check, n, message, family
+):
+    _refuse_builds(monkeypatch)
+    assert check.applies(family, n - 1) and not check.applies(family, n)
+    with pytest.raises(OrderCapError, match=f"^{message}"):
+        check(family, n)
+
+
 @pytest.mark.parametrize(
     "check,family",
     [

@@ -357,13 +357,17 @@ def _fields_but_millis(check):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_battery_structural_checks_equal_the_standalone_checks(family):
     # Every battery row equals its check called alone, by its module name,
-    # in report order on one shared cache; the structural checks equal the
-    # battery's rows around the bound.
+    # in report order on one shared cache, and on a fresh cache of its own,
+    # so no row depends on what the cache already holds; the structural
+    # checks equal the battery's rows around the bound.
     for n in (3, 4, 5, 6):
         battery = verify_family(family, n).checks
         cache = verify._GraphCache()
         standalone = [getattr(verify, f"check_{c.name}")(family, n, cache=cache) for c in battery]
         assert [_fields_but_millis(c) for c in standalone] == [_fields_but_millis(c) for c in battery]
+        for row in battery:
+            alone = getattr(verify, f"check_{row.name}")(family, n, cache=verify._GraphCache())
+            assert _fields_but_millis(alone) == _fields_but_millis(row)
         if n >= 4:
             structural = structural_checks(family, n, 1, verify._GraphCache())
             rows = [c for c in battery if c.name != "decomposition_bound"][-len(structural):]
